@@ -7,12 +7,18 @@ GO ?= go
 # real hunt, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-# Same-run throughput floor for the batched fleet kernel: batched must be
-# at least this many times faster than scalar on BenchmarkFleetThroughput.
-# Set from a measured ~1.7x (see docs/benchmarks.md for why not more) with
-# margin for runner noise; raise it only after re-measuring, lower it only
-# with a written justification of what legitimately got slower.
-MIN_SPEEDUP ?= 1.4
+# Same-run throughput floor for the batched fleet kernel: the default batch
+# width must be at least this many times faster than width-1 units on
+# BenchmarkFleetThroughput (median of 5 paired repetitions). Both sides run
+# the same kernel, so the ratio is the shared-step amortization alone:
+# medians of 0.99-1.20x (typically ~1.1x) over fifteen 5-count runs on a
+# 2-CPU shared host, floor set at 0.9 for noise margin. It fell from the
+# old 1.4x because the width-1 side stopped paying for prediction
+# accounting, closure ticks and a separate power evaluation — see
+# docs/benchmarks.md.
+# Raise it only after re-measuring, lower it only with a written
+# justification of what legitimately got slower.
+MIN_SPEEDUP ?= 0.9
 
 # Absolute B/op ceiling for the batched fleet kernel on
 # BenchmarkFleetThroughput/batched. Per-op bytes are a property of the
@@ -22,7 +28,7 @@ MIN_SPEEDUP ?= 1.4
 # stopped pooling, a slice that started escaping).
 MAX_BATCH_BYTES ?= 400000
 
-.PHONY: all build test race bench bench-json bench-baseline bench-ratio bench-record lint fmt fuzz cover api-check api-surface daemon-smoke soak soak-smoke ci clean
+.PHONY: all build test race bench-harness bench bench-json bench-baseline bench-ratio bench-record lint fmt fuzz cover api-check api-surface daemon-smoke soak soak-smoke ci clean
 
 # The hot-loop benchmarks whose allocs/op are engineered to be flat and
 # machine-independent; bench-json gates them against BENCH_baseline.json.
@@ -30,8 +36,8 @@ MAX_BATCH_BYTES ?= 400000
 # channel handoff per interval) on top of the raw simulation cell;
 # BenchmarkFleetCell covers the fleet unit of work (per-device scenario run
 # folded into the online aggregators, no trace retained);
-# BenchmarkFleetThroughput covers the batched SoA fleet kernel against its
-# scalar oracle (same fleet, BatchSize 1 vs default).
+# BenchmarkFleetThroughput covers the batched SoA fleet kernel at its
+# default width against width 1 (same fleet, BatchSize 1 vs default).
 HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$
 
 all: build
@@ -44,6 +50,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a module of its own (bench/go.mod, built
+# against this one through a replace directive), so ./... does not reach
+# it; its committed report digests pin the kernel's output bytes.
+bench-harness:
+	cd bench && $(GO) test ./...
 
 # One iteration of every benchmark with allocation stats — the same
 # trajectory snapshot the CI bench job archives.
@@ -66,12 +78,13 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench '$(HOTBENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_baseline.json
 
-# Batched-vs-scalar throughput ratio gate. The two sub-benchmarks run in
+# Batched-vs-width-1 throughput ratio gate. The two sub-benchmarks run in
 # the SAME invocation on the SAME host, so their devices/sec ratio is
-# host-independent even on noisy shared runners; 3 iterations average out
-# scheduler jitter. Fails when batched/scalar < MIN_SPEEDUP.
+# host-independent even on noisy shared runners; 5 paired repetitions of
+# 3 iterations each, judged on the median pair ratio, keep one noisy
+# repetition from deciding it. Fails when the median < MIN_SPEEDUP.
 bench-ratio:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput$$' -benchtime 3x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput$$' -benchtime 3x -count 5 -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_throughput.json
 	$(GO) run ./cmd/benchjson \
 		-min-speedup 'BenchmarkFleetThroughput/batched,BenchmarkFleetThroughput/scalar,$(MIN_SPEEDUP)' \
@@ -161,7 +174,7 @@ soak:
 		SOAK_RESULT_DIR=$(SOAK_RESULT_DIR) SOAK_PPROF=$(SOAK_PPROF) \
 		$(GO) test -race -run '^TestSoakSmoke$$' -count=1 -timeout 12h -v ./internal/soak
 
-ci: build lint api-check race bench bench-json bench-ratio fuzz daemon-smoke soak-smoke cover
+ci: build lint api-check race bench-harness bench bench-json bench-ratio fuzz daemon-smoke soak-smoke cover
 
 clean:
 	rm -f bench.txt coverage.out BENCH_latest.json BENCH_throughput.json .api-surface.latest

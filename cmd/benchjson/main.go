@@ -29,7 +29,8 @@
 // same machine under the same load, so their throughput ratio survives
 // CI-runner variance that absolute ns/op gates cannot. The two entries
 // are compared on the devices_per_sec custom metric when both report it,
-// falling back to the inverse ns/op ratio otherwise.
+// falling back to the inverse ns/op ratio otherwise; repeated measurements
+// (go test -count N) are paired in order and judged on the median ratio.
 //
 // -record archives the parsed run under a timestamped filename together
 // with host provenance (OS, arch, CPU model, core count, Go version), so
@@ -293,7 +294,11 @@ func runCheck(basePath, latestPath string, maxRegress float64) error {
 // "NUM,DEN,RATIO" (benchmark names cannot contain commas): benchmark NUM
 // must be at least RATIO times faster than benchmark DEN in the single
 // given artifact. Both entries came from one `go test -bench` invocation
-// on one machine, so the ratio is immune to host speed differences.
+// on one machine, so the ratio is immune to host speed differences. With
+// repeated measurements (`go test -count N`) the k-th NUM entry pairs
+// with the k-th DEN entry — adjacent in time, so they share the host's
+// momentary load — and the gate judges the median pair ratio, which one
+// noisy repetition cannot move.
 func runSpeedup(path, spec string) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 3 {
@@ -308,30 +313,38 @@ func runSpeedup(path, spec string) error {
 	if err != nil {
 		return err
 	}
-	byName := map[string]Entry{}
+	byName := map[string][]Entry{}
 	for _, e := range f.Benchmarks {
-		byName[e.Name] = e
+		byName[e.Name] = append(byName[e.Name], e)
 	}
-	num, ok := byName[numName]
-	if !ok {
+	nums, dens := byName[numName], byName[denName]
+	if len(nums) == 0 {
 		return fmt.Errorf("%s: benchmark %q not in artifact", path, numName)
 	}
-	den, ok := byName[denName]
-	if !ok {
+	if len(dens) == 0 {
 		return fmt.Errorf("%s: benchmark %q not in artifact", path, denName)
 	}
-
-	ratio, basis := 0.0, "devices_per_sec"
-	if nd, dd := num.Metrics["devices_per_sec"], den.Metrics["devices_per_sec"]; nd > 0 && dd > 0 {
-		ratio = nd / dd
-	} else if num.NsPerOp > 0 && den.NsPerOp > 0 {
-		// Fallback for benchmarks without the custom metric: time per op.
-		ratio, basis = den.NsPerOp/num.NsPerOp, "ns_per_op"
-	} else {
-		return fmt.Errorf("%s: no comparable metric between %q and %q", path, numName, denName)
+	if len(nums) != len(dens) {
+		return fmt.Errorf("%s: %d measurements of %q vs %d of %q cannot pair", path, len(nums), numName, len(dens), denName)
 	}
-	fmt.Printf("benchjson: speedup %s vs %s = %.2fx (%s basis, floor %.2fx)\n",
-		numName, denName, ratio, basis, want)
+
+	ratios := make([]float64, len(nums))
+	basis := "devices_per_sec"
+	for k, num := range nums {
+		den := dens[k]
+		if nd, dd := num.Metrics["devices_per_sec"], den.Metrics["devices_per_sec"]; nd > 0 && dd > 0 {
+			ratios[k] = nd / dd
+		} else if num.NsPerOp > 0 && den.NsPerOp > 0 {
+			// Fallback for benchmarks without the custom metric: time per op.
+			ratios[k], basis = den.NsPerOp/num.NsPerOp, "ns_per_op"
+		} else {
+			return fmt.Errorf("%s: no comparable metric between %q and %q", path, numName, denName)
+		}
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[len(ratios)/2]
+	fmt.Printf("benchjson: speedup %s vs %s = %.2fx (%s basis, median of %d, floor %.2fx)\n",
+		numName, denName, ratio, basis, len(ratios), want)
 	if ratio < want {
 		return fmt.Errorf("speedup %.2fx is below the %.2fx floor: %s got slower relative to %s; investigate before merging (if the workload changed intentionally, adjust the floor in the Makefile with justification)",
 			ratio, want, numName, denName)

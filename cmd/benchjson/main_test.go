@@ -151,6 +151,30 @@ func TestRunSpeedup(t *testing.T) {
 	}
 }
 
+// TestRunSpeedupMedian: repeated measurements pair in order and the gate
+// judges the median pair ratio, so one outlier repetition cannot fail (or
+// pass) it; unpaired counts are an error.
+func TestRunSpeedupMedian(t *testing.T) {
+	dps := func(name string, v float64) Entry {
+		return Entry{Name: name, NsPerOp: 1, Metrics: map[string]float64{"devices_per_sec": v}}
+	}
+	art := writeArtifact(t, "median.json", []Entry{
+		dps("B/one", 1000), dps("B/wide", 1200), // 1.2x
+		dps("B/one", 1000), dps("B/wide", 700), // 0.7x outlier
+		dps("B/one", 900), dps("B/wide", 1170), // 1.3x
+	})
+	if err := runSpeedup(art, "B/wide,B/one,1.1"); err != nil {
+		t.Fatalf("median 1.2x failed a 1.1x floor: %v", err)
+	}
+	if err := runSpeedup(art, "B/wide,B/one,1.25"); err == nil {
+		t.Fatal("median 1.2x passed a 1.25x floor")
+	}
+	uneven := writeArtifact(t, "uneven.json", []Entry{dps("B/one", 1), dps("B/wide", 1), dps("B/wide", 1)})
+	if err := runSpeedup(uneven, "B/wide,B/one,0.5"); err == nil {
+		t.Fatal("unpaired measurement counts passed the gate")
+	}
+}
+
 // TestRunMaxBytes pins the absolute B/op ceiling gate: at or under the
 // ceiling passes, over it fails, and malformed specs or missing
 // benchmarks are errors rather than silent passes.

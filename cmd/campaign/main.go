@@ -154,9 +154,7 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "campaign: running %d cells\n", grid.Size())
 	rep, err := eng.RunContext(ctx, grid)
 	if eng.Store != nil {
-		s := eng.Store.Stats()
-		fmt.Fprintf(os.Stderr, "campaign: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			eng.Store.Dir(), s.Hits, s.Misses, 100*s.HitRate())
+		fmt.Fprintf(os.Stderr, "campaign: store %s: %s\n", eng.Store.Dir(), eng.Store.Stats().Summary())
 	}
 	cancelled := err != nil && cli.Cancelled(err)
 	if err != nil && !cancelled {

@@ -296,9 +296,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		fmt.Fprintln(os.Stderr, "fleet:", perr)
 	}
 	if st != nil {
-		s := st.Stats()
-		fmt.Fprintf(os.Stderr, "fleet: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			st.Dir(), s.Hits, s.Misses, 100*s.HitRate())
+		fmt.Fprintf(os.Stderr, "fleet: store %s: %s\n", st.Dir(), st.Stats().Summary())
 	}
 	cancelled := err != nil && cli.Cancelled(err)
 	if err != nil && !cancelled {

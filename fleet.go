@@ -64,9 +64,10 @@ type fleetConfig struct {
 
 // WithBatchSize caps how many same-(platform, scenario) devices the fleet
 // engine steps in lock-step through the batched structure-of-arrays
-// kernel. 0 (the default) uses the engine's built-in width; 1 forces the
-// scalar path. Batched devices produce byte-identical samples and reports,
-// so this is purely a throughput/latency knob.
+// kernel. 0 (the default) uses the engine's built-in width; 1 runs
+// width-1 batches of the same kernel. Devices produce byte-identical
+// samples and reports at any width, so this is purely a throughput/latency
+// knob.
 func WithBatchSize(n int) FleetOption {
 	return func(c *fleetConfig) { c.batchSize = n }
 }

@@ -451,7 +451,7 @@ func (e *Engine) RunAll(ctx context.Context, opts []sim.Options) ([]*sim.Result,
 	results := make([]*sim.Result, len(opts))
 	errs := make([]error, len(opts))
 	e.ForEach(len(opts), func(i int) {
-		results[i], errs[i] = RunSafely(ctx, e.Runner, opts[i])
+		results[i], errs[i] = sched.RunSafely(func() (*sim.Result, error) { return e.Runner.Run(ctx, opts[i]) })
 	})
 	return results, errs
 }
@@ -602,7 +602,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 		opt.Model = models.Thermal
 		opt.PowerModel = models.Power
 	}
-	res, err := RunSafely(ctx, runner, opt)
+	res, err := sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
 	done := CellResult{Cell: c}
 	if err != nil {
 		done.Err = err.Error()
@@ -610,7 +610,8 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 		done.Metrics = newMetrics(res)
 		// Persist before notify so an observer that inspects the store
 		// sees the entry of every reported cell. Write failures are
-		// non-fatal: the run has the result, the next run recomputes.
+		// non-fatal (the store counts them): the run has the result, the
+		// next run recomputes.
 		if e.Store != nil {
 			if key, _, ok := e.cellStoreKey(c); ok {
 				_ = e.Store.PutJSON(key, done.Metrics)
@@ -629,12 +630,4 @@ func (e *Engine) notify(r CellResult) {
 	defer e.mu.Unlock()
 	e.done++
 	e.OnCellDone(e.done, e.total, r)
-}
-
-// RunSafely runs one simulation and converts panics into errors, so a
-// pathological cell cannot take a whole sweep down. It is sched.RunSafely,
-// re-exported where the engines historically found it; the fleet engine
-// uses the sched primitive directly.
-func RunSafely(ctx context.Context, r *sim.Runner, opt sim.Options) (*sim.Result, error) {
-	return sched.RunSafely(ctx, r, opt)
 }

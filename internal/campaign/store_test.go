@@ -106,3 +106,41 @@ func TestCampaignStoreScenarioEdit(t *testing.T) {
 		t.Errorf("edit served %d cells warm, want 2", got)
 	}
 }
+
+// TestCampaignStoreWriteErrors: an unwritable store leaves the report
+// byte-identical to a store-less run and counts every failed write.
+func TestCampaignStoreWriteErrors(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BreakWritesForTest(); err != nil {
+		t.Fatal(err)
+	}
+	grid := Grid{
+		Policies:   []sim.Policy{sim.PolicyFan},
+		Benchmarks: []string{"dijkstra"},
+		Seeds:      []int64{1, 2},
+	}
+	export := func(s *store.Store) []byte {
+		t.Helper()
+		rep, err := (&Engine{Workers: 2, BaseSeed: 1, Store: s}).Run(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails := rep.Failures(); len(fails) > 0 {
+			t.Fatalf("cells failed: %+v", fails)
+		}
+		var j bytes.Buffer
+		if err := rep.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return j.Bytes()
+	}
+	if !bytes.Equal(export(st), export(nil)) {
+		t.Error("report through an unwritable store differs from a store-less run")
+	}
+	if s := st.Stats(); s.WriteErrors != uint64(grid.Size()) || s.Writes != 0 {
+		t.Errorf("stats %+v, want %d write errors and no writes", s, grid.Size())
+	}
+}

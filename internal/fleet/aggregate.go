@@ -71,8 +71,8 @@ func newCellAgg(desc *platform.Descriptor, tmax float64) *cellAgg {
 }
 
 // releaseCellAgg returns a merged aggregator to the pool. Callers must be
-// the last reader: the collector only recycles on store-less runs, and
-// tryRunBatch's abandoned aggregators are deliberately NOT released (the
+// the last reader: the collector only recycles on store-less runs, and a
+// failed unit's abandoned aggregators are deliberately NOT released (the
 // panic path can't prove the batch kernel dropped every reference).
 func releaseCellAgg(a *cellAgg) {
 	if a == nil {

@@ -2,8 +2,8 @@ package fleet
 
 import (
 	"context"
-	"errors"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -28,14 +28,10 @@ func (e *Engine) batchSize() int {
 
 // runBatchUnit executes one work unit. With a store attached the unit is
 // first split into hits and misses: hits are served as-is and only the
-// misses are computed (batched when more than one remains) — then handed
-// to the async store writer, which persists them off the hot path (the
-// collector never recycles aggregators on store-backed runs, so the
-// writer's reads stay safe). Multi-cell compute tries the lock-step batch
-// kernel first; on any refusal — incompatible options, a mid-run error, a
-// panic — it falls back to per-cell scalar runs, which are always correct
-// and reproduce any per-cell failure in the cell it belongs to. The
-// outcomes are returned in unit order (outs[j] belongs to indices[j]).
+// misses are computed — then handed to the async store writer, which
+// persists them off the hot path (the collector never recycles aggregators
+// on store-backed runs, so the writer's reads stay safe). The outcomes are
+// returned in unit order (outs[j] belongs to indices[j]).
 func (e *Engine) runBatchUnit(ctx context.Context, spec Spec, pol sim.Policy, indices []int, writer *storeWriter) []cellOutcome {
 	if e.Store == nil {
 		return e.computeUnit(ctx, spec, pol, indices)
@@ -60,80 +56,61 @@ func (e *Engine) runBatchUnit(ctx context.Context, spec Spec, pol sim.Policy, in
 	return outs
 }
 
-// computeUnit runs one (sub-)unit of cells for real: the batch kernel when
-// the unit has more than one cell, the scalar path otherwise or on any
-// batch refusal.
+// computeUnit runs one (sub-)unit of cells for real as one call into the
+// batch kernel, at any width — 1 included. The cells of a unit share
+// platform, scenario shape, policy and models (the planner groups them
+// so), which is what lets failure attribution be this coarse: a cell
+// whose options cannot be built fails alone, while an error or panic from
+// the kernel call fails every cell of the unit with that message.
 func (e *Engine) computeUnit(ctx context.Context, spec Spec, pol sim.Policy, indices []int) []cellOutcome {
-	if len(indices) > 1 {
-		if outs, ok := e.tryRunBatch(ctx, spec, pol, indices); ok {
-			return outs
-		}
-	}
 	outs := make([]cellOutcome, len(indices))
 	for j, i := range indices {
-		outs[j] = e.runCell(ctx, spec, pol, i, false)
+		outs[j].cfg = DeriveCell(spec, e.BaseSeed, i)
+	}
+	if ctx.Err() != nil {
+		return failAll(outs, "fleet: cancelled before start")
+	}
+	runner, models, err := e.deviceFor(ctx, outs[0].cfg.Platform)
+	if err != nil {
+		return failAll(outs, err.Error())
+	}
+	opts := make([]sim.Options, 0, len(outs))
+	aggs := make([]*cellAgg, 0, len(outs))
+	live := make([]int, 0, len(outs)) // positions of the cells in the batch
+	for j := range outs {
+		opt, agg, err := cellOptions(spec, pol, outs[j].cfg, runner, models, false)
+		if err != nil {
+			outs[j].err = err.Error()
+			continue
+		}
+		opts = append(opts, opt)
+		aggs = append(aggs, agg)
+		live = append(live, j)
+	}
+	if len(opts) == 0 {
+		return outs
+	}
+	// A failed batch abandons its aggregators rather than recycling them:
+	// a panicking kernel cannot prove it dropped every reference.
+	results, err := sched.RunSafely(func() ([]*sim.Result, error) { return runner.RunBatch(ctx, opts) })
+	if err != nil {
+		for _, j := range live {
+			outs[j].err = err.Error()
+		}
+		return outs
+	}
+	for k, j := range live {
+		aggs[k].finish(results[k])
+		outs[j].agg = aggs[k]
+		outs[j].metrics = aggs[k].metrics()
 	}
 	return outs
 }
 
-// tryRunBatch assembles and runs one batch. ok=false means "use the
-// scalar fallback" and promises that no outcome has been produced; the
-// partially-observed aggregators it may leave behind are abandoned (the
-// fallback builds fresh ones).
-func (e *Engine) tryRunBatch(ctx context.Context, spec Spec, pol sim.Policy, indices []int) (outs []cellOutcome, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			outs, ok = nil, false
-		}
-	}()
-	n := len(indices)
-	cfgs := make([]CellConfig, n)
-	opts := make([]sim.Options, n)
-	aggs := make([]*cellAgg, n)
-	var (
-		runner *sim.Runner
-		models *sim.Characterization
-		err    error
-	)
-	for j, i := range indices {
-		cfgs[j] = DeriveCell(spec, e.BaseSeed, i)
-		if j == 0 {
-			runner, models, err = e.deviceFor(ctx, cfgs[j].Platform)
-			if err != nil {
-				return nil, false
-			}
-		}
-		opts[j], aggs[j], err = cellOptions(spec, pol, cfgs[j], runner, models, false)
-		if err != nil {
-			return nil, false
-		}
+// failAll marks every cell of a unit as failed with msg.
+func failAll(outs []cellOutcome, msg string) []cellOutcome {
+	for j := range outs {
+		outs[j].err = msg
 	}
-	if ctx.Err() != nil {
-		outs = make([]cellOutcome, n)
-		for j := range outs {
-			outs[j] = cellOutcome{cfg: cfgs[j], err: "fleet: cancelled before start"}
-		}
-		return outs, true
-	}
-	results, err := runner.RunBatch(ctx, opts)
-	if err != nil {
-		if errors.Is(err, sim.ErrCancelled) && results != nil {
-			// The whole batch was cancelled at one interval boundary;
-			// collect every cell as cancelled, like the scalar path does.
-			outs = make([]cellOutcome, n)
-			for j := range outs {
-				outs[j] = cellOutcome{cfg: cfgs[j], err: err.Error()}
-			}
-			return outs, true
-		}
-		// Incompatible batch or a per-device error: the scalar fallback
-		// attributes it to the right cell.
-		return nil, false
-	}
-	outs = make([]cellOutcome, n)
-	for j := range indices {
-		aggs[j].finish(results[j])
-		outs[j] = cellOutcome{cfg: cfgs[j], agg: aggs[j], metrics: aggs[j].metrics()}
-	}
-	return outs, true
+	return outs
 }

@@ -13,13 +13,16 @@ import (
 	"repro/internal/sim"
 )
 
-// The batched kernel's whole contract is byte-identity with the scalar
-// path: not "close", the same bits. These tests sweep every registered
-// platform x library scenario x policy and a range of batch widths,
-// comparing every observed Sample field and every consumed Result field
-// bitwise. The §6.3.1 prediction-accuracy fields (PredMeanPct, PredMaxPct,
-// PredMaxAbsC) are deliberately excluded: RunBatch documents that it skips
-// that accounting, and no fleet output consumes it.
+// The batched kernel's whole contract is width invariance: a device stepped
+// in a batch produces the same bits — not "close" — as the same device run
+// alone through Runner.Run, which is that kernel at width 1 (and is itself
+// pinned against the original scalar loop by internal/sim's kernel-oracle
+// digests). These tests sweep every registered platform x library scenario
+// x policy and a range of batch widths, comparing every observed Sample
+// field and every consumed Result field bitwise. The §6.3.1
+// prediction-accuracy fields (PredMeanPct, PredMaxPct, PredMaxAbsC) are
+// deliberately excluded: RunBatch documents that it skips that accounting,
+// and no fleet output consumes it.
 
 // equivPeriod / equivDuration keep each equivalence run to ~50 control
 // intervals so the full matrix stays cheap. BATCH_EQUIV_N (the nightly CI
@@ -127,7 +130,7 @@ func resultBits(r *sim.Result) [13]uint64 {
 }
 
 // assertBatchMatchesScalar runs one combo at batch width b and demands
-// per-device byte-identity with b independent scalar runs.
+// per-device byte-identity with b independent width-1 Run calls.
 func assertBatchMatchesScalar(t *testing.T, platName, scName string, pol sim.Policy, b int) {
 	t.Helper()
 	ctx := context.Background()
@@ -180,8 +183,8 @@ func TestBatchEquivalenceMatrix(t *testing.T) {
 }
 
 // TestBatchEquivalenceWidths checks byte-identity across batch widths —
-// including 1 (a degenerate batch) and 17 (not a divisor of anything,
-// catching stride bugs). The nightly CI job raises the width via
+// including 1 (RunBatch at width 1 against Run) and 17 (not a divisor of
+// anything, catching stride bugs). The nightly CI job raises the width via
 // BATCH_EQUIV_N to shake out capacity effects scalar CI never sees.
 func TestBatchEquivalenceWidths(t *testing.T) {
 	widths := []int{1, 3, 8, 17}
@@ -201,7 +204,7 @@ func TestBatchEquivalenceWidths(t *testing.T) {
 
 // TestFleetBatchSizeInvariant is the end-to-end closure: one spec, one
 // base seed, byte-identical JSON and CSV reports whether the engine runs
-// scalar cells, the default batch width, or an oddball width.
+// width-1 units, the default batch width, or an oddball width.
 func TestFleetBatchSizeInvariant(t *testing.T) {
 	spec := testSpec(12)
 	var wantJSON, wantCSV []byte
@@ -226,10 +229,10 @@ func TestFleetBatchSizeInvariant(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(j.Bytes(), wantJSON) {
-			t.Errorf("BatchSize=%d: JSON report differs from scalar", size)
+			t.Errorf("BatchSize=%d: JSON report differs from width 1", size)
 		}
 		if !bytes.Equal(c.Bytes(), wantCSV) {
-			t.Errorf("BatchSize=%d: CSV report differs from scalar", size)
+			t.Errorf("BatchSize=%d: CSV report differs from width 1", size)
 		}
 	}
 }

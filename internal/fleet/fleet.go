@@ -52,8 +52,9 @@ type Engine struct {
 	OnCellDone func(Progress)
 	// BatchSize caps how many same-(platform, scenario) cells Run steps in
 	// lock-step through the batched SoA kernel (0 = DefaultBatchSize, 1 =
-	// scalar only). Batched cells are byte-identical to scalar runs, so
-	// the knob trades throughput against per-unit latency, never results.
+	// width-1 batches of the same kernel). Outputs are byte-identical at
+	// any width, so the knob trades throughput against per-unit latency,
+	// never results.
 	BatchSize int
 	// Store, when set, makes cell execution lookup-or-compute: each
 	// cell's normalized configuration is hashed to a content address,
@@ -216,9 +217,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		writer = e.startWriter(spec, 4*pool.Size(spec.N)*e.batchSize())
 	}
 	// Work units pack same-(platform, scenario) cells for the batched
-	// kernel, derived lazily in (platform, scenario) grouped chunks;
-	// single-cell units take the scalar path inside runBatchUnit, so
-	// BatchSize 1 degenerates to the original per-cell fan-out.
+	// kernel, derived lazily in (platform, scenario) grouped chunks; every
+	// unit is one kernel call, so BatchSize 1 degenerates to a per-cell
+	// fan-out of width-1 batches.
 	plan := newUnitPlanner(spec, e.BaseSeed, e.batchSize())
 	// Backpressure: a worker may not take a new unit while the collector's
 	// pending window is full. Without this the reorder window is bounded
@@ -274,7 +275,7 @@ func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, index i
 		out.err = err.Error()
 		return out
 	}
-	res, err := campaign.RunSafely(ctx, runner, opt)
+	res, err := sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
 	if err != nil {
 		out.err = err.Error()
 		return out

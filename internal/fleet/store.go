@@ -143,8 +143,8 @@ func (e *Engine) lookupCell(spec Spec, index int) (cellOutcome, bool) {
 // the async store writer's goroutine, concurrent with the collector's
 // merge — safe because both only read the aggregator, and the collector
 // never recycles aggregators on store-backed runs. Store write failures
-// are deliberately non-fatal: the run still has the result, the next run
-// just recomputes.
+// are deliberately non-fatal (the store counts them in its WriteErrors):
+// the run still has the result, the next run just recomputes.
 func (e *Engine) putCell(spec Spec, out cellOutcome) {
 	if out.err != "" || out.agg == nil || out.metrics == nil || out.cached {
 		return

@@ -267,3 +267,25 @@ func TestRunCellStoreMatchesFresh(t *testing.T) {
 		t.Errorf("warm RunCell probes hit %d times, want %d", s.Hits, spec.N)
 	}
 }
+
+// TestFleetStoreWriteErrors: a store that cannot be written degrades the
+// run to compute-only — the report is byte-identical to a store-less run —
+// and every failed write is counted instead of dropped.
+func TestFleetStoreWriteErrors(t *testing.T) {
+	registerStoreScenario(t, "store-mix-a", 4)
+	registerStoreScenario(t, "store-mix-b", 5)
+	registerStoreScenario(t, "store-mix-c", 6)
+	spec := storeSpec(6)
+	st := openTestStore(t)
+	if err := st.BreakWritesForTest(); err != nil {
+		t.Fatal(err)
+	}
+	_, gotJSON, gotCSV := runStoreFleet(t, st, spec)
+	_, wantJSON, wantCSV := runStoreFleet(t, nil, spec)
+	if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
+		t.Error("report through an unwritable store differs from a store-less run")
+	}
+	if s := st.Stats(); s.WriteErrors != uint64(spec.N) || s.Writes != 0 {
+		t.Errorf("stats %+v, want %d write errors and no writes", s, spec.N)
+	}
+}

@@ -18,8 +18,6 @@ import (
 	"iter"
 	"runtime"
 	"sync"
-
-	"repro/internal/sim"
 )
 
 // Pool is a fixed-width worker pool. The zero value is ready to use and
@@ -186,14 +184,15 @@ func Stream[T any](ctx context.Context, p Pool, n int, run func(ctx context.Cont
 	}
 }
 
-// RunSafely runs one simulation and converts panics into errors, so a
-// pathological cell cannot take a whole sweep down. Both engines route
-// every cell through it for the same containment guarantee.
-func RunSafely(ctx context.Context, r *sim.Runner, opt sim.Options) (res *sim.Result, err error) {
+// RunSafely calls run and converts a panic into an error, so a
+// pathological cell — or a batch of cells — cannot take a whole sweep
+// down. Both engines route every simulation call through it.
+func RunSafely[T any](run func() (T, error)) (res T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("sched: cell panicked: %v", p)
+			var zero T
+			res, err = zero, fmt.Errorf("sched: run panicked: %v", p)
 		}
 	}()
-	return r.Run(ctx, opt)
+	return run()
 }

@@ -137,9 +137,26 @@ func TestStreamCancellationDrains(t *testing.T) {
 func TestRunSafelyConvertsPanics(t *testing.T) {
 	// A nil runner panics inside Run; RunSafely must convert that into an
 	// error instead of unwinding the worker.
-	res, err := RunSafely(context.Background(), nil, sim.Options{})
+	var r *sim.Runner
+	res, err := RunSafely(func() (*sim.Result, error) { return r.Run(context.Background(), sim.Options{}) })
 	if err == nil || res != nil {
 		t.Fatalf("RunSafely(nil runner) = %v, %v; want nil result and panic error", res, err)
+	}
+}
+
+// panicScript is a BatchScript whose every method panics (its embedded
+// interface is nil), so a batch over it panics inside the kernel.
+type panicScript struct{ sim.BatchScript }
+
+// TestRunSafelyContainsBatchPanics: a panicking batch call becomes an
+// error with no partial results, not a crash.
+func TestRunSafelyContainsBatchPanics(t *testing.T) {
+	opts := []sim.Options{{Script: panicScript{}}, {Script: panicScript{}}}
+	res, err := RunSafely(func() ([]*sim.Result, error) {
+		return sim.NewRunner().RunBatch(context.Background(), opts)
+	})
+	if err == nil || res != nil {
+		t.Fatalf("RunSafely(panicking batch) = %v, %v; want nil results and panic error", res, err)
 	}
 }
 

@@ -14,13 +14,15 @@ import (
 	"repro/internal/power"
 	"repro/internal/sensor"
 	"repro/internal/stats"
+	"repro/internal/sysid"
 	"repro/internal/thermal"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // ErrBatchIncompatible reports that a set of runs cannot share a batch:
-// RunBatch refuses rather than silently diverging from the scalar oracle,
-// and the fleet scheduler falls back to per-cell scalar runs.
+// RunBatch refuses rather than silently stepping devices that disagree on
+// what the lock-step kernel shares.
 var ErrBatchIncompatible = errors.New("sim: runs are not batch-compatible")
 
 // SharedStep is the device-independent slice of one control interval of a
@@ -67,25 +69,29 @@ type BatchScript interface {
 	ShapeSignature() string
 }
 
-// batchDev is the complete mutable state of one device in a batch: the
-// exact per-run state Run builds, minus the thermal integrator (owned by
-// the shared BatchSim) and the prediction-accounting ring (skipped; see
-// RunBatch).
+// batchDev is the complete mutable state of one device in a batch, minus
+// the thermal integrator (owned by the shared BatchSim).
 type batchDev struct {
-	opt         Options
-	script      BatchScript
-	res         *Result
-	chip        *platform.Chip
-	bank        *sensor.Bank
-	fan         *thermal.FanController
-	reactive    *dtpm.ReactiveHeuristic
-	ctrl        *dtpm.Controller
-	gov         governor.CPUGovernor
-	gpuGov      *governor.GPU
-	sched       *kernel.Sched
-	scriptTasks []*kernel.Task
-	bg          *workload.Background
-	bgUtil      []float64
+	// Reseedable / resettable state: kept across arena uses and rewound
+	// instead of reallocated (bit-identical to fresh by each type's
+	// contract). release clears every other field.
+	bank  *sensor.Bank
+	bg    *workload.Background
+	sched kernel.Sched
+
+	opt      Options
+	script   BatchScript
+	bench    benchScript         // backs script for unscripted runs
+	gen      *workload.Generator // unscripted runs only: the benchmark's demand stream
+	res      *Result
+	chip     *platform.Chip
+	fan      thermal.FanController // unused on fanless platforms
+	reactive dtpm.ReactiveHeuristic
+	ctrl     *dtpm.Controller
+	gov      governor.CPUGovernor
+	gpuGov   governor.GPU
+	workers  []kernel.Task // the foreground tasks, a prefix of the task slab
+	bgUtil   []float64
 
 	demands     []float64 // TickWith input, worker demands then bg levels
 	prevUtil    []float64
@@ -97,33 +103,35 @@ type batchDev struct {
 	prevPowers    [platform.NumResources]float64
 	energy        float64
 	maxTempSeries []float64
+
+	// §6.3.1 prediction-accuracy accounting (Run only): one model-order
+	// prediction per interval, compared with the measured series at close.
+	predictor *sysid.Predictor
+	horizon   int
+	predStep  []float64
+	predRing  []float64
+
+	demandNames []string // recorded "demand_w<i>" series names
 }
 
-// batchArena is the recyclable scratch of one RunBatch call: every
+// batchArena is the recyclable scratch of one kernel call: every
 // allocation whose lifetime is exactly the call and whose reset-to-fresh
 // state is provable. The fleet runs millions of batches with a handful in
-// flight, so pooling these turns the per-batch slab cost into a one-time
-// cost per worker. Deliberately NOT pooled: the thermal BatchSim (its
-// Params copy is cheap and aliasing its matrices across runs is not worth
-// proving safe), each device's chip/fan/reactive/DTPM controller (mutable
-// model state with no reset contract), and the Results (they escape to the
-// caller).
+// flight, so RunBatch pools these, turning the per-batch slab cost into a
+// one-time cost per worker (Run uses a fresh arena). Deliberately NOT
+// pooled: the thermal BatchSim (its Params copy is cheap and aliasing its
+// matrices across runs is not worth proving safe), each device's chip and
+// DTPM controller (mutable model state with no reset contract), and the
+// Results (they escape to the caller).
 type batchArena struct {
-	devSlab   []batchDev
-	devs      []*batchDev
-	scripts   []BatchScript
-	flat      []float64     // per-device vector buffers, zeroed on acquire
+	devs []batchDev
+	// floats backs, in order: the per-device vector buffers (zeroed on
+	// acquire), the B x steps maxTempSeries, and — with accounting — the
+	// B x steps x nodes prediction rings (both append-only).
+	floats    []float64
 	tasks     []kernel.Task // B x nTasks task slab, fully rewritten per use
-	series    []float64     // B x steps maxTempSeries backing, append-only
 	wNames    []string      // cached worker task names for wNamesFor
 	wNamesFor string
-
-	// Reseedable / resettable per-device state: entries are kept across
-	// uses and rewound instead of reallocated (bit-identical to fresh by
-	// each type's contract).
-	banks  []*sensor.Bank
-	bgs    []*workload.Background
-	scheds []*kernel.Sched
 }
 
 var batchArenas = sync.Pool{New: func() any { return new(batchArena) }}
@@ -138,9 +146,9 @@ func scratch[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// keep grows s to length n preserving existing elements — for the arena's
-// reusable per-device objects (banks, backgrounds, schedulers), where a
-// surviving entry is rewound rather than replaced.
+// keep grows s to length n preserving existing elements — for the device
+// slab, whose surviving entries carry reusable objects that are rewound
+// rather than replaced.
 func keep[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
@@ -155,45 +163,75 @@ func keep[T any](s []T, n int) []T {
 // Result pointers, the task slab retains demand closures. The reusable
 // RNG-backed objects stay — rewinding them is the point of the pool.
 func (a *batchArena) release() {
-	clear(a.devSlab)
-	clear(a.devs)
-	clear(a.scripts)
+	for i := range a.devs {
+		dev := &a.devs[i]
+		*dev = batchDev{bank: dev.bank, bg: dev.bg, sched: dev.sched}
+	}
 	clear(a.tasks)
-	a.series = a.series[:0]
 	batchArenas.Put(a)
 }
 
 // RunBatch executes len(opts) scripted runs in lock-step as one batch,
 // sharing the per-interval script evaluation, the thermal integrator's
-// stage buffers, and a fused power evaluation across devices. Per device
-// the control flow replays Run operation for operation, so every Sample an
-// observer sees and every Result field a fleet consumes is byte-identical
-// to the scalar path — except the §6.3.1 prediction-accuracy accounting
-// (PredMeanPct, PredMaxPct, PredMaxAbsC stay zero): it is bookkeeping no
-// fleet output consumes, and recomputing it per device would cost a
-// model-order prediction per interval for a metric nobody reads. Callers
-// that need Pred* run scalar.
+// stage buffers, and a fused power evaluation across devices. It is the
+// same kernel Run drives at width 1, so every Sample an observer sees and
+// every Result field is byte-identical to running each device through Run
+// — except the §6.3.1 prediction-accuracy accounting (PredMeanPct,
+// PredMaxPct, PredMaxAbsC stay zero): it is bookkeeping no fleet output
+// consumes, and it would cost a model-order prediction per device per
+// interval for a metric nobody reads. Callers that need Pred* use Run.
 //
 // All runs must be batch-compatible — scripted with one BatchScript shape,
 // equal policy/TMax/control period/governor, no recording — otherwise
-// RunBatch returns ErrBatchIncompatible and the caller is expected to fall
-// back to scalar Run calls. Any mid-run error (and cancellation) aborts
-// the whole batch the way Run aborts a single device.
+// RunBatch returns ErrBatchIncompatible. Any mid-run error (and
+// cancellation) aborts the whole batch the way Run aborts a single device.
 func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBatchIncompatible)
 	}
-	B := len(opts)
-
-	arena := batchArenas.Get().(*batchArena)
-	defer arena.release()
-
-	// Normalize every option set exactly like Run, then insist the batch
-	// agrees on everything that is shared in lock-step.
-	arena.scripts = scratch(arena.scripts, B)
-	scripts := arena.scripts
 	for i := range opts {
 		opt := &opts[i]
+		if opt.Script == nil {
+			return nil, fmt.Errorf("%w: run %d is not scripted", ErrBatchIncompatible, i)
+		}
+		if _, ok := opt.Script.(BatchScript); !ok {
+			return nil, fmt.Errorf("%w: run %d script %T does not implement BatchScript", ErrBatchIncompatible, i, opt.Script)
+		}
+		if opt.Record {
+			return nil, fmt.Errorf("%w: run %d records traces", ErrBatchIncompatible, i)
+		}
+	}
+	arena := batchArenas.Get().(*batchArena)
+	defer arena.release()
+	results := make([]*Result, len(opts))
+	err := r.run(ctx, arena, opts, results, false)
+	if results[0] == nil {
+		return nil, err
+	}
+	return results, err
+}
+
+// run is the simulation kernel: it steps len(opts) devices in lock-step,
+// one control interval at a time, and is the only per-interval loop in the
+// package. It draws its scratch from arena, fills results (len(opts)
+// entries) on completion and on cancellation, and leaves them nil on any
+// other error. account turns on the §6.3.1 prediction accounting (Run's
+// contract, not RunBatch's).
+//
+// Runs that are not BatchScripts — unscripted benchmarks and plain
+// Scripts — arrive only from Run, so at width 1, where the shared step is
+// the device's own: RunBatch refuses them.
+func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, results []*Result, account bool) error {
+	B := len(opts)
+	arena.devs = keep(arena.devs, B)
+	devs := arena.devs
+
+	// Normalize every option set, then insist the batch agrees on
+	// everything that is shared in lock-step.
+	predicting := false
+	for i := range opts {
+		opt := &opts[i]
+		dev := &devs[i]
 		if opt.ControlPeriod == 0 {
 			opt.ControlPeriod = 0.1
 		}
@@ -203,116 +241,132 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 		if opt.Governor == "" {
 			opt.Governor = "ondemand"
 		}
-		if opt.Script == nil {
-			return nil, fmt.Errorf("%w: run %d is not scripted", ErrBatchIncompatible, i)
+		switch s := opt.Script.(type) {
+		case nil:
+			dev.bench = benchScript{b: opt.Bench, gen: workload.NewGenerator(opt.Bench)}
+			dev.script = &dev.bench
+		case BatchScript:
+			dev.script = s
+		default:
+			dev.script = plainScript{s}
 		}
-		bs, ok := opt.Script.(BatchScript)
-		if !ok {
-			return nil, fmt.Errorf("%w: run %d script %T does not implement BatchScript", ErrBatchIncompatible, i, opt.Script)
-		}
-		scripts[i] = bs
 		if opt.MaxDuration == 0 {
-			opt.MaxDuration = opt.Script.Duration()
+			opt.MaxDuration = dev.script.Duration()
 		}
-		if opt.Record {
-			return nil, fmt.Errorf("%w: run %d records traces", ErrBatchIncompatible, i)
-		}
+		predicting = predicting || (account && opt.Model != nil)
 	}
 	ref := &opts[0]
-	shape := scripts[0].ShapeSignature()
-	for i := 1; i < B; i++ {
-		o := &opts[i]
-		if o.Policy != ref.Policy || o.TMax != ref.TMax || o.ControlPeriod != ref.ControlPeriod ||
-			o.Governor != ref.Governor || o.MaxDuration != ref.MaxDuration {
-			return nil, fmt.Errorf("%w: run %d disagrees with run 0 on shared knobs", ErrBatchIncompatible, i)
-		}
-		if scripts[i].ShapeSignature() != shape {
-			return nil, fmt.Errorf("%w: run %d scenario shape differs from run 0", ErrBatchIncompatible, i)
+	lead := devs[0].script // the shared-step source
+	unscripted := ref.Script == nil
+	if B > 1 {
+		shape := lead.ShapeSignature()
+		for i := 1; i < B; i++ {
+			o := &opts[i]
+			if o.Policy != ref.Policy || o.TMax != ref.TMax || o.ControlPeriod != ref.ControlPeriod ||
+				o.Governor != ref.Governor || o.MaxDuration != ref.MaxDuration {
+				return fmt.Errorf("%w: run %d disagrees with run 0 on shared knobs", ErrBatchIncompatible, i)
+			}
+			if devs[i].script.ShapeSignature() != shape {
+				return fmt.Errorf("%w: run %d scenario shape differs from run 0", ErrBatchIncompatible, i)
+			}
 		}
 	}
 
+	// The batch agrees on the governor (checked above), so build all B
+	// fresh instances in one slab.
+	govs, err := governor.ByNameN(ref.Governor, B)
+	if err != nil {
+		return err
+	}
+
 	desc := r.desc()
-	nodes := platform.NewChipFor(desc).BigCluster.NumCores()
+	nodes := desc.Big.Cores // hotspot/sensor node count
 	maxCores := desc.MaxClusterCores()
-	nWorkers := scripts[0].Workers()
+	nWorkers := lead.Workers()
 	nTasks := nWorkers + nodes
+	dt := ref.ControlPeriod
+	steps := int(ref.MaxDuration/dt) + 1
 
 	// Shared thermal integrator: B devices, one set of RK4 stage buffers.
 	bsim := thermal.NewBatchSim(r.Thermal, B)
 	idle := r.IdleState()
 
-	// One flat backing array for every per-device per-step vector buffer,
-	// mirroring Run's allocation-reuse invariant batch-wide. The arena
-	// backing carries stale values; zero it — fresh-make semantics.
-	perDev := maxCores + 2*nodes + nTasks
-	arena.flat = scratch(arena.flat, B*perDev)
-	flat := arena.flat
-	clear(flat)
-
-	// The batch agrees on the governor (checked above), so build all B
-	// fresh instances in one slab; reseed/reset the arena's RNG-backed
-	// per-device objects instead of reallocating them — each type's rewind
-	// is bit-identical to a fresh construction.
-	govs, err := governor.ByNameN(ref.Governor, B)
-	if err != nil {
-		return nil, err
+	// Allocation-reuse invariant: everything the per-step loop touches is
+	// either a fixed-size value or preallocated here at full capacity —
+	// sized from the platform descriptor, not from constants — so the loop
+	// itself performs no heap allocation (BenchmarkSimCell* in the repo
+	// root tracks this with -benchmem). Keep it that way when adding
+	// per-step state. One flat backing array holds every per-device
+	// vector buffer, the temperature series, and the prediction rings; the
+	// arena backing carries stale values, so zero the vector buffers —
+	// fresh-make semantics (the series and rings are append-only).
+	perDev := maxCores + 3*nodes + nTasks
+	vecN, seriesN, ringN := B*perDev, B*steps, 0
+	if predicting {
+		ringN = B * steps * nodes
 	}
-	arena.banks = keep(arena.banks, B)
-	arena.bgs = keep(arena.bgs, B)
-	arena.scheds = keep(arena.scheds, B)
+	arena.floats = scratch(arena.floats, vecN+seriesN+ringN)
+	flat := arena.floats[:vecN]
+	clear(flat)
+	series := arena.floats[vecN : vecN+seriesN]
+	rings := arena.floats[vecN+seriesN:]
+
 	arena.tasks = scratch(arena.tasks, B*nTasks)
-	if arena.wNamesFor != scripts[0].Name() || len(arena.wNames) < nWorkers {
+	if !unscripted && (arena.wNamesFor != lead.Name() || len(arena.wNames) < nWorkers) {
 		arena.wNames = make([]string, nWorkers)
 		for i := range arena.wNames {
-			arena.wNames[i] = fmt.Sprintf("%s-w%d", scripts[0].Name(), i)
+			arena.wNames[i] = fmt.Sprintf("%s-w%d", lead.Name(), i)
 		}
-		arena.wNamesFor = scripts[0].Name()
+		arena.wNamesFor = lead.Name()
 	}
 
-	arena.devs = scratch(arena.devs, B)
-	arena.devSlab = scratch(arena.devSlab, B)
-	devs := arena.devs
-	devSlab := arena.devSlab
-	for d := 0; d < B; d++ {
-		dev := &devSlab[d]
-		devs[d] = dev
+	for d := range devs {
+		dev := &devs[d]
 		opt := opts[d]
 		dev.opt = opt
-		dev.script = scripts[d]
 
 		dev.gov = govs[d]
-		dev.gpuGov = governor.NewGPU()
+		dev.gpuGov = *governor.NewGPU()
 		dev.chip = platform.NewChipFor(desc)
 		bsim.SetState(d, idle)
-		if arena.banks[d] == nil {
-			arena.banks[d] = sensor.NewBank(r.Sensors, opt.Seed)
+		if dev.bank == nil {
+			dev.bank = sensor.NewBank(r.Sensors, opt.Seed)
 		} else {
-			arena.banks[d].Reseed(r.Sensors, opt.Seed)
+			dev.bank.Reseed(r.Sensors, opt.Seed)
 		}
-		dev.bank = arena.banks[d]
+		// Fanless platforms have no controller: the with-fan policy
+		// degenerates to the plain governor and fan speed stays 0.
 		if desc.Fan != nil {
-			dev.fan = thermal.NewFanControllerFor(*desc.Fan)
+			dev.fan = *thermal.NewFanControllerFor(*desc.Fan)
 		}
-		dev.reactive = dtpm.NewReactiveHeuristic()
+		dev.reactive = *dtpm.NewReactiveHeuristic()
 
 		if opt.Model != nil {
 			if opt.Model.States() != nodes {
-				return nil, fmt.Errorf("sim: %w: model order %d vs platform %s (%d hotspot nodes) — characterize the same platform the run uses",
+				return fmt.Errorf("sim: %w: model order %d vs platform %s (%d hotspot nodes) — characterize the same platform the run uses",
 					ErrModelPlatformMismatch, opt.Model.States(), desc.Name, nodes)
 			}
+			// Same order is not enough: two profiles can both carry, say,
+			// four hotspots while their silicon constants differ
+			// completely. A model stamped with its origin platform must
+			// only drive that platform.
 			if opt.Model.Platform != "" && opt.Model.Platform != desc.Name {
-				return nil, fmt.Errorf("sim: %w: model was identified on platform %s, refusing to drive %s with it",
+				return fmt.Errorf("sim: %w: model was identified on platform %s, refusing to drive %s with it",
 					ErrModelPlatformMismatch, opt.Model.Platform, desc.Name)
 			}
 		}
 		if opt.Policy == PolicyDTPM {
 			if opt.Model == nil {
-				return nil, fmt.Errorf("sim: PolicyDTPM requires an identified thermal model")
+				return fmt.Errorf("sim: PolicyDTPM requires an identified thermal model")
 			}
 			pm := opt.PowerModel
 			if pm == nil {
 				pm = r.groundTruthPowerModel()
 			} else {
+				// The controller observes into its power model every
+				// interval; clone so a shared fitted model is never
+				// mutated. This keeps each run independent of what ran
+				// before it (and makes concurrent cells race-free).
 				pm = pm.Clone()
 			}
 			cfg := dtpm.DefaultConfig()
@@ -322,35 +376,44 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 			cfg.TMax = opt.TMax
 			dev.ctrl, err = dtpm.NewController(cfg, opt.Model, pm)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 
-		// Workload: same task pool layout as Run — script workers first,
-		// then background daemons — so TickWith demand indices line up.
-		if arena.scheds[d] == nil {
-			arena.scheds[d] = kernel.NewSched()
-		} else {
-			arena.scheds[d].Reset()
-		}
-		dev.sched = arena.scheds[d]
+		// Workload: foreground workers first, then one background daemon
+		// per hotspot node, so TickWith demand indices line up. Script
+		// workers are open-ended (the script decides when they idle);
+		// benchmark workers carry the finite foreground work and draw their
+		// demand from the generator closure on every call.
+		dev.sched.Reset()
 		dev.sched.Reserve(nTasks, maxCores)
 		taskPool := arena.tasks[d*nTasks : (d+1)*nTasks]
-		for i := 0; i < nWorkers; i++ {
-			tk := &taskPool[i]
-			*tk = kernel.Task{
-				Name:     arena.wNames[i],
-				WorkLeft: math.Inf(1),
+		dev.workers = taskPool[:nWorkers]
+		if unscripted {
+			dev.gen = dev.bench.gen
+			for i := range dev.workers {
+				dev.workers[i] = kernel.Task{
+					Name:     opt.Bench.Name,
+					Demand:   dev.gen.DemandAt,
+					MemBound: opt.Bench.MemBound,
+					WorkLeft: opt.Bench.WorkPerThread,
+				}
 			}
-			dev.scriptTasks = append(dev.scriptTasks, tk)
-			dev.sched.Add(tk)
-		}
-		if arena.bgs[d] == nil || arena.bgs[d].Cores() != nodes {
-			arena.bgs[d] = workload.NewBackgroundN(opt.Seed+77, nodes)
 		} else {
-			arena.bgs[d].Reseed(opt.Seed + 77)
+			for i := range dev.workers {
+				dev.workers[i] = kernel.Task{Name: arena.wNames[i], WorkLeft: math.Inf(1)}
+			}
 		}
-		dev.bg = arena.bgs[d]
+		for i := range dev.workers {
+			dev.sched.Add(&dev.workers[i])
+		}
+		if dev.bg == nil || dev.bg.Cores() != nodes {
+			dev.bg = workload.NewBackgroundN(opt.Seed+77, nodes)
+		} else {
+			dev.bg.Reseed(opt.Seed + 77)
+		}
+		// UtilAt refreshes one reused buffer, so dev.bgUtil aliases the
+		// current levels for the whole run.
 		dev.bgUtil = dev.bg.UtilAt()
 		for i := 0; i < nodes; i++ {
 			tk := &taskPool[nWorkers+i]
@@ -359,6 +422,10 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 				MemBound: 0.3,
 				WorkLeft: math.Inf(1),
 			}
+			if unscripted {
+				util := dev.bgUtil
+				tk.Demand = func(float64) float64 { return util[i] }
+			}
 			dev.sched.Add(tk)
 		}
 
@@ -366,24 +433,37 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 		dev.prevUtil = base[0:maxCores:maxCores]
 		dev.sensedTemps = base[maxCores : maxCores+nodes : maxCores+nodes]
 		dev.st = thermal.State{Core: base[maxCores+nodes : maxCores+2*nodes : maxCores+2*nodes]}
-		dev.demands = base[maxCores+2*nodes:]
+		dev.predStep = base[maxCores+2*nodes : maxCores+3*nodes : maxCores+3*nodes]
+		dev.demands = base[maxCores+3*nodes:]
 		dev.corePow = bsim.CoreInput(d)
+		dev.maxTempSeries = series[d*steps : d*steps : (d+1)*steps]
 
-		dev.res = &Result{Bench: opt.Script.Name(), Policy: opt.Policy}
+		if account && opt.Model != nil {
+			dev.predictor = opt.Model.NewPredictor()
+			dev.horizon = opt.PredHorizon
+			if dev.horizon <= 0 {
+				dev.horizon = 10 // 1 s at 100 ms
+			}
+			ring := steps * nodes
+			dev.predRing = rings[d*ring : d*ring : (d+1)*ring]
+		}
 
-		// Initialize the power observation with an idle reading, exactly
-		// like Run's pre-loop Evaluate.
+		dev.res = &Result{Bench: dev.script.Name(), Policy: opt.Policy}
+		if opt.Record {
+			dev.res.Rec = trace.NewRecorder()
+			if !unscripted {
+				dev.demandNames = make([]string, nWorkers)
+				for i := range dev.demandNames {
+					dev.demandNames[i] = fmt.Sprintf("demand_w%d", i)
+				}
+			}
+		}
+
+		// Initialize the power observation with an idle reading.
 		idleAct := power.ChipActivity{CoreUtil: dev.prevUtil, CPUActivity: 1}
 		bsim.StateInto(d, &dev.st)
 		b0 := r.GT.Evaluate(dev.chip, idleAct, dev.st.Core, dev.st.Board)
 		dev.prevPowers = b0.Domain
-	}
-
-	dt := ref.ControlPeriod
-	steps := int(ref.MaxDuration/dt) + 1
-	arena.series = scratch(arena.series, B*steps)
-	for d := range devs {
-		devs[d].maxTempSeries = arena.series[d*steps : d*steps : (d+1)*steps]
 	}
 
 	// The batch agrees on the initial governor and sees one shared
@@ -391,6 +471,11 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 	// has one answer per step; the fresh instances are per device.
 	govName := ref.Governor
 
+	// Cancellation is checked at the top of every control interval against
+	// the context's done channel, fetched once: Done() on a cancellable
+	// context allocates its channel lazily, and per-step Err() would take
+	// its lock. context.Background keeps done nil, so an uncancellable run
+	// pays one never-ready select case per step and nothing else.
 	done := ctx.Done()
 	cancelled := false
 	completed := false
@@ -411,12 +496,15 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 
 		// Shared per-interval script evaluation: one phase lookup, one
 		// waveform modulation, one conditions read for the whole batch.
-		sh = scripts[0].SharedStep(elapsed)
+		// Governor swaps take effect like a scaling_governor write (fresh
+		// instance, only when the name changes, so replayed swaps land on
+		// the same step with the same state).
+		sh = lead.SharedStep(elapsed)
 		cond := sh.Cond
 		if cond.Governor != "" && cond.Governor != govName {
 			fresh, gerr := governor.ByNameN(cond.Governor, B)
 			if gerr != nil {
-				return nil, gerr
+				return gerr
 			}
 			for d := range devs {
 				devs[d].gov = fresh[d]
@@ -424,12 +512,34 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 			govName = cond.Governor
 		}
 
-		for d, dev := range devs {
+		for d := range devs {
+			dev := &devs[d]
+			// Ambient moves the ground truth, and the workers'
+			// memory-boundedness follows the phase.
 			if amb := dev.script.AmbientAt(&sh); amb != 0 {
 				bsim.SetAmbient(d, amb)
 			}
-			for _, tk := range dev.scriptTasks {
-				tk.MemBound = cond.MemBound
+			for i := range dev.workers {
+				dev.workers[i].MemBound = cond.MemBound
+			}
+			if dev.gen == nil {
+				for i := range dev.workers {
+					dev.demands[i] = dev.script.WorkerDemandShared(&sh, i)
+				}
+				if rec := dev.res.Rec; rec != nil {
+					// The script's inputs, recorded alongside the outputs,
+					// are what makes a trace replayable.
+					for i, name := range dev.demandNames {
+						rec.Record(name, elapsed, dev.demands[i])
+					}
+					rec.Record("gpu_demand", elapsed, cond.GPUDemand)
+					rec.Record("ambient_c", elapsed, bsim.Ambient(d))
+					rec.Record("cpu_activity", elapsed, cond.CPUActivity)
+					rec.Record("gpu_activity", elapsed, cond.GPUActivity)
+					rec.Record("mem_traffic", elapsed, cond.MemTraffic)
+					rec.Record("mem_bound", elapsed, cond.MemBound)
+					rec.Record("gov_id", elapsed, float64(governor.Index(govName)))
+				}
 			}
 			bsim.StateInto(d, &dev.st)
 			dev.bank.ReadCoreTempsInto(dev.sensedTemps, dev.st.Core)
@@ -441,6 +551,7 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 				}
 			}
 
+			// Default governors decide from last interval's utilization.
 			active := dev.chip.Active()
 			govFreq := dev.gov.Decide(dev.prevUtil, active.Freq(), active.Domain)
 			gpuWant := dev.gpuGov.Decide(dev.prevGPUUtil, dev.chip.GPUFreq(), dev.chip.GPUDomain)
@@ -450,7 +561,7 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 			effGPU := gpuWant
 			switch dev.opt.Policy {
 			case PolicyFan:
-				if dev.fan != nil {
+				if desc.Fan != nil {
 					fanSpeed = dev.fan.Update(maxSensed)
 				}
 			case PolicyNoFan:
@@ -460,14 +571,23 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 					effFreq = cap
 				}
 			case PolicyDTPM:
-				gpuActive := cond.GPUDemand > 0
 				dec := dev.ctrl.Update(dev.chip, dtpm.Inputs{
 					Temps:        dev.sensedTemps,
 					Powers:       sensedPowers,
 					GovernorFreq: govFreq,
-					GPUActive:    gpuActive,
+					GPUActive:    cond.GPUDemand > 0,
 				})
+				if rec := dev.res.Rec; rec != nil {
+					viol := 0.0
+					if dec.Violation {
+						viol = 1
+					}
+					rec.Record("dtpm_violation", elapsed, viol)
+					rec.Record("dtpm_budget_w", elapsed, dec.TotalBudget)
+					rec.Record("dtpm_pred_c", elapsed, dec.PredictedMax)
+				}
 				lim := dec.Limits
+				// Cluster migration.
 				if lim.ForceLittle && dev.chip.ActiveKind() == platform.BigCluster {
 					dev.chip.SwitchCluster(platform.LittleCluster)
 					dev.sched.MigrateAll()
@@ -480,6 +600,7 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 					dev.ctrl.Power.AlphaC[platform.Big].Reset()
 				}
 				active = dev.chip.Active()
+				// Hotplug to the allowed core count, then frequency caps.
 				applyCoreLimit(dev.chip, lim)
 				effFreq = dev.gov.Decide(dev.prevUtil, active.Freq(), active.Domain)
 				if dev.chip.ActiveKind() == platform.BigCluster && lim.BigFreqCap != 0 && lim.BigFreqCap < effFreq {
@@ -493,33 +614,60 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 				}
 			}
 			if err := active.SetFreq(effFreq); err != nil {
-				return nil, err
+				return err
 			}
 			if err := dev.chip.SetGPUFreq(effGPU); err != nil {
-				return nil, err
+				return err
 			}
 
-			// (Run's prediction-accuracy accounting would go here; the
-			// batch path skips it — see the function comment.)
+			// Prediction-accuracy accounting: predict the hottest core one
+			// horizon ahead from the current sensed state under current
+			// power.
+			if dev.predictor != nil {
+				pred := dev.predictor.PredictConstInto(dev.predStep, dev.sensedTemps, sensedPowers[:], dev.horizon)
+				dev.predRing = append(dev.predRing, pred...)
+				if rec := dev.res.Rec; rec != nil {
+					// Timestamp at the instant the prediction refers to, so
+					// the series overlays the measured trace (Figure 4.9).
+					// Scripted traces are replay artifacts instead: they
+					// keep every series on the control-step grid, because a
+					// shifted clock would widen the CSV's union time grid
+					// past the scenario end and corrupt the duration a
+					// replay infers from it.
+					predT := elapsed
+					if dev.gen != nil {
+						predT += float64(dev.horizon) * dt
+					}
+					rec.Record("predmax_c", predT, stats.Max(pred))
+				}
+			}
 
-			// Advance the workload: worker demands finish from the shared
-			// base (per-device jitter only), background levels refresh
-			// their per-device random walk, and TickWith consumes the
-			// cached values without re-evaluating any closures.
+			// Advance the workload: background levels refresh their
+			// per-device random walk; scripted worker demands were read
+			// above, so TickWith consumes cached values without evaluating
+			// any closure. Benchmark generators advance RNG state on every
+			// call and must tick through their closures.
 			dev.bgUtil = dev.bg.UtilAt()
-			for i := 0; i < nWorkers; i++ {
-				dev.demands[i] = dev.script.WorkerDemandShared(&sh, i)
+			var tick kernel.TickResult
+			if dev.gen != nil {
+				tick = dev.sched.Tick(dt, active)
+			} else {
+				copy(dev.demands[nWorkers:], dev.bgUtil)
+				tick = dev.sched.TickWith(dt, active, dev.demands)
 			}
-			copy(dev.demands[nWorkers:], dev.bgUtil)
-			tick := dev.sched.TickWith(dt, active, dev.demands)
+			// Copy the realized utilization (the tick buffer is reused):
+			// the tail beyond the active cluster's width is zeroed so a
+			// cluster migration never leaves stale readings for the
+			// governor.
 			for i := copy(dev.prevUtil, tick.CoreUtil); i < len(dev.prevUtil); i++ {
 				dev.prevUtil[i] = 0
 			}
 
-			gpuDemand := cond.GPUDemand
+			// GPU load: demand expressed at the max GPU frequency.
 			gpuScale := float64(dev.chip.GPUDomain.MaxFreq()) / float64(dev.chip.GPUFreq())
-			dev.prevGPUUtil = math.Min(1, gpuDemand*gpuScale)
+			dev.prevGPUUtil = math.Min(1, cond.GPUDemand*gpuScale)
 
+			// Ground-truth power and thermal step.
 			sumUtil := 0.0
 			for _, u := range tick.CoreUtil {
 				sumUtil += u
@@ -532,12 +680,13 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 				MemTraffic:  cond.MemTraffic*math.Min(1, sumUtil) + 0.4*dev.prevGPUUtil,
 				FanSpeed:    fanSpeed,
 			}
-			// Fused ground-truth evaluation: Run's Evaluate +
-			// CorePowersInto pair in one pass, bit-identical.
+			// Fused ground-truth evaluation: the domain breakdown and the
+			// per-core thermal inputs in one pass.
 			breakdown, boardPow := r.GT.StepInto(dev.corePow, dev.chip, act, dev.st.Core, dev.st.Board)
 			dev.prevPowers = breakdown.Domain
 			bsim.Step(d, dt, boardPow, fanSpeed)
 
+			// Metrics.
 			trueMax := dev.st.MaxCore()
 			dev.maxTempSeries = append(dev.maxTempSeries, trueMax)
 			platPower := breakdown.Platform()
@@ -545,8 +694,12 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 			if trueMax > dev.opt.TMax {
 				dev.res.OverTMax += dt
 			}
-			if dev.opt.Observer != nil {
-				dev.opt.Observer(Sample{
+			// One Sample per interval feeds BOTH the recorder and the
+			// observer, so a streamed sample and the recorded trace row
+			// can never diverge. The struct lives on the stack: with
+			// neither recording nor an observer this block is free.
+			if rec := dev.res.Rec; rec != nil || dev.opt.Observer != nil {
+				smp := Sample{
 					Step:      k,
 					Time:      elapsed,
 					MaxTemp:   trueMax,
@@ -558,23 +711,50 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 					GPUMHz:    dev.chip.GPUFreq().MHz(),
 					BoardTemp: dev.st.Board,
 					BigPower:  breakdown.Domain[platform.Big],
-				})
+				}
+				if rec != nil {
+					rec.Record("maxtemp", smp.Time, smp.MaxTemp)
+					rec.Record("freq_ghz", smp.Time, smp.FreqGHz)
+					rec.Record("power_w", smp.Time, smp.Power)
+					rec.Record("fan", smp.Time, smp.FanSpeed)
+					rec.Record("cores", smp.Time, smp.Cores)
+					rec.Record("cluster", smp.Time, smp.Cluster)
+					rec.Record("gpu_mhz", smp.Time, smp.GPUMHz)
+					rec.Record("board", smp.Time, smp.BoardTemp)
+					rec.Record("bigpower_w", smp.Time, smp.BigPower)
+				}
+				if dev.opt.Observer != nil {
+					dev.opt.Observer(smp)
+				}
 			}
 		}
 		elapsed += dt
 
-		if elapsed >= scripts[0].Duration()-1e-9 {
+		// A script completes on its clock; a benchmark (always width 1)
+		// completes when its finite foreground work has retired.
+		if unscripted {
+			if devs[0].sched.AllForegroundDone() {
+				completed = true
+				break
+			}
+		} else if elapsed >= lead.Duration()-1e-9 {
 			completed = true
 			break
 		}
 	}
 
-	results := make([]*Result, B)
-	for d, dev := range devs {
+	for d := range devs {
+		dev := &devs[d]
 		res := dev.res
 		res.Completed = completed
 		res.ExecTime = elapsed
+		if completed && unscripted {
+			res.ExecTime = dev.sched.LastFinish()
+		}
 		res.Energy = dev.energy
+		// A run cancelled before its first interval completed has no
+		// samples; leave the zero-value metrics rather than dividing by
+		// zero elapsed time or taking the max of an empty series.
 		if len(dev.maxTempSeries) > 0 {
 			res.AvgPower = dev.energy / elapsed
 			res.MaxTemp = stats.Max(dev.maxTempSeries)
@@ -586,10 +766,43 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 			res.SSTempVar = stats.Variance(ss)
 			res.SSSpread = stats.Spread(ss)
 		}
+		if dev.predictor != nil {
+			dev.closePredictions(nodes)
+		}
 		results[d] = res
 	}
 	if cancelled {
-		return results, fmt.Errorf("sim: %w after %.1f s (%w)", ErrCancelled, elapsed, context.Cause(ctx))
+		return fmt.Errorf("sim: %w after %.1f s (%w)", ErrCancelled, elapsed, context.Cause(ctx))
 	}
-	return results, nil
+	return nil
+}
+
+// closePredictions finishes the §6.3.1 accounting: each interval's
+// predicted hottest core against the true maximum measured `horizon`
+// intervals later.
+func (dev *batchDev) closePredictions(nodes int) {
+	var sum, worst, worstAbs float64
+	n := 0
+	for k := 0; k+dev.horizon < len(dev.maxTempSeries) && k < len(dev.predRing)/nodes; k++ {
+		predMax := stats.Max(dev.predRing[k*nodes : (k+1)*nodes])
+		meas := dev.maxTempSeries[k+dev.horizon]
+		if meas <= 0 {
+			continue
+		}
+		abs := math.Abs(predMax - meas)
+		pct := 100 * abs / meas
+		sum += pct
+		n++
+		if pct > worst {
+			worst = pct
+		}
+		if abs > worstAbs {
+			worstAbs = abs
+		}
+	}
+	if n > 0 {
+		dev.res.PredMeanPct = sum / float64(n)
+		dev.res.PredMaxPct = worst
+		dev.res.PredMaxAbsC = worstAbs
+	}
 }

@@ -10,16 +10,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/dtpm"
-	"repro/internal/governor"
-	"repro/internal/kernel"
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/sensor"
-	"repro/internal/stats"
 	"repro/internal/sysid"
 	"repro/internal/thermal"
 	"repro/internal/trace"
@@ -109,8 +105,10 @@ type Options struct {
 	// intervals (0 = the paper's 10 intervals = 1 s). It does not change
 	// the DTPM controller's own horizon, only the §6.3.1 accounting.
 	PredHorizon int
-	// Model is the identified thermal model (required for PolicyDTPM; also
-	// used for prediction-accuracy accounting in any policy when set).
+	// Model is the identified thermal model (required for PolicyDTPM).
+	// When set, Run also uses it for the §6.3.1 prediction-accuracy
+	// accounting in any policy (Result.Pred*); RunBatch skips that
+	// accounting.
 	Model *sysid.ThermalModel
 	// PowerModel supplies fitted leakage parameters for DTPM (nil = fit
 	// omitted: ground-truth parameters are copied, representing a perfect
@@ -268,512 +266,38 @@ func (r *Runner) computeIdleState() thermal.State {
 	sim := thermal.NewSim(r.Thermal)
 	act := power.ChipActivity{CoreUtil: idleCoreUtil(chip.BigCluster.NumCores()), CPUActivity: 1, MemTraffic: 0.05}
 	st := sim.State()
+	core := make([]float64, chip.BigCluster.NumCores())
 	for i := 0; i < 4; i++ {
-		core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
+		board := r.GT.CorePowersInto(core, chip, act, st.Core, st.Board)
 		st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
 		sim.SetState(st)
 	}
 	return st
 }
 
-// Run executes one benchmark under one policy. The context cancels the run
-// between control intervals: on cancellation Run returns the partial Result
-// over the completed intervals together with an error wrapping both
-// ErrCancelled and the context's cause. With an Options.Observer attached,
-// the observer has then seen exactly the intervals the partial result (and
-// its recorder, when recording) contains.
+// Run executes one benchmark (or Options.Script) under one policy: a
+// width-1 call into the same lock-step kernel RunBatch drives, so a device
+// run alone and the same device run in a batch produce byte-identical
+// samples and results. Unlike RunBatch, Run also keeps the §6.3.1
+// prediction-accuracy accounting (Result.Pred*, and the "predmax_c" series
+// when recording) whenever Options.Model is set, and accepts unscripted
+// benchmarks, plain Scripts, and recording.
+//
+// The context cancels the run between control intervals: on cancellation
+// Run returns the partial Result over the completed intervals together
+// with an error wrapping both ErrCancelled and the context's cause. With
+// an Options.Observer attached, the observer has then seen exactly the
+// intervals the partial result (and its recorder, when recording)
+// contains.
 func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
-	if opt.ControlPeriod == 0 {
-		opt.ControlPeriod = 0.1
-	}
-	if opt.TMax == 0 {
-		opt.TMax = 63
-	}
-	if opt.MaxDuration == 0 {
-		if opt.Script != nil {
-			opt.MaxDuration = opt.Script.Duration()
-		} else {
-			opt.MaxDuration = 4 * opt.Bench.NominalDuration()
-			if opt.MaxDuration < 60 {
-				opt.MaxDuration = 60
-			}
-		}
-	}
-	if opt.Governor == "" {
-		opt.Governor = "ondemand"
-	}
-	gov, err := governor.ByName(opt.Governor)
-	if err != nil {
-		return nil, err
-	}
-	gpuGov := governor.NewGPU()
-
-	desc := r.desc()
-	chip := platform.NewChipFor(desc)
-	nodes := chip.BigCluster.NumCores() // hotspot/sensor node count
-	maxCores := desc.MaxClusterCores()
-	tsim := thermal.NewSim(r.Thermal)
-	tsim.SetState(r.IdleState())
-	bank := sensor.NewBank(r.Sensors, opt.Seed)
-	// Fanless platforms have no controller: the with-fan policy degenerates
-	// to the plain governor and fan speed stays 0.
-	var fan *thermal.FanController
-	if desc.Fan != nil {
-		fan = thermal.NewFanControllerFor(*desc.Fan)
-	}
-	reactive := dtpm.NewReactiveHeuristic()
-
-	if opt.Model != nil {
-		if opt.Model.States() != nodes {
-			return nil, fmt.Errorf("sim: %w: model order %d vs platform %s (%d hotspot nodes) — characterize the same platform the run uses",
-				ErrModelPlatformMismatch, opt.Model.States(), desc.Name, nodes)
-		}
-		// Same order is not enough: two profiles can both carry, say, four
-		// hotspots while their silicon constants differ completely. A model
-		// stamped with its origin platform must only drive that platform.
-		if opt.Model.Platform != "" && opt.Model.Platform != desc.Name {
-			return nil, fmt.Errorf("sim: %w: model was identified on platform %s, refusing to drive %s with it",
-				ErrModelPlatformMismatch, opt.Model.Platform, desc.Name)
-		}
-	}
-	var ctrl *dtpm.Controller
-	if opt.Policy == PolicyDTPM {
-		if opt.Model == nil {
-			return nil, fmt.Errorf("sim: PolicyDTPM requires an identified thermal model")
-		}
-		pm := opt.PowerModel
-		if pm == nil {
-			pm = r.groundTruthPowerModel()
-		} else {
-			// The controller observes into its power model every interval;
-			// clone so a shared fitted model is never mutated. This keeps
-			// each run independent of what ran before it (and makes
-			// concurrent cells race-free).
-			pm = pm.Clone()
-		}
-		cfg := dtpm.DefaultConfig()
-		if opt.DTPM != nil {
-			cfg = *opt.DTPM
-		}
-		cfg.TMax = opt.TMax
-		ctrl, err = dtpm.NewController(cfg, opt.Model, pm)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Workload setup: worker threads plus the Android background load.
-	// Script workers are open-ended (the script decides when they idle);
-	// benchmark workers carry the finite foreground work. All tasks of a
-	// run live in one batch allocation.
-	sched := kernel.NewSched()
-	var gen *workload.Generator
-	var scriptTasks []*kernel.Task
-	var scriptDemandNames []string
-	nWorkers := opt.Bench.Threads
-	if opt.Script != nil {
-		nWorkers = opt.Script.Workers()
-	}
-	sched.Reserve(nWorkers+nodes, maxCores)
-	taskPool := make([]kernel.Task, nWorkers+nodes)
-	if opt.Script != nil {
-		for i := 0; i < nWorkers; i++ {
-			i := i
-			tk := &taskPool[i]
-			*tk = kernel.Task{
-				Name:     fmt.Sprintf("%s-w%d", opt.Script.Name(), i),
-				Demand:   func(t float64) float64 { return opt.Script.WorkerDemand(i, t) },
-				WorkLeft: math.Inf(1),
-			}
-			scriptTasks = append(scriptTasks, tk)
-			sched.Add(tk)
-			if opt.Record {
-				scriptDemandNames = append(scriptDemandNames, fmt.Sprintf("demand_w%d", i))
-			}
-		}
-	} else {
-		gen = workload.NewGenerator(opt.Bench)
-		for i := 0; i < nWorkers; i++ {
-			taskPool[i] = kernel.Task{
-				Name:     opt.Bench.Name,
-				Demand:   gen.DemandAt,
-				MemBound: opt.Bench.MemBound,
-				WorkLeft: opt.Bench.WorkPerThread,
-			}
-			sched.Add(&taskPool[i])
-		}
-	}
-	bg := workload.NewBackgroundN(opt.Seed+77, nodes)
-	bgUtil := bg.UtilAt()
-	for i := 0; i < nodes; i++ {
-		i := i
-		tk := &taskPool[nWorkers+i]
-		*tk = kernel.Task{
-			Name:     bgTaskName(i),
-			Demand:   func(float64) float64 { return bgUtil[i] },
-			MemBound: 0.3,
-			WorkLeft: math.Inf(1),
-		}
-		sched.Add(tk)
-	}
-
-	res := &Result{Bench: opt.Bench.Name, Policy: opt.Policy}
-	if opt.Script != nil {
-		res.Bench = opt.Script.Name()
-	}
-	if opt.Record {
-		res.Rec = trace.NewRecorder()
-	}
-	govName := opt.Governor
-
-	dt := opt.ControlPeriod
-	horizon := opt.PredHorizon
-	if horizon <= 0 {
-		horizon = 10 // 1 s at 100 ms
-	}
-	// Allocation-reuse invariant: everything the per-step loop touches is
-	// either a fixed-size value or preallocated here at full capacity —
-	// sized from the platform descriptor, not from constants — so the hot
-	// loop itself performs no heap allocation (BenchmarkSimCell* in the
-	// repo root tracks this with -benchmem). Keep it that way when adding
-	// per-step state.
-	steps := int(opt.MaxDuration/dt) + 1
-	// One flat backing array for every per-step vector buffer.
-	flat := make([]float64, maxCores+3*nodes)
-	var (
-		prevUtil    = flat[0:maxCores:maxCores]
-		prevGPUUtil float64
-		prevPowers  [platform.NumResources]float64
-		energy      float64
-		sensedTemps = flat[maxCores : maxCores+nodes : maxCores+nodes]
-		corePow     = flat[maxCores+nodes : maxCores+2*nodes : maxCores+2*nodes]
-		// per-step thermal state snapshot buffer
-		st = thermal.State{Core: flat[maxCores+2*nodes : maxCores+3*nodes : maxCores+3*nodes]}
-	)
-	maxTempSeries := make([]float64, 0, steps)
-	// Prediction accounting ring: model-order values per step, stored flat.
-	var (
-		predRing  []float64
-		predStep  []float64
-		predictor *sysid.Predictor
-	)
-	if opt.Model != nil {
-		predRing = make([]float64, 0, steps*nodes)
-		predStep = make([]float64, nodes)
-		predictor = opt.Model.NewPredictor()
-	}
-	// Initialize the power observation with an idle reading.
-	idleAct := power.ChipActivity{CoreUtil: prevUtil, CPUActivity: 1}
-	tsim.StateInto(&st)
-	b0 := r.GT.Evaluate(chip, idleAct, st.Core, st.Board)
-	prevPowers = b0.Domain
-
-	// Cancellation is checked at the top of every control interval against
-	// the context's done channel, fetched once: Done() on a cancellable
-	// context allocates its channel lazily, and per-step Err() would take
-	// its lock. context.Background keeps done nil, so the batch path pays
-	// one never-ready select case per step and nothing else.
-	done := ctx.Done()
-	cancelled := false
-
-	elapsed := 0.0
-	for k := 0; k < steps; k++ {
-		select {
-		case <-done:
-			cancelled = true
-		default:
-		}
-		if cancelled {
-			break
-		}
-		// Scripted scenarios re-read their conditions every interval:
-		// governor swaps take effect like a scaling_governor write (fresh
-		// instance, only when the name changes, so replayed swaps land on
-		// the same step with the same state), ambient moves the ground
-		// truth, and the workers' memory-boundedness follows the phase.
-		var cond Conditions
-		if opt.Script != nil {
-			cond = opt.Script.Conditions(elapsed)
-			if cond.Governor != "" && cond.Governor != govName {
-				ng, gerr := governor.ByName(cond.Governor)
-				if gerr != nil {
-					return nil, gerr
-				}
-				gov, govName = ng, cond.Governor
-			}
-			if cond.AmbientC != 0 {
-				tsim.P.Ambient = cond.AmbientC
-			}
-			for _, tk := range scriptTasks {
-				tk.MemBound = cond.MemBound
-			}
-			if res.Rec != nil {
-				for i, name := range scriptDemandNames {
-					res.Rec.Record(name, elapsed, opt.Script.WorkerDemand(i, elapsed))
-				}
-				res.Rec.Record("gpu_demand", elapsed, cond.GPUDemand)
-				res.Rec.Record("ambient_c", elapsed, tsim.P.Ambient)
-				res.Rec.Record("cpu_activity", elapsed, cond.CPUActivity)
-				res.Rec.Record("gpu_activity", elapsed, cond.GPUActivity)
-				res.Rec.Record("mem_traffic", elapsed, cond.MemTraffic)
-				res.Rec.Record("mem_bound", elapsed, cond.MemBound)
-				res.Rec.Record("gov_id", elapsed, float64(governor.Index(govName)))
-			}
-		}
-		tsim.StateInto(&st)
-		bank.ReadCoreTempsInto(sensedTemps, st.Core)
-		sensedPowers := bank.ReadDomainPowers(prevPowers)
-		maxSensed := sensedTemps[0]
-		for _, t := range sensedTemps[1:] {
-			if t > maxSensed {
-				maxSensed = t
-			}
-		}
-
-		// Default governors decide from last interval's utilization.
-		active := chip.Active()
-		govFreq := gov.Decide(prevUtil, active.Freq(), active.Domain)
-		gpuWant := gpuGov.Decide(prevGPUUtil, chip.GPUFreq(), chip.GPUDomain)
-
-		fanSpeed := 0.0
-		effFreq := govFreq
-		effGPU := gpuWant
-		switch opt.Policy {
-		case PolicyFan:
-			if fan != nil {
-				fanSpeed = fan.Update(maxSensed)
-			}
-		case PolicyNoFan:
-			// governor only
-		case PolicyReactive:
-			if cap := reactive.Cap(maxSensed, active.Domain); cap != 0 && cap < effFreq {
-				effFreq = cap
-			}
-		case PolicyDTPM:
-			gpuActive := opt.Bench.GPUUtil > 0
-			if opt.Script != nil {
-				gpuActive = cond.GPUDemand > 0
-			}
-			dec := ctrl.Update(chip, dtpm.Inputs{
-				Temps:        sensedTemps,
-				Powers:       sensedPowers,
-				GovernorFreq: govFreq,
-				GPUActive:    gpuActive,
-			})
-			if res.Rec != nil {
-				viol := 0.0
-				if dec.Violation {
-					viol = 1
-				}
-				res.Rec.Record("dtpm_violation", elapsed, viol)
-				res.Rec.Record("dtpm_budget_w", elapsed, dec.TotalBudget)
-				res.Rec.Record("dtpm_pred_c", elapsed, dec.PredictedMax)
-			}
-			lim := dec.Limits
-			// Cluster migration.
-			if lim.ForceLittle && chip.ActiveKind() == platform.BigCluster {
-				chip.SwitchCluster(platform.LittleCluster)
-				sched.MigrateAll()
-				gov.Reset()
-				ctrl.Power.AlphaC[platform.Little].Reset()
-			} else if !lim.ForceLittle && chip.ActiveKind() == platform.LittleCluster {
-				chip.SwitchCluster(platform.BigCluster)
-				sched.MigrateAll()
-				gov.Reset()
-				ctrl.Power.AlphaC[platform.Big].Reset()
-			}
-			active = chip.Active()
-			// Hotplug to the allowed core count.
-			applyCoreLimit(chip, lim)
-			// Frequency caps.
-			effFreq = gov.Decide(prevUtil, active.Freq(), active.Domain)
-			if chip.ActiveKind() == platform.BigCluster && lim.BigFreqCap != 0 && lim.BigFreqCap < effFreq {
-				effFreq = lim.BigFreqCap
-			}
-			if chip.ActiveKind() == platform.LittleCluster && lim.LittleFreqCap != 0 && lim.LittleFreqCap < effFreq {
-				effFreq = lim.LittleFreqCap
-			}
-			if lim.GPUFreqCap != 0 && lim.GPUFreqCap < effGPU {
-				effGPU = lim.GPUFreqCap
-			}
-		}
-		if err := active.SetFreq(effFreq); err != nil {
-			return nil, err
-		}
-		if err := chip.SetGPUFreq(effGPU); err != nil {
-			return nil, err
-		}
-
-		// Prediction-accuracy accounting: predict the hottest core 1 s
-		// ahead from the current sensed state under current power.
-		if opt.Model != nil {
-			pred := predictor.PredictConstInto(predStep, sensedTemps, sensedPowers[:], horizon)
-			predRing = append(predRing, pred...)
-			if res.Rec != nil {
-				// Timestamp at the instant the prediction refers to, so the
-				// series overlays the measured trace (Figure 4.9). Scripted
-				// traces are replay artifacts instead: they keep every
-				// series on the control-step grid, because a shifted clock
-				// would widen the CSV's union time grid past the scenario
-				// end and corrupt the duration a replay infers from it.
-				predT := elapsed + float64(horizon)*dt
-				if opt.Script != nil {
-					predT = elapsed
-				}
-				res.Rec.Record("predmax_c", predT, stats.Max(pred))
-			}
-		}
-
-		// Advance the workload and refresh the background levels.
-		bgUtil = bg.UtilAt()
-		tick := sched.Tick(dt, active)
-		// Copy the realized utilization (the tick buffer is reused): the
-		// tail beyond the active cluster's width is zeroed so a cluster
-		// migration never leaves stale readings for the governor.
-		for i := copy(prevUtil, tick.CoreUtil); i < len(prevUtil); i++ {
-			prevUtil[i] = 0
-		}
-
-		// GPU load: demand expressed at the max GPU frequency.
-		gpuDemand := cond.GPUDemand
-		if opt.Script == nil {
-			gpuDemand = gen.GPUUtilAt(elapsed)
-		}
-		gpuScale := float64(chip.GPUDomain.MaxFreq()) / float64(chip.GPUFreq())
-		prevGPUUtil = math.Min(1, gpuDemand*gpuScale)
-
-		// Ground-truth power and thermal step.
-		sumUtil := 0.0
-		for _, u := range tick.CoreUtil {
-			sumUtil += u
-		}
-		cpuAct, gpuAct, memTraffic := opt.Bench.CPUActivity, opt.Bench.GPUActivity, opt.Bench.MemTraffic
-		if opt.Script != nil {
-			cpuAct, gpuAct, memTraffic = cond.CPUActivity, cond.GPUActivity, cond.MemTraffic
-		}
-		act := power.ChipActivity{
-			CoreUtil:    tick.CoreUtil,
-			CPUActivity: cpuAct,
-			GPUUtil:     prevGPUUtil,
-			GPUActivity: gpuAct,
-			MemTraffic:  memTraffic*math.Min(1, sumUtil) + 0.4*prevGPUUtil,
-			FanSpeed:    fanSpeed,
-		}
-		breakdown := r.GT.Evaluate(chip, act, st.Core, st.Board)
-		prevPowers = breakdown.Domain
-		boardPow := r.GT.CorePowersInto(corePow, chip, act, st.Core, st.Board)
-		tsim.Step(dt, thermal.Input{CorePower: corePow, BoardPower: boardPow, FanSpeed: fanSpeed})
-
-		// Metrics.
-		trueMax := st.MaxCore()
-		maxTempSeries = append(maxTempSeries, trueMax)
-		platPower := breakdown.Platform()
-		energy += platPower * dt
-		if trueMax > opt.TMax {
-			res.OverTMax += dt
-		}
-		// One Sample per interval feeds BOTH the recorder and the observer,
-		// so a streamed sample and the recorded trace row can never diverge.
-		// The struct lives on the stack: with neither recording nor an
-		// observer this block is free.
-		if res.Rec != nil || opt.Observer != nil {
-			smp := Sample{
-				Step:      k,
-				Time:      elapsed,
-				MaxTemp:   trueMax,
-				FreqGHz:   active.Freq().GHz(),
-				Power:     platPower,
-				FanSpeed:  fanSpeed,
-				Cores:     float64(active.OnlineCount()),
-				Cluster:   float64(chip.ActiveKind()),
-				GPUMHz:    chip.GPUFreq().MHz(),
-				BoardTemp: st.Board,
-				BigPower:  breakdown.Domain[platform.Big],
-			}
-			if res.Rec != nil {
-				res.Rec.Record("maxtemp", smp.Time, smp.MaxTemp)
-				res.Rec.Record("freq_ghz", smp.Time, smp.FreqGHz)
-				res.Rec.Record("power_w", smp.Time, smp.Power)
-				res.Rec.Record("fan", smp.Time, smp.FanSpeed)
-				res.Rec.Record("cores", smp.Time, smp.Cores)
-				res.Rec.Record("cluster", smp.Time, smp.Cluster)
-				res.Rec.Record("gpu_mhz", smp.Time, smp.GPUMHz)
-				res.Rec.Record("board", smp.Time, smp.BoardTemp)
-				res.Rec.Record("bigpower_w", smp.Time, smp.BigPower)
-			}
-			if opt.Observer != nil {
-				opt.Observer(smp)
-			}
-		}
-		elapsed += dt
-
-		if opt.Script != nil {
-			// A script completes on its clock, not on retired work (its
-			// workers are open-ended, so AllForegroundDone would fire
-			// immediately).
-			if elapsed >= opt.Script.Duration()-1e-9 {
-				res.Completed = true
-				break
-			}
-		} else if sched.AllForegroundDone() {
-			res.Completed = true
-			break
-		}
-	}
-
-	if res.Completed && opt.Script == nil {
-		res.ExecTime = sched.LastFinish()
-	} else {
-		res.ExecTime = elapsed
-	}
-	res.Energy = energy
-	// A run cancelled before its first interval completed has no samples;
-	// leave the zero-value metrics rather than dividing by zero elapsed
-	// time or taking the max of an empty series.
-	if len(maxTempSeries) > 0 {
-		res.AvgPower = energy / elapsed
-		res.MaxTemp = stats.Max(maxTempSeries)
-		res.AvgTemp = stats.Mean(maxTempSeries)
-		res.TempVar = stats.Variance(maxTempSeries)
-		res.Spread = stats.Spread(maxTempSeries)
-		ss := steadyWindow(maxTempSeries, opt.TMax)
-		res.SSAvgTemp = stats.Mean(ss)
-		res.SSTempVar = stats.Variance(ss)
-		res.SSSpread = stats.Spread(ss)
-	}
-
-	// Close the prediction accounting: compare each prediction with the
-	// true temperature measured `horizon` intervals later.
-	if opt.Model != nil {
-		var sum, worst, worstAbs float64
-		n := 0
-		for k := 0; k+horizon < len(maxTempSeries) && k < len(predRing)/nodes; k++ {
-			predMax := stats.Max(predRing[k*nodes : (k+1)*nodes])
-			meas := maxTempSeries[k+horizon]
-			if meas <= 0 {
-				continue
-			}
-			abs := math.Abs(predMax - meas)
-			pct := 100 * abs / meas
-			sum += pct
-			n++
-			if pct > worst {
-				worst = pct
-			}
-			if abs > worstAbs {
-				worstAbs = abs
-			}
-		}
-		if n > 0 {
-			res.PredMeanPct = sum / float64(n)
-			res.PredMaxPct = worst
-			res.PredMaxAbsC = worstAbs
-		}
-	}
-	if cancelled {
-		return res, fmt.Errorf("sim: %w after %.1f s (%w)", ErrCancelled, elapsed, context.Cause(ctx))
-	}
-	return res, nil
+	// A single run allocates its own scratch instead of drawing on
+	// RunBatch's pool: pooled arenas live per P, so a pooled Run's
+	// allocation count would depend on which P ran the caller — and
+	// BenchmarkSimCell gates that count.
+	var arena batchArena
+	var res [1]*Result
+	err := r.run(ctx, &arena, []Options{opt}, res[:], true)
+	return res[0], err
 }
 
 // steadyWindow returns the slice of the series after the cold-start ramp:

@@ -93,11 +93,15 @@ func KeyDigest(kind string, spec any) (Digest, error) {
 // Stats are the store's monotone counters since Open. Hits+Misses counts
 // Get calls; Invalid counts the subset of misses caused by an entry that
 // exists but failed verification (corruption or a stale engine version).
+// WriteErrors counts failed Puts (a full disk, an unwritable directory):
+// the engines persist best-effort, so a failed write costs the next run a
+// recompute, never this run its result — the counter keeps it visible.
 type Stats struct {
-	Hits    uint64
-	Misses  uint64
-	Writes  uint64
-	Invalid uint64
+	Hits        uint64
+	Misses      uint64
+	Writes      uint64
+	Invalid     uint64
+	WriteErrors uint64
 }
 
 // HitRate returns hits/(hits+misses) in [0, 1], or 0 before any Get.
@@ -108,16 +112,27 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
+// Summary renders the counters for a CLI's closing store line: hits,
+// misses and hit rate, plus the write-error count only when writes failed.
+func (s Stats) Summary() string {
+	out := fmt.Sprintf("%d hits, %d misses (%.0f%% hit rate)", s.Hits, s.Misses, 100*s.HitRate())
+	if s.WriteErrors > 0 {
+		out += fmt.Sprintf(", %d write errors", s.WriteErrors)
+	}
+	return out
+}
+
 // Store is a local content-addressed result store rooted at one directory.
 // All methods are safe for concurrent use: entries are immutable, writes
 // are atomic renames, and the counters are atomics.
 type Store struct {
 	dir string
 
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	writes  atomic.Uint64
-	invalid atomic.Uint64
+	hits        atomic.Uint64
+	misses      atomic.Uint64
+	writes      atomic.Uint64
+	invalid     atomic.Uint64
+	writeErrors atomic.Uint64
 }
 
 // DefaultDir is the conventional store location, relative to the working
@@ -141,10 +156,11 @@ func (s *Store) Dir() string { return s.dir }
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Writes:  s.writes.Load(),
-		Invalid: s.invalid.Load(),
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		Writes:      s.writes.Load(),
+		Invalid:     s.invalid.Load(),
+		WriteErrors: s.writeErrors.Load(),
 	}
 }
 
@@ -220,8 +236,18 @@ func verify(key Digest, data []byte) ([]byte, error) {
 // Put persists payload under key. The entry is assembled in a temp file in
 // the same directory and renamed into place, so concurrent writers of the
 // same digest race benignly (they write identical bytes) and a crash never
-// leaves a torn entry under its final name.
+// leaves a torn entry under its final name. Every failure also counts in
+// Stats.WriteErrors.
 func (s *Store) Put(key Digest, payload []byte) error {
+	if err := s.put(key, payload); err != nil {
+		s.writeErrors.Add(1)
+		return err
+	}
+	s.writes.Add(1)
+	return nil
+}
+
+func (s *Store) put(key Digest, payload []byte) error {
 	path := s.entryPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -254,7 +280,6 @@ func (s *Store) Put(key Digest, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	s.writes.Add(1)
 	return nil
 }
 
@@ -298,6 +323,17 @@ func (s *Store) CorruptForTest(key Digest) error {
 	}
 	data[len(data)-1] ^= 0x01
 	return os.WriteFile(path, data, 0o644)
+}
+
+// BreakWritesForTest makes every later Put fail, for the write-error
+// suites: the objects directory becomes a read-only file, which stops
+// even a root test runner (permission bits alone would not).
+func (s *Store) BreakWritesForTest() error {
+	objects := filepath.Join(s.dir, "objects")
+	if err := os.RemoveAll(objects); err != nil {
+		return err
+	}
+	return os.WriteFile(objects, nil, 0o444)
 }
 
 // EntryPathForTest exposes the on-disk path of an entry for the corruption

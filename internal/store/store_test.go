@@ -258,3 +258,36 @@ func TestConcurrentPutGet(t *testing.T) {
 		}
 	}
 }
+
+// TestPutCountsWriteErrors: a Put that cannot reach the disk returns its
+// error AND counts it, so callers that persist best-effort (and drop the
+// error) still leave a visible trace; the CLI summary names the count
+// only when it is non-zero.
+func TestPutCountsWriteErrors(t *testing.T) {
+	s, err := Open(t.TempDir() + "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, testSpec{Platform: "p", Scenario: "s", Seed: 1})
+	if err := s.Put(key, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Summary(); got != "0 hits, 0 misses (0% hit rate)" {
+		t.Errorf("healthy summary %q", got)
+	}
+	if err := s.BreakWritesForTest(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.PutJSON(key, map[string]int{"n": i}); err == nil {
+			t.Fatal("Put into an unwritable store succeeded")
+		}
+	}
+	st := s.Stats()
+	if st.Writes != 1 || st.WriteErrors != 2 {
+		t.Fatalf("stats after failed writes: %+v", st)
+	}
+	if got := st.Summary(); !strings.HasSuffix(got, ", 2 write errors") {
+		t.Errorf("summary %q does not report the write errors", got)
+	}
+}
