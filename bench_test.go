@@ -284,10 +284,9 @@ func BenchmarkCharacterization(b *testing.B) {
 // overhead; this measures ours directly).
 func BenchmarkDTPMControlInterval(b *testing.B) {
 	ctx := benchContext(b)
-	res, err := (&Device{r: ctx.Runner}).Run(RunSpec{
-		Benchmark: "templerun", Policy: DTPM,
-		Models: &Models{c: ctx.Char}, Seed: 1,
-	})
+	dev := &Device{r: ctx.Runner}
+	spec := NewSpec(WithBenchmark("templerun"), WithPolicy(DTPM), WithModels(&Models{c: ctx.Char}), WithSeed(1))
+	res, err := dev.runToCompletion(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -296,10 +295,7 @@ func BenchmarkDTPMControlInterval(b *testing.B) {
 	intervals := int(res.ExecTime / 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&Device{r: ctx.Runner}).Run(RunSpec{
-			Benchmark: "templerun", Policy: DTPM,
-			Models: &Models{c: ctx.Char}, Seed: 1,
-		}); err != nil {
+		if _, err := dev.runToCompletion(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -123,22 +123,6 @@ func run(args []string) error {
 		}
 		eng.Store = st
 	}
-	// The DTPM policy (and prediction-accuracy accounting) needs the
-	// Chapter 4 characterization of the default device; run it up front —
-	// but only when some cell will actually use that device. A sweep whose
-	// platform axis names only non-default profiles gets each of them
-	// characterized lazily inside the engine instead.
-	if grid.UsesDefaultPlatform() {
-		fmt.Fprintln(os.Stderr, "campaign: characterizing device (furnace + PRBS system identification)...")
-		runner := sim.NewRunner()
-		models, err := runner.Characterize(ctx, *baseSeed)
-		if err != nil {
-			return err
-		}
-		eng.Runner = runner
-		eng.Models = models
-	}
-
 	// Run the sweep on the streaming engine (RunContext collects the
 	// completion-order stream into the deterministic cell-index order the
 	// exports rely on); OnCellDone prints live progress per cell.
@@ -222,12 +206,7 @@ func runRemote(ctx context.Context, addr, tenant string, grid campaign.Grid, bas
 		return err
 	}
 	if done.StoreDir != "" {
-		rate := 0.0
-		if done.Hits+done.Misses > 0 {
-			rate = float64(done.Hits) / float64(done.Hits+done.Misses)
-		}
-		fmt.Fprintf(os.Stderr, "campaign: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			done.StoreDir, done.Hits, done.Misses, 100*rate)
+		fmt.Fprintf(os.Stderr, "campaign: store %s: %s\n", done.StoreDir, store.Stats{Hits: done.Hits, Misses: done.Misses}.Summary())
 	}
 	if done.State == controlapi.StateFailed {
 		return errors.New(done.RunErr)

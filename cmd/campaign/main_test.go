@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -50,18 +49,6 @@ func TestBuildGridAllExpansion(t *testing.T) {
 	}
 	if len(g.Platforms) != len(platform.Names()) {
 		t.Errorf(`"all" platforms expanded to %d, want %d`, len(g.Platforms), len(platform.Names()))
-	}
-}
-
-func TestGridUsesDefaultPlatform(t *testing.T) {
-	if !(campaign.Grid{}).UsesDefaultPlatform() {
-		t.Error("empty platform axis should use the default device")
-	}
-	if !(campaign.Grid{Platforms: []string{platform.DefaultName}}).UsesDefaultPlatform() {
-		t.Error("explicit default platform should use the default device")
-	}
-	if (campaign.Grid{Platforms: []string{"fanless-phone"}}).UsesDefaultPlatform() {
-		t.Error("non-default-only axis should not trigger the default characterization")
 	}
 }
 

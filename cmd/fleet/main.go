@@ -372,8 +372,7 @@ func runRemote(ctx context.Context, addr, tenant string, spec fleet.Spec, baseSe
 		return err
 	}
 	if done.StoreDir != "" {
-		fmt.Fprintf(os.Stderr, "fleet: store %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			done.StoreDir, done.Hits, done.Misses, 100*hitRate(done.Hits, done.Misses))
+		fmt.Fprintf(os.Stderr, "fleet: store %s: %s\n", done.StoreDir, store.Stats{Hits: done.Hits, Misses: done.Misses}.Summary())
 	}
 	if done.State == controlapi.StateFailed {
 		return errors.New(done.RunErr)
@@ -403,14 +402,6 @@ func runRemote(ctx context.Context, addr, tenant string, spec fleet.Spec, baseSe
 		os.Exit(1)
 	}
 	return nil
-}
-
-// hitRate mirrors store.Stats.HitRate for the daemon's per-run counters.
-func hitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 // fetchReport downloads one rendered export into a local file — the same

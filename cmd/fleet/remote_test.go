@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // TestRunRemote drives the -addr thin-client path against an in-process
@@ -68,11 +70,18 @@ func TestRunRemoteRejectsBadDaemon(t *testing.T) {
 	}
 }
 
+// TestHitRate pins the remote store line: rendering the daemon's per-run
+// counters through store.Stats.Summary keeps the bytes the thin client
+// printed before (daemon-smoke greps "0 misses (100% hit rate)").
 func TestHitRate(t *testing.T) {
-	if got := hitRate(0, 0); got != 0 {
-		t.Errorf("hitRate(0,0) = %v, want 0", got)
-	}
-	if got := hitRate(3, 1); got != 0.75 {
-		t.Errorf("hitRate(3,1) = %v, want 0.75", got)
+	for _, c := range []struct{ hits, misses uint64 }{{0, 0}, {3, 1}, {64, 0}, {1, 2}} {
+		rate := 0.0
+		if c.hits+c.misses > 0 {
+			rate = float64(c.hits) / float64(c.hits+c.misses)
+		}
+		want := fmt.Sprintf("%d hits, %d misses (%.0f%% hit rate)", c.hits, c.misses, 100*rate)
+		if got := (store.Stats{Hits: c.hits, Misses: c.misses}).Summary(); got != want {
+			t.Errorf("store line for %d/%d = %q, want %q", c.hits, c.misses, got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,15 @@ func main() {
 	// Validate the prediction accuracy inside a real benchmark run (the
 	// §6.3.1 accounting): every interval the hotspot temperature is
 	// predicted 1 s ahead and compared against the later measurement.
-	res, err := dev.Run(repro.RunSpec{Benchmark: "blowfish", Policy: repro.WithoutFan, Models: models})
+	session, err := dev.Start(context.Background(), repro.NewSpec(
+		repro.WithBenchmark("blowfish"),
+		repro.WithPolicy(repro.WithoutFan),
+		repro.WithModels(models),
+	))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := session.Result()
 	if err != nil {
 		log.Fatal(err)
 	}

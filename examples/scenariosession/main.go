@@ -55,10 +55,10 @@ func main() {
 	fmt.Printf("streamed %d samples, bit-identical to the recorded trace\n", len(streamed))
 
 	// Replay the recorded trace: zero mismatches expected.
-	_, diff, err := dev.ReplayTrace(res.Rec, repro.ScenarioRunSpec{
-		Policy: repro.WithFan,
-		Seed:   1,
-	})
+	_, diff, err := dev.ReplayTrace(ctx, res.Rec,
+		repro.WithPolicy(repro.WithFan),
+		repro.WithSeed(1),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

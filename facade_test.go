@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -68,22 +69,33 @@ func TestRunCampaignFacade(t *testing.T) {
 			t.Errorf("cell %v failed: %s", c.Cell, c.Err)
 		}
 	}
-	// DTPM without models must be collected as a cell failure, not abort.
+	// Nil models: the campaign characterizes the device itself at the base
+	// seed, so DTPM cells run and export exactly what models
+	// characterized at that seed give them.
 	grid.Policies = []Policy{DTPM}
-	rep, err = dev.RunCampaign(context.Background(), grid, nil, 2, 1)
-	if err != nil {
-		t.Fatal(err)
+	export := func(m *Models) []byte {
+		t.Helper()
+		rep, err := dev.RunCampaign(context.Background(), grid, m, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Failures()) != 0 {
+			t.Fatalf("DTPM cells failed: %+v", rep.Failures())
+		}
+		var b bytes.Buffer
+		if err := rep.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	if len(rep.Failures()) != len(rep.Cells) {
-		t.Errorf("DTPM cells without models should all fail, got %d/%d", len(rep.Failures()), len(rep.Cells))
+	if !bytes.Equal(export(nil), export(models(t))) {
+		t.Error("nil-models campaign differs from one given Characterize(baseSeed)")
 	}
 }
 
 func TestRunWithCustomTMax(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.Run(RunSpec{
-		Benchmark: "matrixmult", Policy: DTPM, Models: models(t), TMax: 58, Seed: 2,
-	})
+	res, err := runSpec(dev, WithBenchmark("matrixmult"), WithPolicy(DTPM), WithModels(models(t)), WithTMax(58), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +109,11 @@ func TestRunWithCustomTMax(t *testing.T) {
 
 func TestRunWithGovernorOverride(t *testing.T) {
 	dev := NewDevice()
-	perf, err := dev.Run(RunSpec{Benchmark: "dijkstra", Policy: WithoutFan, Governor: "performance", Seed: 2})
+	perf, err := runSpec(dev, WithBenchmark("dijkstra"), WithPolicy(WithoutFan), WithGovernor("performance"), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	save, err := dev.Run(RunSpec{Benchmark: "dijkstra", Policy: WithoutFan, Governor: "powersave", Seed: 2})
+	save, err := runSpec(dev, WithBenchmark("dijkstra"), WithPolicy(WithoutFan), WithGovernor("powersave"), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestRunWithGovernorOverride(t *testing.T) {
 
 func TestRecordedTrace(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.Run(RunSpec{Benchmark: "crc32", Policy: WithFan, Record: true, Seed: 2})
+	res, err := runSpec(dev, WithBenchmark("crc32"), WithPolicy(WithFan), WithRecord(true), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,15 @@
 // aggregates the fixed-size per-cell metrics in bounded memory (no traces
 // are retained). The workload axis is either a Table 6.4 benchmark or a
 // named scenario (a compiled multi-phase sim.Script); the two axes are
-// alternatives. The platform axis selects registered platform descriptors;
-// each non-default platform is characterized once per campaign (same base
-// seed) and its models are shared by all of its cells.
+// alternatives. The platform axis selects registered platform descriptors.
+//
+// Devices resolve through sched.Cache, under the same rule as the fleet
+// engine: cells of the engine's own device (the empty platform coordinate
+// or its platform's name) run on it with the injected Models; every other
+// case — including an engine given nil Models — is characterized once, at
+// the base seed, on first need, and its models are shared by all of its
+// cells. So every cell runs with models: DTPM cells can always control,
+// and every cell gets the §6.3.1 prediction-accuracy accounting.
 //
 // Determinism is the core contract: every cell derives its own RNG seed
 // from the campaign base seed and the cell's coordinates alone, and sim.Run
@@ -44,8 +50,9 @@ type Grid struct {
 	// collected error.
 	Scenarios []string `json:"scenarios,omitempty"`
 	// Platforms are registered platform-descriptor names (platform.Names);
-	// empty means the default platform only. Every non-default platform is
-	// characterized once (at the campaign base seed) before its cells run.
+	// empty means the engine's own device only. Every platform without
+	// injected models is characterized once (at the campaign base seed)
+	// before its first computed cell runs.
 	Platforms []string `json:"platforms,omitempty"`
 	// Governors are default-governor names ("" = ondemand).
 	Governors []string `json:"governors"`
@@ -107,22 +114,6 @@ func (g Grid) normalized() Grid {
 		g.TMax = []float64{0}
 	}
 	return g
-}
-
-// UsesDefaultPlatform reports whether any cell of the grid will run on the
-// engine's own device (an empty platform axis or an explicit default
-// entry) — the case where a caller that wants DTPM cells to work must
-// supply (or characterize) the anchor device's models up front.
-func (g Grid) UsesDefaultPlatform() bool {
-	if len(g.Platforms) == 0 {
-		return true
-	}
-	for _, p := range g.Platforms {
-		if p == "" || p == platform.DefaultName {
-			return true
-		}
-	}
-	return false
 }
 
 // Size returns the number of cells in the grid.
@@ -313,13 +304,17 @@ func (r *Report) Failures() []CellResult {
 type Engine struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Runner is the simulated device (nil = sim.NewRunner()).
+	// Runner is the anchor device (nil = sim.NewRunner()): cells with an
+	// empty platform coordinate or one naming its platform run on it;
+	// every other platform is built from the registry.
 	Runner *sim.Runner
-	// Models supplies the identified thermal and fitted power models. DTPM
-	// cells require it; other policies use it for prediction-accuracy
-	// accounting when present.
+	// Models is the anchor device's characterization; nil means the engine
+	// characterizes the anchor itself, at BaseSeed, on first need — like
+	// every other platform. DTPM cells use the models for control, and
+	// every cell gets the §6.3.1 prediction-accuracy accounting from them.
 	Models *sim.Characterization
-	// BaseSeed is mixed into every cell's derived seed.
+	// BaseSeed is mixed into every cell's derived seed and seeds every
+	// characterization the engine makes itself.
 	BaseSeed int64
 	// OnCellDone, when set, is invoked serially (never concurrently) after
 	// each cell of a Run completes, with the number done so far and the
@@ -336,39 +331,17 @@ type Engine struct {
 	done  int
 	total int
 
-	// storeTag caches the anchor platform's characterization-provenance
-	// tag for store keys (computed on first use; see storeModelsTag).
-	storeTag     string
-	storeTagOnce sync.Once
-
-	// devices is the shared per-platform cache for the Platforms sweep
-	// axis: each non-default platform gets one runner and one
-	// characterization (seeded with BaseSeed), built on first use and
-	// shared by all of its cells. The fleet engine resolves its platforms
-	// through the same cache via DeviceFor.
-	devices sched.Cache
+	// devices resolves every cell's runner, characterization and store
+	// provenance tag. It is built from Runner, Models and BaseSeed at the
+	// first run and kept, so later runs reuse its characterizations.
+	devicesOnce sync.Once
+	devices     *sched.Cache
 }
 
-// runnerPlatform names the platform a runner simulates.
-func runnerPlatform(r *sim.Runner) string {
-	if r != nil && r.Desc != nil {
-		return r.Desc.Name
-	}
-	return platform.DefaultName
-}
-
-// DeviceFor resolves the runner and models for a platform coordinate. The
-// empty coordinate means the engine's own device (whatever platform it was
-// built around); a named coordinate is served by the engine's Runner/Models
-// when they describe that platform and otherwise by the per-campaign cache,
-// characterized on first use (at the engine's BaseSeed). The fleet engine
-// shares this cache so a platform appearing in thousands of fleet cells is
-// characterized exactly once.
-func (e *Engine) DeviceFor(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
-	if name == "" || name == runnerPlatform(e.Runner) {
-		return e.Runner, e.Models, nil
-	}
-	return e.devices.Device(ctx, name, e.BaseSeed)
+// cache returns the engine's device resolver, building it on first use.
+func (e *Engine) cache() *sched.Cache {
+	e.devicesOnce.Do(func() { e.devices = sched.NewCache(e.Runner, e.Models, e.BaseSeed) })
+	return e.devices
 }
 
 // Run executes every cell of the grid and returns the report. Individual
@@ -428,9 +401,6 @@ func (e *Engine) Stream(ctx context.Context, grid Grid) (iter.Seq[CellResult], e
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("campaign: empty grid")
 	}
-	if e.Runner == nil {
-		e.Runner = sim.NewRunner()
-	}
 	e.mu.Lock()
 	e.done, e.total = 0, len(cells)
 	e.mu.Unlock()
@@ -439,34 +409,6 @@ func (e *Engine) Stream(ctx context.Context, grid Grid) (iter.Seq[CellResult], e
 	}), nil
 }
 
-// RunAll is the lower-level primitive the experiments package drives: it
-// executes arbitrary pre-built sim.Options concurrently on the pool and
-// returns results in input order. Unlike Run it performs no seed derivation
-// and keeps full results (including traces when opts[i].Record is set) —
-// the caller owns the memory consequences.
-func (e *Engine) RunAll(ctx context.Context, opts []sim.Options) ([]*sim.Result, []error) {
-	if e.Runner == nil {
-		e.Runner = sim.NewRunner()
-	}
-	results := make([]*sim.Result, len(opts))
-	errs := make([]error, len(opts))
-	e.ForEach(len(opts), func(i int) {
-		results[i], errs[i] = sched.RunSafely(func() (*sim.Result, error) { return e.Runner.Run(ctx, opts[i]) })
-	})
-	return results, errs
-}
-
-// ForEach runs fn(0..n-1) on the worker pool and blocks until all are done.
-// It is the raw pool primitive under RunAll (and the fleet engine): work is
-// handed out in index order from a shared counter, fn runs concurrently on
-// up to Workers goroutines, and fn itself owns any synchronization of
-// shared state it touches.
-func (e *Engine) ForEach(n int, fn func(i int)) {
-	sched.Pool{Workers: e.Workers}.ForEach(n, fn)
-}
-
-// runCell executes one cell, translating every failure mode into a
-// collected CellResult.
 // campaignCellKey is the canonical content of one campaign cell: the
 // normalized coordinates, the derived simulation seed, the full scenario
 // spec when the cell runs one (so editing a library scenario invalidates
@@ -483,41 +425,19 @@ type campaignCellKey struct {
 	Models       string         `json:"models"`
 }
 
-// storeModelsTag names the characterization provenance of a platform's
-// cells. Non-default platforms are characterized by the engine at BaseSeed
-// (a pure function of platform + seed, so the seed tags them); the anchor
-// platform's tag distinguishes injected models (content-addressed) from
-// running model-free.
-func (e *Engine) storeModelsTag(platformName string) string {
-	if platformName != runnerPlatform(e.Runner) {
-		return fmt.Sprintf("charseed:%d", e.BaseSeed)
-	}
-	e.storeTagOnce.Do(func() {
-		if e.Models == nil {
-			e.storeTag = "nomodels"
-			return
-		}
-		d, err := store.KeyDigest("models", e.Models)
-		if err != nil {
-			e.storeTag = "models:unhashable"
-			return
-		}
-		e.storeTag = "models:" + d.String()
-	})
-	return e.storeTag
-}
-
 // cellStoreKey resolves the cell's platform without characterizing it and
 // computes the cell's content address. ok=false means the cell cannot be
-// addressed (unknown platform or scenario, contradictory workload axes) —
-// those cells just run the compute path, which produces the proper error.
+// addressed (unknown platform or scenario, contradictory workload axes,
+// unhashable injected models) — those cells just run the compute path,
+// which produces the proper error or an unstored result.
 func (e *Engine) cellStoreKey(c Cell) (store.Digest, Cell, bool) {
-	if c.Platform == "" || c.Platform == runnerPlatform(e.Runner) {
-		c.Platform = runnerPlatform(e.Runner)
-	} else if _, err := platform.ByName(c.Platform); err != nil {
+	devices := e.cache()
+	var ok bool
+	if c.Platform, ok = devices.Platform(c.Platform); !ok {
 		return store.Digest{}, c, false
 	}
-	if c.Scenario != "" && c.Benchmark != "" {
+	tag, ok := devices.Tag(c.Platform)
+	if !ok || (c.Scenario != "" && c.Benchmark != "") {
 		return store.Digest{}, c, false
 	}
 	nc := normalizedCell(c)
@@ -529,7 +449,7 @@ func (e *Engine) cellStoreKey(c Cell) (store.Digest, Cell, bool) {
 		Governor:    nc.Governor,
 		TMax:        nc.TMax,
 		DerivedSeed: DeriveSeed(e.BaseSeed, c),
-		Models:      e.storeModelsTag(c.Platform),
+		Models:      tag,
 	}
 	if c.Scenario != "" {
 		spec, err := scenario.ByName(c.Scenario)
@@ -545,6 +465,8 @@ func (e *Engine) cellStoreKey(c Cell) (store.Digest, Cell, bool) {
 	return d, c, true
 }
 
+// runCell executes one cell, translating every failure mode into a
+// collected CellResult.
 func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 	// Lookup-or-compute: a stored cell is served without touching the
 	// device cache, so a fully warm campaign re-run never characterizes.
@@ -558,14 +480,15 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 			}
 		}
 	}
-	runner, models, err := e.DeviceFor(ctx, c.Platform)
+	devices := e.cache()
+	runner, models, err := devices.Device(ctx, c.Platform)
 	if err != nil {
 		return CellResult{Cell: c, Err: err.Error()}
 	}
 	// Export the platform the cell actually ran on (an empty coordinate
 	// resolves to the engine's device, which need not be the registry
 	// default).
-	c.Platform = runnerPlatform(runner)
+	c.Platform, _ = devices.Platform(c.Platform)
 	opt := sim.Options{
 		Policy:   c.Policy,
 		Governor: c.Governor,
@@ -598,10 +521,8 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 		}
 		opt.Bench = bench
 	}
-	if models != nil {
-		opt.Model = models.Thermal
-		opt.PowerModel = models.Power
-	}
+	opt.Model = models.Thermal
+	opt.PowerModel = models.Power
 	res, err := sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
 	done := CellResult{Cell: c}
 	if err != nil {

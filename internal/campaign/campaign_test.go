@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // sharedModels caches the expensive Chapter 4 characterization across tests.
@@ -133,11 +132,43 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestNilModelsSelfCharacterize pins the one anchor rule: an engine given
+// nil Models characterizes its own device at BaseSeed on first need, so its
+// exports — DTPM cells and every cell's prediction accounting included —
+// are byte-identical to an engine given that characterization up front.
+func TestNilModelsSelfCharacterize(t *testing.T) {
+	grid := Grid{
+		Policies:   []sim.Policy{sim.PolicyNoFan, sim.PolicyDTPM},
+		Benchmarks: []string{"dijkstra", "patricia"},
+	}
+	ch, err := sim.NewRunner().Characterize(context.Background(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injJSON, injCSV := exportBytes(t, 2, grid, ch)
+	selfJSON, selfCSV := exportBytes(t, 2, grid, nil)
+	if selfJSON != injJSON || selfCSV != injCSV {
+		t.Fatalf("nil-models exports differ from Characterize(BaseSeed) exports:\nnil:\n%s\ninjected:\n%s", selfCSV, injCSV)
+	}
+	rep, err := (&Engine{Workers: 2, BaseSeed: 42}).Run(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rep.Cells {
+		if c.Err != "" {
+			t.Fatalf("cell %s failed: %s", c.Cell, c.Err)
+		}
+		if c.Metrics.PredMeanPct == 0 {
+			t.Errorf("cell %s has no prediction accounting", c.Cell)
+		}
+	}
+}
+
 // TestFailuresCollected: bad cells are reported, good cells still run, and
 // the sweep never aborts.
 func TestFailuresCollected(t *testing.T) {
 	grid := Grid{
-		Policies:   []sim.Policy{sim.PolicyNoFan, sim.PolicyDTPM}, // DTPM fails: no models
+		Policies:   []sim.Policy{sim.PolicyNoFan, sim.PolicyDTPM}, // DTPM self-characterizes
 		Benchmarks: []string{"dijkstra", "no-such-bench"},
 		Governors:  []string{"", "no-such-governor"},
 	}
@@ -160,10 +191,11 @@ func TestFailuresCollected(t *testing.T) {
 			t.Errorf("cell %v has inconsistent result: err=%q metrics=%v", c.Cell, c.Err, c.Metrics)
 		}
 	}
-	// Only without-fan/dijkstra/ondemand succeeds; DTPM lacks a model,
-	// and the other benchmark/governor coordinates are invalid.
-	if ok != 1 || failed != 7 {
-		t.Errorf("ok=%d failed=%d, want 1/7:\n%s", ok, failed, rep.Summary())
+	// Only the dijkstra/ondemand cells succeed, one per policy (the nil
+	// models make the engine characterize its device, so DTPM runs); the
+	// other benchmark/governor coordinates are invalid.
+	if ok != 2 || failed != 6 {
+		t.Errorf("ok=%d failed=%d, want 2/6:\n%s", ok, failed, rep.Summary())
 	}
 	if len(rep.Failures()) != failed {
 		t.Errorf("Failures() = %d, want %d", len(rep.Failures()), failed)
@@ -224,30 +256,3 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 	}
 }
 
-// TestRunAllOrderAndErrors: the low-level primitive returns results in
-// input order with per-item errors.
-func TestRunAllOrderAndErrors(t *testing.T) {
-	b, err := workload.ByName("dijkstra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []sim.Options{
-		{Policy: sim.PolicyNoFan, Bench: b, Seed: 1},
-		{Policy: sim.PolicyDTPM, Bench: b, Seed: 1}, // fails: no model
-		{Policy: sim.PolicyNoFan, Bench: b, Seed: 2},
-	}
-	eng := &Engine{Workers: 3}
-	results, errs := eng.RunAll(context.Background(), opts)
-	if results[0] == nil || errs[0] != nil {
-		t.Errorf("opt 0: res=%v err=%v", results[0], errs[0])
-	}
-	if results[1] != nil || errs[1] == nil {
-		t.Errorf("opt 1 should fail without a model, got res=%v err=%v", results[1], errs[1])
-	}
-	if results[2] == nil || errs[2] != nil {
-		t.Errorf("opt 2: res=%v err=%v", results[2], errs[2])
-	}
-	if results[0].ExecTime == results[2].ExecTime {
-		t.Log("note: different seeds gave identical exec times (possible but unusual)")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -79,15 +80,21 @@ func goldenOptions(t *testing.T) []sim.Options {
 
 // TestGoldenTraces is the golden-trace regression harness: the three
 // scenario runs must produce byte-identical CSV traces to the committed
-// files at 1, 4, and 8 campaign workers. Any numerical drift anywhere in
+// files at 1, 4, and 8 pool workers. Any numerical drift anywhere in
 // the workload/sim/thermal/sensor/dtpm stack — or any worker-count
 // dependence — fails here first.
 func TestGoldenTraces(t *testing.T) {
 	opts := goldenOptions(t)
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng := &Engine{Workers: workers}
-			results, errs := eng.RunAll(context.Background(), opts)
+			runner := sim.NewRunner()
+			results := make([]*sim.Result, len(opts))
+			errs := make([]error, len(opts))
+			sched.Pool{Workers: workers}.ForEach(len(opts), func(i int) {
+				results[i], errs[i] = sched.RunSafely(func() (*sim.Result, error) {
+					return runner.Run(context.Background(), opts[i])
+				})
+			})
 			for i, g := range goldenCases {
 				if errs[i] != nil {
 					t.Errorf("%s: %v", g.scenario, errs[i])

@@ -153,21 +153,3 @@ func TestEngineDeviceIsTheImplicitPlatform(t *testing.T) {
 			c.Metrics.AvgPower, def.Cells[0].Metrics.AvgPower)
 	}
 }
-
-func TestUsesDefaultPlatform(t *testing.T) {
-	cases := []struct {
-		platforms []string
-		want      bool
-	}{
-		{nil, true},
-		{[]string{""}, true},
-		{[]string{platform.DefaultName}, true},
-		{[]string{"fanless-phone"}, false},
-		{[]string{"fanless-phone", platform.DefaultName}, true},
-	}
-	for _, c := range cases {
-		if got := (Grid{Platforms: c.platforms}).UsesDefaultPlatform(); got != c.want {
-			t.Errorf("UsesDefaultPlatform(%v) = %v, want %v", c.platforms, got, c.want)
-		}
-	}
-}

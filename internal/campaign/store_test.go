@@ -2,23 +2,30 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
 
 // TestCampaignStoreWarmRun: a warm re-run of an identical campaign grid is
-// served entirely from the store and exports byte-identical JSON/CSV.
+// served entirely from the store and exports byte-identical JSON/CSV. The
+// engines get nil Models, so the cold run characterizes the device and the
+// warm one — a fresh engine whose cells are all stored — never does, which
+// shows as an order of magnitude in wall-clock time (the fleet store test
+// makes the same check).
 func TestCampaignStoreWarmRun(t *testing.T) {
 	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := Grid{
-		Policies:   []sim.Policy{sim.PolicyFan, sim.PolicyReactive},
+		Policies:   []sim.Policy{sim.PolicyFan, sim.PolicyReactive, sim.PolicyDTPM},
 		Benchmarks: []string{"dijkstra", "patricia"},
 		Seeds:      []int64{1, 2},
 	}
@@ -40,13 +47,17 @@ func TestCampaignStoreWarmRun(t *testing.T) {
 		}
 		return j.Bytes(), c.Bytes()
 	}
+	t0 := time.Now()
 	coldJSON, coldCSV := run()
+	coldDur := time.Since(t0)
 	cold := st.Stats()
 	n := uint64(grid.Size())
 	if cold.Hits != 0 || cold.Misses != n || cold.Writes != n {
 		t.Fatalf("cold-run stats: %+v (grid size %d)", cold, n)
 	}
+	t0 = time.Now()
 	warmJSON, warmCSV := run()
+	warmDur := time.Since(t0)
 	warm := st.Stats()
 	if warm.Misses != cold.Misses || warm.Hits != n {
 		t.Errorf("warm-run stats: %+v, want %d hits and no new misses", warm, n)
@@ -56,6 +67,87 @@ func TestCampaignStoreWarmRun(t *testing.T) {
 	}
 	if !bytes.Equal(coldCSV, warmCSV) {
 		t.Errorf("warm CSV report diverged:\ncold:\n%s\nwarm:\n%s", coldCSV, warmCSV)
+	}
+	if coldDur > 100*time.Millisecond && warmDur*10 > coldDur {
+		t.Errorf("warm run not >=10x faster: cold %v, warm %v", coldDur, warmDur)
+	}
+}
+
+// TestCampaignCharseedKeyIsAnchorIndependent: a cell keyed charseed:<seed>
+// holds the same bytes whether the registry built its device (a platform
+// other than the engine's own) or the engine's own device characterized
+// itself at that seed. So a nil-models anchor cell reuses — and can never
+// contradict — an entry a non-anchor cell wrote under the same key.
+func TestCampaignCharseedKeyIsAnchorIndependent(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := platform.ByName("fanless-phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := Grid{
+		Policies:   []sim.Policy{sim.PolicyNoFan, sim.PolicyDTPM},
+		Benchmarks: []string{"dijkstra"},
+		Platforms:  []string{"fanless-phone"},
+	}
+	export := func(eng *Engine) []byte {
+		t.Helper()
+		rep, err := eng.Run(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails := rep.Failures(); len(fails) > 0 {
+			t.Fatalf("cells failed: %+v", fails)
+		}
+		var j bytes.Buffer
+		if err := rep.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return j.Bytes()
+	}
+	viaRegistry := export(&Engine{Workers: 2, BaseSeed: 3, Store: st})
+	viaAnchor := export(&Engine{Workers: 2, Runner: sim.NewRunnerFor(desc), BaseSeed: 3})
+	if !bytes.Equal(viaRegistry, viaAnchor) {
+		t.Fatal("a self-characterized anchor computes different bytes than the registry device")
+	}
+	before := st.Stats()
+	if served := export(&Engine{Workers: 2, Runner: sim.NewRunnerFor(desc), BaseSeed: 3, Store: st}); !bytes.Equal(served, viaAnchor) {
+		t.Fatal("store-served anchor cells differ from computed ones")
+	}
+	if s := st.Stats(); s.Hits-before.Hits != uint64(grid.Size()) || s.Misses != before.Misses {
+		t.Errorf("anchor run over the registry's entries: %+v, want %d new hits and no misses", s, grid.Size())
+	}
+}
+
+// TestCampaignStoreUnhashableModels: injected models encoding/json cannot
+// hash make their cells unaddressable — computed and never stored — so two
+// different unhashable characterizations can never be served each other's
+// cells.
+func TestCampaignStoreUnhashableModels(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := Grid{
+		Policies:   []sim.Policy{sim.PolicyNoFan, sim.PolicyDTPM},
+		Benchmarks: []string{"dijkstra"},
+	}
+	for _, c2 := range []float64{1, 2} {
+		// Leakage is not read by the simulation; NaN only breaks hashing.
+		m := *testModels(t)
+		m.Leakage.C1, m.Leakage.C2 = math.NaN(), c2
+		rep, err := (&Engine{Workers: 2, Models: &m, BaseSeed: 1, Store: st}).Run(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails := rep.Failures(); len(fails) > 0 {
+			t.Fatalf("cells failed: %+v", fails)
+		}
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Writes != 0 {
+		t.Errorf("stats %+v: unhashable models must neither write nor hit", s)
 	}
 }
 

@@ -246,6 +246,21 @@ type Health struct {
 	// whole run table — nothing else is kept.
 	Retained int    `json:"retained"`
 	Evicted  uint64 `json:"evicted"`
+	// Store holds the shared result store's counters since the daemon
+	// started; omitted when the daemon runs without a store.
+	Store *StoreHealth `json:"store,omitempty"`
+}
+
+// StoreHealth is the healthz view of the result store's counters: Get
+// hits and misses, completed and failed writes, and entries that failed
+// verification. A growing WriteErrors means warm runs are silently
+// turning cold (a full disk, an unwritable directory).
+type StoreHealth struct {
+	Hits        uint64 `json:"hits"`
+	Misses      uint64 `json:"misses"`
+	Writes      uint64 `json:"writes"`
+	Invalid     uint64 `json:"invalid"`
+	WriteErrors uint64 `json:"write_errors"`
 }
 
 // RunList is the GET /v1/runs payload.

@@ -16,7 +16,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/campaign"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -103,17 +103,17 @@ type Experiment struct {
 
 // Context carries the simulated device, the §4 characterization, and a
 // result cache shared by the experiments (several figures reuse the same
-// benchmark runs). Runs are executed on a campaign.Engine worker pool:
-// experiments that consume whole {benchmark × policy} grids prefetch their
-// cells concurrently. Because sim.Run isolates all mutable state per run,
+// benchmark runs). Runs are executed on a sched worker pool: experiments
+// that consume whole {benchmark × policy} grids prefetch their cells
+// concurrently. Because sim.Run isolates all mutable state per run,
 // the prefetched results are identical to the sequential ones.
 type Context struct {
 	Runner *sim.Runner
 	Char   *sim.Characterization
 	Seed   int64
 
-	ctx    context.Context
-	engine *campaign.Engine
+	ctx     context.Context
+	workers int // prefetch pool size; <= 0 means GOMAXPROCS
 
 	mu    sync.Mutex
 	cache map[string]*sim.Result
@@ -132,14 +132,13 @@ func NewContext(ctx context.Context, seed int64) (*Context, error) {
 	}
 	return &Context{
 		Runner: r, Char: ch, Seed: seed, ctx: ctx,
-		engine: &campaign.Engine{Runner: r, Models: ch, BaseSeed: seed},
-		cache:  map[string]*sim.Result{},
+		cache: map[string]*sim.Result{},
 	}, nil
 }
 
 // SetWorkers bounds the worker pool used for prefetching benchmark runs
 // (<= 0 means GOMAXPROCS).
-func (c *Context) SetWorkers(n int) { c.engine.Workers = n }
+func (c *Context) SetWorkers(n int) { c.workers = n }
 
 func runKey(bench string, pol sim.Policy) string {
 	return fmt.Sprintf("%s/%v", bench, pol)
@@ -156,7 +155,7 @@ func (c *Context) options(bench workload.Benchmark, pol sim.Policy) sim.Options 
 
 // prefetch warms the run cache for the cross product of the given benchmark
 // names and policies, executing the uncached cells concurrently on the
-// campaign engine.
+// worker pool.
 func (c *Context) prefetch(benches []string, pols []sim.Policy) error {
 	bs := make([]workload.Benchmark, len(benches))
 	for i, name := range benches {
@@ -191,11 +190,11 @@ func (c *Context) prefetchBenches(benches []workload.Benchmark, pols []sim.Polic
 	if len(missing) == 0 {
 		return nil
 	}
-	opts := make([]sim.Options, len(missing))
-	for i, m := range missing {
-		opts[i] = m.opts
-	}
-	results, errs := c.engine.RunAll(c.ctx, opts)
+	results := make([]*sim.Result, len(missing))
+	errs := make([]error, len(missing))
+	sched.Pool{Workers: c.workers}.ForEach(len(missing), func(i int) {
+		results[i], errs[i] = sched.RunSafely(func() (*sim.Result, error) { return c.Runner.Run(c.ctx, missing[i].opts) })
+	})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, m := range missing {

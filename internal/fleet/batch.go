@@ -70,7 +70,7 @@ func (e *Engine) computeUnit(ctx context.Context, spec Spec, pol sim.Policy, ind
 	if ctx.Err() != nil {
 		return failAll(outs, "fleet: cancelled before start")
 	}
-	runner, models, err := e.deviceFor(ctx, outs[0].cfg.Platform)
+	runner, models, err := e.cache().Device(ctx, outs[0].cfg.Platform)
 	if err != nil {
 		return failAll(outs, err.Error())
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/campaign"
 	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -33,7 +32,7 @@ type Progress struct {
 	Cached bool
 }
 
-// Engine runs device populations over the campaign worker pool.
+// Engine runs device populations over the shared sched worker pool.
 type Engine struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
@@ -42,7 +41,9 @@ type Engine struct {
 	// characterized once per engine and cached.
 	Runner *sim.Runner
 	// Models is the anchor device's characterization; nil means Run
-	// characterizes it on first need (at BaseSeed).
+	// characterizes it on first need (at BaseSeed), like every other
+	// platform. The engine keeps lazily made models to itself: they are
+	// never written back into Models.
 	Models *sim.Characterization
 	// BaseSeed anchors the whole population draw and every derived
 	// simulation seed.
@@ -64,19 +65,13 @@ type Engine struct {
 	// to a cold one — the store changes wall-clock time, never results.
 	Store *store.Store
 
-	mu   sync.Mutex // guards pool construction
-	pool *campaign.Engine
-
-	// modelsTag is the characterization provenance mixed into every
-	// anchor-platform cell key (lazily computed; see anchorTag).
-	// modelsInjected is pinned at the first init, before lazy
-	// self-characterization can set Models.
-	modelsTag        string
-	modelsInjected   bool
-	provenancePinned bool
-	// charMu serializes the lazy anchor characterization and the
-	// provenance fields above.
-	charMu sync.Mutex
+	// devices resolves every cell's runner, characterization and store
+	// provenance tag (see sched.Cache). It is built from Runner, Models and
+	// BaseSeed at the first run and kept, so repeated Run calls (and
+	// RunCell probes) reuse its characterizations. Characterization is
+	// lazy, so a fully warm store-served run never pays for it.
+	devicesOnce sync.Once
+	devices     *sched.Cache
 
 	// lastMaxPending / lastMaxBuffered record the previous Run's
 	// high-water marks of the collector's reorder window and the
@@ -95,92 +90,10 @@ type cellOutcome struct {
 	cached  bool
 }
 
-// runnerPlatform names the platform a runner simulates.
-func runnerPlatform(r *sim.Runner) string {
-	if r != nil && r.Desc != nil {
-		return r.Desc.Name
-	}
-	return platform.DefaultName
-}
-
-// init prepares the shared pool and pins the characterization provenance
-// tag — once per engine, so repeated Run calls (and RunCell probes) reuse
-// both. The anchor device's own characterization is deliberately NOT done
-// here: it is lazy (see deviceFor), so a fully warm store-served run never
-// pays for it.
-func (e *Engine) init() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.Runner == nil {
-		e.Runner = sim.NewRunner()
-	}
-	if e.pool == nil {
-		e.pool = &campaign.Engine{
-			Workers:  e.Workers,
-			Runner:   e.Runner,
-			BaseSeed: e.BaseSeed,
-		}
-	}
-	e.charMu.Lock()
-	defer e.charMu.Unlock()
-	if !e.provenancePinned {
-		// Pin the provenance now, before any lazy self-characterization can
-		// set e.Models: the tag itself (a digest of injected models, which
-		// costs a full marshal) is computed lazily in anchorTag, only when
-		// the store actually addresses a cell.
-		e.modelsInjected = e.Models != nil
-		e.provenancePinned = true
-	}
-	// A lazily characterized anchor stays out of the pool (deviceFor wraps
-	// it); injected models are served to the pool as before.
-	e.pool.Models = e.Models
-}
-
-// anchorTag names the anchor platform's characterization provenance,
-// computed once on first use: a content digest for injected models,
-// otherwise the characterization seed — self-characterization is a pure
-// function of (platform, BaseSeed), so the key of a warm cell is
-// computable models-free.
-func (e *Engine) anchorTag() string {
-	e.charMu.Lock()
-	defer e.charMu.Unlock()
-	if e.modelsTag == "" {
-		if e.modelsInjected {
-			e.modelsTag = modelsDigestTag(e.Models)
-		} else {
-			e.modelsTag = fmt.Sprintf("charseed:%d", e.BaseSeed)
-		}
-	}
-	return e.modelsTag
-}
-
-// deviceFor resolves a cell's runner and models like the pool does, but
-// with the anchor device's characterization deferred to first need: a cell
-// that the store serves never reaches this point, so a fully warm run skips
-// characterization entirely.
-func (e *Engine) deviceFor(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
-	runner, models, err := e.pool.DeviceFor(ctx, name)
-	if err != nil || models != nil || runner != e.Runner {
-		return runner, models, err
-	}
-	models, err = e.anchorModels(ctx)
-	return runner, models, err
-}
-
-// anchorModels characterizes the anchor device once, lazily. A failed
-// characterization (e.g. a cancelled context) caches nothing, so a later
-// call with a live context retries instead of inheriting the failure.
-func (e *Engine) anchorModels(ctx context.Context) (*sim.Characterization, error) {
-	e.charMu.Lock()
-	defer e.charMu.Unlock()
-	if e.Models == nil {
-		models, err := e.Runner.Characterize(ctx, e.BaseSeed)
-		if err != nil {
-			return nil, err
-		}
-		e.Models = models
-	}
-	return e.Models, nil
+// cache returns the engine's device resolver, building it on first use.
+func (e *Engine) cache() *sched.Cache {
+	e.devicesOnce.Do(func() { e.devices = sched.NewCache(e.Runner, e.Models, e.BaseSeed) })
+	return e.devices
 }
 
 // Run simulates the whole population and returns the aggregate report.
@@ -193,7 +106,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, err
 	}
 	spec = spec.normalized()
-	e.init()
 	pol, err := sim.ParsePolicy(spec.Policy)
 	if err != nil {
 		return nil, err
@@ -265,7 +177,7 @@ func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, index i
 		out.err = "fleet: cancelled before start"
 		return out
 	}
-	runner, models, err := e.deviceFor(ctx, cfg.Platform)
+	runner, models, err := e.cache().Device(ctx, cfg.Platform)
 	if err != nil {
 		out.err = err.Error()
 		return out
@@ -353,7 +265,6 @@ func (e *Engine) cell(ctx context.Context, spec Spec, index int, record bool) (c
 	if index < 0 || index >= spec.N {
 		return cellOutcome{}, fmt.Errorf("fleet: cell index %d out of range [0, %d)", index, spec.N)
 	}
-	e.init()
 	pol, err := sim.ParsePolicy(spec.Policy)
 	if err != nil {
 		return cellOutcome{}, err

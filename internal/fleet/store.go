@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 
 	"repro/internal/scenario"
@@ -56,35 +55,18 @@ type traceEntry struct {
 	TraceCSV string     `json:"trace_csv"`
 }
 
-// modelsTagFor names the characterization provenance of a platform's cells.
-// Non-anchor platforms are characterized by the pool at BaseSeed, so their
-// models are a pure function of (platform, BaseSeed) and the seed tags
-// them; the anchor platform uses the lazily computed anchorTag (the same
-// seed tag when the engine self-characterizes, a digest of the injected
-// models otherwise).
-func (e *Engine) modelsTagFor(platformName string) string {
-	if platformName == runnerPlatform(e.Runner) {
-		return e.anchorTag()
-	}
-	return fmt.Sprintf("charseed:%d", e.BaseSeed)
-}
-
-// modelsDigestTag content-addresses an injected characterization.
-func modelsDigestTag(c *sim.Characterization) string {
-	d, err := store.KeyDigest("models", c)
-	if err != nil {
-		return "models:unhashable"
-	}
-	return "models:" + d.String()
-}
-
 // cellDigest computes the content address of one cell under a kind tag
 // ("fleet-cell" for aggregates, "fleet-trace" for replay traces). ok=false
-// means the cell cannot be addressed (e.g. its scenario is not resolvable);
-// the caller just computes without the store.
+// means the cell cannot be addressed (its scenario is not resolvable, or
+// its injected models cannot be hashed); the caller just computes without
+// the store.
 func (e *Engine) cellDigest(spec Spec, cfg CellConfig, kind string) (store.Digest, bool) {
 	sc, err := scenario.ByName(cfg.Scenario)
 	if err != nil {
+		return store.Digest{}, false
+	}
+	tag, ok := e.cache().Tag(cfg.Platform)
+	if !ok {
 		return store.Digest{}, false
 	}
 	key := cellKey{
@@ -97,7 +79,7 @@ func (e *Engine) cellDigest(spec Spec, cfg CellConfig, kind string) (store.Diges
 		Policy:         spec.Policy,
 		TMaxC:          spec.TMaxC,
 		ControlPeriodS: spec.ControlPeriodS,
-		Models:         e.modelsTagFor(cfg.Platform),
+		Models:         tag,
 	}
 	d, err := store.KeyDigest(kind, key)
 	if err != nil {

@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -170,7 +172,6 @@ func TestFleetStoreCorruptionFallback(t *testing.T) {
 
 	// Corrupt cell 3's entry through the engine's own addressing.
 	eng := &Engine{Workers: 1, BaseSeed: 11, Store: st}
-	eng.init()
 	key, ok := eng.cellDigest(spec.normalized(), DeriveCell(spec, 11, 3), "fleet-cell")
 	if !ok {
 		t.Fatal("cell 3 not addressable")
@@ -265,6 +266,34 @@ func TestRunCellStoreMatchesFresh(t *testing.T) {
 	}
 	if s := warm.Store.Stats(); s.Hits != uint64(spec.N) {
 		t.Errorf("warm RunCell probes hit %d times, want %d", s.Hits, spec.N)
+	}
+}
+
+// TestFleetStoreUnhashableModels: injected models encoding/json cannot hash
+// make their cells unaddressable — computed and never stored — so a second
+// engine with different unhashable models gets no hits.
+func TestFleetStoreUnhashableModels(t *testing.T) {
+	registerStoreScenario(t, "store-mix-a", 4)
+	registerStoreScenario(t, "store-mix-b", 5)
+	registerStoreScenario(t, "store-mix-c", 6)
+	spec := storeSpec(6)
+	st := openTestStore(t)
+	runner, models := deviceFor(t, platform.DefaultName)
+	for _, c2 := range []float64{1, 2} {
+		// Leakage is not read by the simulation; NaN only breaks hashing.
+		m := *models
+		m.Leakage.C1, m.Leakage.C2 = math.NaN(), c2
+		eng := &Engine{Workers: 2, Runner: runner, Models: &m, BaseSeed: 11, Store: st}
+		rep, err := eng.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Failures) > 0 {
+			t.Fatalf("fleet cells failed: %+v", rep.Failures)
+		}
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Writes != 0 {
+		t.Errorf("stats %+v: unhashable models must neither write nor hit", s)
 	}
 }
 

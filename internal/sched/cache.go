@@ -3,75 +3,155 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
-// Cache is the per-platform device cache the campaign and fleet engines
-// share: each platform gets one runner and one characterization, built on
-// first use and served to every subsequent cell that draws the platform —
-// a platform appearing in thousands of cells is characterized exactly
-// once. The cache's own lock only guards the map; the expensive
-// characterization runs under the entry's lock, so two platforms can
-// characterize concurrently without serializing on each other.
+// Cache is the one device resolver of the campaign and fleet engines: it
+// maps a platform coordinate to the runner that simulates it and that
+// runner's §4 characterization, under one rule for both engines:
 //
-// The zero value is ready to use. Anchor-device special cases (an engine's
-// own runner, injected models, lazy self-characterization) stay with the
-// engines — the cache only ever builds registry platforms from scratch.
+//   - the anchor — the engine's own runner, pre-seeded by NewCache — serves
+//     its own platform and the empty coordinate, with the engine's injected
+//     models when it has them;
+//   - every other case (an anchor without injected models, every other
+//     registered platform) is characterized once, at the cache's seed, on
+//     first need.
+//
+// A platform appearing in thousands of cells is characterized exactly
+// once, and a run the result store serves entirely never characterizes at
+// all. The cache's own lock only guards the map; each characterization
+// runs under its entry's lock, so two platforms can characterize
+// concurrently without serializing on each other.
+//
+// The cache also names each platform's characterization provenance for
+// store keys (Tag), so the two engines cannot disagree on it either.
 type Cache struct {
+	seed   int64
+	anchor *device
+	// injected records that the anchor's models came from the engine
+	// rather than from a characterization at seed.
+	injected bool
+
+	tagOnce sync.Once
+	tag     string // "models:<digest>" of the injected models; "" = unhashable
+
 	mu  sync.Mutex
 	dev map[string]*device
 }
 
-// device is one lazily characterized platform.
+// device is one platform's runner and its lazily made characterization.
 type device struct {
+	name   string
 	mu     sync.Mutex
 	runner *sim.Runner
 	models *sim.Characterization
 	err    error
 }
 
-// Device resolves the named platform to a runner and its characterization,
-// characterizing at charSeed on first use (later calls reuse the entry and
-// ignore the seed, so callers must pass a consistent seed — the engines
-// pass their base seed). Characterization failures are cached and
-// re-served, except transient context errors: a cancelled
-// characterization caches nothing, so a later call with a live context
-// retries instead of inheriting a poisoned "context canceled".
-func (c *Cache) Device(ctx context.Context, name string, charSeed int64) (*sim.Runner, *sim.Characterization, error) {
-	c.mu.Lock()
-	if c.dev == nil {
-		c.dev = make(map[string]*device)
+// NewCache returns a cache anchored on runner (nil = sim.NewRunner()) and
+// its injected models (nil = characterize the anchor on first need, like
+// any other platform). seed is the characterization seed of every device
+// the cache characterizes itself; the engines pass their base seed, so a
+// sweep is reproducible.
+func NewCache(runner *sim.Runner, models *sim.Characterization, seed int64) *Cache {
+	if runner == nil {
+		runner = sim.NewRunner()
 	}
+	name := platform.DefaultName
+	if runner.Desc != nil {
+		name = runner.Desc.Name
+	}
+	anchor := &device{name: name, runner: runner, models: models}
+	return &Cache{
+		seed:     seed,
+		anchor:   anchor,
+		injected: models != nil,
+		dev:      map[string]*device{name: anchor},
+	}
+}
+
+// Platform names the platform that serves a coordinate, without building
+// or characterizing anything: the empty coordinate is the anchor's
+// platform. ok=false for a name neither the anchor nor the registry knows.
+func (c *Cache) Platform(name string) (string, bool) {
+	if name == "" || name == c.anchor.name {
+		return c.anchor.name, true
+	}
+	_, err := platform.ByName(name)
+	return name, err == nil
+}
+
+// Device resolves a platform coordinate ("" = the anchor) to its runner
+// and characterization, characterizing on first use. Characterization
+// failures are cached and re-served, except transient context errors: a
+// cancelled characterization caches nothing, so a later call with a live
+// context retries instead of inheriting a poisoned "context canceled".
+func (c *Cache) Device(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
+	if name == "" {
+		name = c.anchor.name
+	}
+	c.mu.Lock()
 	dev, ok := c.dev[name]
 	if !ok {
-		dev = &device{}
+		dev = &device{name: name}
 		c.dev[name] = dev
 	}
 	c.mu.Unlock()
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
-	if dev.runner != nil || dev.err != nil {
-		return dev.runner, dev.models, dev.err
+	return dev.resolve(ctx, c.seed)
+}
+
+// resolve builds (registry platforms only; the anchor is pre-seeded) and
+// characterizes the device once, under the entry's lock.
+func (d *device) resolve(ctx context.Context, seed int64) (*sim.Runner, *sim.Characterization, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return nil, nil, d.err
 	}
-	desc, err := platform.ByName(name)
-	if err != nil {
-		dev.err = err
-		return nil, nil, err
+	if d.models != nil {
+		return d.runner, d.models, nil
 	}
-	// DTPM cells need the Chapter 4 models; prediction-accuracy accounting
-	// uses them under any policy. Characterize with the caller's base seed
-	// so the sweep is reproducible.
-	runner := sim.NewRunnerFor(desc)
-	models, err := runner.Characterize(ctx, charSeed)
+	if d.runner == nil {
+		desc, err := platform.ByName(d.name)
+		if err != nil {
+			d.err = err
+			return nil, nil, err
+		}
+		d.runner = sim.NewRunnerFor(desc)
+	}
+	models, err := d.runner.Characterize(ctx, seed)
 	if err != nil {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			dev.err = err
+			d.err = err
 		}
 		return nil, nil, err
 	}
-	dev.runner, dev.models = runner, models
-	return dev.runner, dev.models, nil
+	d.models = models
+	return d.runner, d.models, nil
+}
+
+// Tag names the characterization provenance of a platform's cells for
+// store keys: "models:<digest>" for the anchor's injected models (the
+// digest costs a full marshal, so it is computed once, on the first call),
+// "charseed:<seed>" for every device the cache characterizes itself —
+// a pure function of (platform, seed), so a warm cell's key needs no
+// models. ok=false means the injected models cannot be hashed
+// (encoding/json rejects them, e.g. a NaN): their cells are unaddressable,
+// computed and never stored, so two unhashable models can never be served
+// each other's cells.
+func (c *Cache) Tag(name string) (string, bool) {
+	if !c.injected || (name != "" && name != c.anchor.name) {
+		return fmt.Sprintf("charseed:%d", c.seed), true
+	}
+	c.tagOnce.Do(func() {
+		if d, err := store.KeyDigest("models", c.anchor.models); err == nil {
+			c.tag = "models:" + d.String()
+		}
+	})
+	return c.tag, c.tag != ""
 }

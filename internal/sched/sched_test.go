@@ -3,8 +3,10 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -161,12 +163,13 @@ func TestRunSafelyContainsBatchPanics(t *testing.T) {
 }
 
 func TestCacheCharacterizesOnce(t *testing.T) {
-	var c Cache
-	r1, m1, err := c.Device(context.Background(), platform.DefaultName, 1)
+	c := NewCache(nil, nil, 1)
+	r1, m1, err := c.Device(context.Background(), platform.DefaultName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, m2, err := c.Device(context.Background(), platform.DefaultName, 1)
+	// The empty coordinate is the anchor: the same entry, not a rebuild.
+	r2, m2, err := c.Device(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,24 +179,97 @@ func TestCacheCharacterizesOnce(t *testing.T) {
 }
 
 func TestCacheCachesUnknownPlatformError(t *testing.T) {
-	var c Cache
-	_, _, err1 := c.Device(context.Background(), "no-such-board", 1)
-	_, _, err2 := c.Device(context.Background(), "no-such-board", 1)
+	c := NewCache(nil, nil, 1)
+	_, _, err1 := c.Device(context.Background(), "no-such-board")
+	_, _, err2 := c.Device(context.Background(), "no-such-board")
 	if !errors.Is(err1, platform.ErrUnknown) || !errors.Is(err2, platform.ErrUnknown) {
 		t.Fatalf("want %v twice, got %v / %v", platform.ErrUnknown, err1, err2)
+	}
+	if _, ok := c.Platform("no-such-board"); ok {
+		t.Error("Platform resolved an unknown name")
 	}
 }
 
 // A characterization aborted by context cancellation must not poison the
-// cache: the next call with a live context retries and succeeds.
+// cache: the next call with a live context retries and succeeds. The
+// anchor entry, pre-seeded with its runner, follows the same rule.
 func TestCacheDoesNotCacheContextCancellation(t *testing.T) {
-	var c Cache
+	runner := sim.NewRunner()
+	c := NewCache(runner, nil, 1)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Device(cancelled, platform.DefaultName, 1); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Device(cancelled, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled characterization returned %v, want context.Canceled", err)
 	}
-	if _, _, err := c.Device(context.Background(), platform.DefaultName, 1); err != nil {
+	got, models, err := c.Device(context.Background(), "")
+	if err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
+	}
+	if got != runner || models == nil {
+		t.Fatalf("retry served runner %p models %v, want the anchor %p with models", got, models, runner)
+	}
+}
+
+// Injected models are served as-is: the anchor never characterizes, so a
+// cancelled context cannot fail it.
+func TestCacheInjectedModelsNeverCharacterize(t *testing.T) {
+	runner, injected := sim.NewRunner(), &sim.Characterization{}
+	c := NewCache(runner, injected, 1)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"", platform.DefaultName} {
+		got, models, err := c.Device(cancelled, name)
+		if err != nil || got != runner || models != injected {
+			t.Fatalf("Device(%q) = %p, %p, %v; want the anchor and its injected models", name, got, models, err)
+		}
+	}
+}
+
+// TestCacheTags pins the provenance rule: a digest of injected models for
+// the anchor, the characterization seed for everything the cache
+// characterizes itself.
+func TestCacheTags(t *testing.T) {
+	self := NewCache(nil, nil, 7)
+	for _, name := range []string{"", platform.DefaultName, "fanless-phone"} {
+		if tag, ok := self.Tag(name); !ok || tag != "charseed:7" {
+			t.Errorf("self-characterized Tag(%q) = %q, %v; want charseed:7", name, tag, ok)
+		}
+	}
+	injected := NewCache(nil, &sim.Characterization{}, 7)
+	tag, ok := injected.Tag("")
+	if !ok || !strings.HasPrefix(tag, "models:") {
+		t.Errorf("injected anchor Tag = %q, %v; want a models digest", tag, ok)
+	}
+	if other, ok := injected.Tag("fanless-phone"); !ok || other != "charseed:7" {
+		t.Errorf("non-anchor platform of an injected cache: Tag = %q, %v; want charseed:7", other, ok)
+	}
+}
+
+// The digest of injected models costs a full marshal, so it is computed
+// once: later calls serve the first result even if the models change.
+func TestCacheTagDigestComputedOnce(t *testing.T) {
+	models := &sim.Characterization{}
+	c := NewCache(nil, models, 1)
+	first, _ := c.Tag("")
+	models.Leakage.C1 = 5
+	if again, _ := c.Tag(""); again != first {
+		t.Fatalf("Tag recomputed the digest: %q then %q", first, again)
+	}
+	if fresh, _ := NewCache(nil, models, 1).Tag(""); fresh == first {
+		t.Fatal("changing the models did not change a fresh digest; the once-check is vacuous")
+	}
+}
+
+// Injected models encoding/json cannot hash make their cells
+// unaddressable rather than sharing one tag.
+func TestCacheTagUnhashableModels(t *testing.T) {
+	models := &sim.Characterization{}
+	models.Leakage.C1 = math.NaN()
+	c := NewCache(nil, models, 1)
+	if tag, ok := c.Tag(""); ok {
+		t.Fatalf("unhashable models got tag %q", tag)
+	}
+	if _, ok := c.Tag("fanless-phone"); !ok {
+		t.Fatal("a self-characterized platform must stay addressable")
 	}
 }

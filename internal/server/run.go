@@ -297,25 +297,15 @@ func (s *Server) executeFleet(slot *engineSlot, r *run) (reportExports, error) {
 	return out, err
 }
 
-// executeCampaign runs one campaign on the slot's resident engine. Like the
-// in-process CLI, the anchor device is characterized up front when the grid
-// has cells for it (the DTPM policy needs the models, and injected models
-// are part of every cell's store key) — but the characterization itself is
-// resident: later runs of the same seed reuse it.
+// executeCampaign runs one campaign on the slot's resident engine. Like
+// the fleet engine it characterizes each device lazily, on the first
+// computed cell that needs it, and keeps the result: later runs of the
+// same seed reuse it, and a fully warm run never characterizes.
 func (s *Server) executeCampaign(slot *engineSlot, r *run) (reportExports, error) {
 	if slot.camp == nil {
 		slot.camp = &campaign.Engine{BaseSeed: r.seed, Store: s.cfg.Store}
 	}
 	eng := slot.camp
-	if r.grid.UsesDefaultPlatform() && eng.Models == nil {
-		runner := sim.NewRunner()
-		models, err := runner.Characterize(r.ctx, r.seed)
-		if err != nil {
-			return reportExports{}, err
-		}
-		eng.Runner = runner
-		eng.Models = models
-	}
 	eng.Workers = s.runWorkers(r)
 	eng.OnCellDone = func(done, total int, res campaign.CellResult) {
 		r.appendProgress(controlapi.Event{

@@ -182,7 +182,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, req *http.Request) {
 	if draining {
 		state = "draining"
 	}
-	writeJSON(w, http.StatusOK, controlapi.Health{
+	h := controlapi.Health{
 		OK:       !draining,
 		State:    state,
 		Engine:   version.Engine,
@@ -192,7 +192,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, req *http.Request) {
 		Tenants:  c.tenants,
 		Retained: c.retained,
 		Evicted:  c.evicted,
-	})
+	}
+	if s.cfg.Store != nil {
+		st := s.cfg.Store.Stats()
+		h.Store = &controlapi.StoreHealth{
+			Hits:        st.Hits,
+			Misses:      st.Misses,
+			Writes:      st.Writes,
+			Invalid:     st.Invalid,
+			WriteErrors: st.WriteErrors,
+		}
+	}
+	writeJSON(w, http.StatusOK, h)
 }
 
 // decodeSubmit reads and strictly decodes a submit request body.

@@ -609,8 +609,64 @@ func TestByteIdentityAndWarmResubmit(t *testing.T) {
 	}
 }
 
-// TestCampaignRun: the campaign path end to end — up-front anchor
-// characterization, per-cell progress, byte-identical exports.
+// TestHealthStoreCounters: healthz carries the shared store's counters —
+// absent without a store — and a store that cannot be written still lets a
+// run return its correct report while healthz shows the failed writes.
+func TestHealthStoreCounters(t *testing.T) {
+	ctx := context.Background()
+	_, _, bare := newTestDaemon(t, Config{})
+	h, err := bare.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Store != nil {
+		t.Errorf("storeless daemon reports store counters %+v", h.Store)
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BreakWritesForTest(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl := newTestDaemon(t, Config{Store: st})
+	const n, seed = 4, 42
+	spec := testSpec(n)
+	info, err := cl.SubmitFleet(ctx, controlapi.SubmitRequest{Spec: specJSON(t, spec), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, cl, info.ID); done.State != controlapi.StateSucceeded {
+		t.Fatalf("run ended %s: %s", done.State, done.Error)
+	}
+	got, err := cl.Report(ctx, info.ID, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := (&fleet.Engine{BaseSeed: seed}).Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := rep.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Error("report through an unwritable store differs from the in-process run")
+	}
+	h, err = cl.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Store == nil || h.Store.WriteErrors == 0 || h.Store.Misses != n || h.Store.Writes != 0 {
+		t.Errorf("healthz store counters %+v, want %d misses, write errors and no writes", h.Store, n)
+	}
+}
+
+// TestCampaignRun: the campaign path end to end — lazy anchor
+// characterization, per-cell progress, exports byte-identical to an
+// in-process engine given the anchor's models up front.
 func TestCampaignRun(t *testing.T) {
 	_, _, cl := newTestDaemon(t, Config{})
 	ctx := context.Background()

@@ -475,17 +475,22 @@ func (h *harness) opSession(r *rng) error {
 // recording on, replay the trace, and require a drift-free diff — the
 // library-level determinism check alongside the daemon probe.
 func (h *harness) opReplay(r *rng) error {
-	spec := repro.ScenarioRunSpec{
-		Scenario: "cold-start",
-		Policy:   repro.Reactive,
-		Seed:     int64(r.intn(3)),
-		Record:   true,
+	ctx := context.Background()
+	opts := []repro.Option{
+		repro.WithScenario("cold-start"),
+		repro.WithPolicy(repro.Reactive),
+		repro.WithSeed(int64(r.intn(3))),
+		repro.WithRecord(true),
 	}
-	res, err := h.dev.RunScenario(spec)
+	session, err := h.dev.Start(ctx, repro.NewSpec(opts...))
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	_, diff, err := h.dev.ReplayTrace(res.Rec, spec)
+	res, err := session.Result()
+	if err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	_, diff, err := h.dev.ReplayTrace(ctx, res.Rec, opts...)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}

@@ -13,7 +13,8 @@
 // are only ever added, never mutated in place (writes go through a
 // temp-file + rename, so a crash can never leave a torn entry under its
 // final name), and a re-Put of an existing digest rewrites bit-identical
-// bytes.
+// bytes. A crash between the temp write and the rename leaves only an
+// orphaned temp file, which a later Open removes.
 //
 // Every entry self-verifies: a header line records the engine version,
 // the key digest, and the SHA-256 of the payload, and Get re-hashes the
@@ -32,7 +33,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/version"
 )
@@ -139,15 +142,51 @@ type Store struct {
 // directory of the run.
 const DefaultDir = ".repro-store"
 
-// Open opens (creating if needed) the store rooted at dir.
+// tmpDir holds Put's in-flight temp files. It sits under the store root,
+// on the same filesystem as the shards, so the rename into place stays
+// atomic; and it is one directory, so sweeping it never walks the shards.
+const tmpDir = "tmp"
+
+// tempPrefix starts the name of every temp file Put creates.
+const tempPrefix = ".put-"
+
+// staleTempAge is how old a temp file must be before Open removes it as a
+// crash leftover. A Put holds its temp file for milliseconds, so the age
+// keeps Open from ever touching another process's in-flight write.
+const staleTempAge = time.Hour
+
+// Open opens (creating if needed) the store rooted at dir and removes the
+// temp files crashed writers left behind (see staleTempAge).
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		dir = DefaultDir
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	for _, sub := range []string{"objects", tmpDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 	}
-	return &Store{dir: dir}, nil
+	s := &Store{dir: dir}
+	s.sweepTemp(time.Now())
+	return s, nil
+}
+
+// sweepTemp removes Put temp files last modified staleTempAge or more
+// before now. Failures are ignored: a leftover only costs disk space.
+func (s *Store) sweepTemp(now time.Time) {
+	tmp := filepath.Join(s.dir, tmpDir)
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), tempPrefix) {
+			continue
+		}
+		if info, err := e.Info(); err == nil && now.Sub(info.ModTime()) >= staleTempAge {
+			os.Remove(filepath.Join(tmp, e.Name()))
+		}
+	}
 }
 
 // Dir returns the store root.
@@ -233,11 +272,11 @@ func verify(key Digest, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Put persists payload under key. The entry is assembled in a temp file in
-// the same directory and renamed into place, so concurrent writers of the
-// same digest race benignly (they write identical bytes) and a crash never
-// leaves a torn entry under its final name. Every failure also counts in
-// Stats.WriteErrors.
+// Put persists payload under key. The entry is assembled in a temp file
+// under the store's tmp directory and renamed into place, so concurrent
+// writers of the same digest race benignly (they write identical bytes)
+// and a crash never leaves a torn entry under its final name. Every
+// failure also counts in Stats.WriteErrors.
 func (s *Store) Put(key Digest, payload []byte) error {
 	if err := s.put(key, payload); err != nil {
 		s.writeErrors.Add(1)
@@ -263,7 +302,7 @@ func (s *Store) put(key Digest, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpDir), tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

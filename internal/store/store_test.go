@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 type testSpec struct {
@@ -263,6 +265,64 @@ func TestConcurrentPutGet(t *testing.T) {
 // error AND counts it, so callers that persist best-effort (and drop the
 // error) still leave a visible trace; the CLI summary names the count
 // only when it is non-zero.
+// TestOpenSweepsStaleTempFiles: Open removes the temp files a crashed Put
+// left behind, keeps fresh ones (another process may be mid-Put), and
+// leaves entries intact.
+func TestOpenSweepsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, testSpec{Platform: "p", Scenario: "s", Seed: 3})
+	payload := []byte(`{"ok":true}`)
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, tmpDir, tempPrefix+"stale")
+	fresh := filepath.Join(dir, tmpDir, tempPrefix+"fresh")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("half an entry"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale temp file survived Open: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temp file removed: %v", err)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Errorf("entry after sweep: %q, %v", got, ok)
+	}
+	// Writes still fail loudly once the objects tree is unusable, and a
+	// failed Put leaves no temp file of its own.
+	if err := s.BreakWritesForTest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey(t, testSpec{Seed: 4}), payload); err == nil {
+		t.Fatal("Put into a broken store succeeded")
+	}
+	if st := s.Stats(); st.WriteErrors != 1 {
+		t.Errorf("WriteErrors = %d, want 1", st.WriteErrors)
+	}
+	left, err := os.ReadDir(filepath.Join(dir, tmpDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != tempPrefix+"fresh" {
+		t.Errorf("tmp directory holds %v, want only the fresh file", left)
+	}
+}
+
 func TestPutCountsWriteErrors(t *testing.T) {
 	s, err := Open(t.TempDir() + "/store")
 	if err != nil {

@@ -193,31 +193,6 @@ func (d *Device) CharacterizeContext(ctx context.Context, seed int64) (*Models, 
 	return &Models{c: ch}, nil
 }
 
-// RunSpec describes one benchmark run.
-//
-// Deprecated: RunSpec is the pre-streaming batch spec, kept so existing
-// callers keep compiling. New code builds the unified Spec with NewSpec
-// (WithBenchmark, WithPolicy, WithModels, ...) and runs it with
-// Device.Start — docs/api.md has the field-by-field migration table.
-type RunSpec struct {
-	// Benchmark is a Table 6.4 name; see Benchmarks().
-	Benchmark string
-	// Policy is the thermal-management configuration.
-	Policy Policy
-	// Models is required for the DTPM policy (and enables the §6.3.1
-	// prediction-accuracy accounting under any policy).
-	Models *Models
-	// Seed controls sensor noise and the background load (default 0).
-	Seed int64
-	// TMax overrides the 63 °C constraint (0 = paper default).
-	TMax float64
-	// Governor overrides the default cpufreq governor ("" = ondemand;
-	// also: interactive, performance, powersave).
-	Governor string
-	// Record retains full time traces in Result.Trace.
-	Record bool
-}
-
 // Result is the outcome of one benchmark run.
 type Result struct {
 	*sim.Result
@@ -228,33 +203,6 @@ func (r *Result) Summary() string {
 	return fmt.Sprintf(
 		"%s under %s: exec=%.1fs power=%.2fW energy=%.0fJ maxT=%.1fC avgT=%.1fC over63=%.1fs predErr=%.2f%%",
 		r.Bench, r.Policy, r.ExecTime, r.AvgPower, r.Energy, r.MaxTemp, r.AvgTemp, r.OverTMax, r.PredMeanPct)
-}
-
-// Run executes one benchmark under one policy to completion. It is a thin
-// wrapper over Start with a background context — same simulation, same
-// Result, byte-identical traces.
-func (d *Device) Run(spec RunSpec) (*Result, error) {
-	if spec.Benchmark == "" {
-		// Preserve the legacy error (and its ErrUnknownBenchmark sentinel)
-		// for an empty name instead of the unified spec's no-workload
-		// message, which talks about options this struct doesn't have.
-		_, err := workload.ByName(spec.Benchmark)
-		return nil, err
-	}
-	return d.runToCompletion(context.Background(), spec.unified())
-}
-
-// unified converts the deprecated batch spec to the unified Spec.
-func (spec RunSpec) unified() Spec {
-	return NewSpec(
-		WithBenchmark(spec.Benchmark),
-		WithPolicy(spec.Policy),
-		WithModels(spec.Models),
-		WithSeed(spec.Seed),
-		WithTMax(spec.TMax),
-		WithGovernor(spec.Governor),
-		WithRecord(spec.Record),
-	)
 }
 
 // runToCompletion is the shared batch path: Start, then block on Result.
@@ -288,6 +236,13 @@ type CellResult = campaign.CellResult
 // Cell failures are collected in the report, never aborting the sweep. On
 // cancellation the partial report (completed cells intact, the rest marked
 // cancelled) comes back with an error wrapping ErrCancelled.
+//
+// models are the device's own characterization; nil means the campaign
+// characterizes the device itself, at baseSeed, on first need — exactly
+// what passing Characterize(baseSeed) would give, and the rule RunFleet
+// and every other platform of the grid follow. Either way every cell runs
+// with models: DTPM cells control, and every cell carries the §6.3.1
+// prediction-accuracy metrics.
 func (d *Device) RunCampaign(ctx context.Context, grid CampaignGrid, models *Models, workers int, baseSeed int64) (*CampaignReport, error) {
 	return d.campaignEngine(models, workers, baseSeed).RunContext(ctx, grid)
 }
@@ -298,6 +253,7 @@ func (d *Device) RunCampaign(ctx context.Context, grid CampaignGrid, models *Mod
 // Cell.Index recovers exactly RunCampaign's deterministic report.
 // Cancelling the context stops new cells, cancels in-flight ones, and
 // drains the pool cleanly; breaking out of the loop behaves the same.
+// Nil models follow RunCampaign's rule.
 func (d *Device) StreamCampaign(ctx context.Context, grid CampaignGrid, models *Models, workers int, baseSeed int64) (iter.Seq[CellResult], error) {
 	return d.campaignEngine(models, workers, baseSeed).Stream(ctx, grid)
 }
@@ -342,62 +298,6 @@ func Scenarios() []string { return scenario.Names() }
 // ScenarioByName returns a library scenario's declarative spec.
 func ScenarioByName(name string) (ScenarioSpec, error) { return scenario.ByName(name) }
 
-// ScenarioRunSpec describes one scenario run.
-//
-// Deprecated: ScenarioRunSpec is the pre-streaming batch spec, kept so
-// existing callers keep compiling. New code builds the unified Spec with
-// NewSpec (WithScenario or WithScenarioSpec, WithPolicy, ...) and runs it
-// with Device.Start — docs/api.md has the field-by-field migration table.
-type ScenarioRunSpec struct {
-	// Scenario is a library scenario name (see Scenarios()); ignored when
-	// Spec is set.
-	Scenario string
-	// Spec is a custom declarative scenario (takes precedence).
-	Spec *ScenarioSpec
-	// Policy is the thermal-management configuration.
-	Policy Policy
-	// Models is required for the DTPM policy.
-	Models *Models
-	// Seed controls sensor noise and the background load; the scenario's
-	// own Seed field fixes the workload demand, so replicate seeds vary
-	// the noise around an identical scenario.
-	Seed int64
-	// TMax overrides the 63 °C constraint (0 = paper default).
-	TMax float64
-	// Governor sets the initial cpufreq governor ("" = ondemand); phases
-	// may swap it mid-run.
-	Governor string
-	// Record retains full time traces, including the scripted input
-	// series that make the trace replayable (see ReplayTrace).
-	Record bool
-}
-
-// RunScenario executes one multi-phase scenario to completion. The spec is
-// validated against the device's platform profile (thread counts the
-// platform cannot schedule are rejected), like the CLI and campaign paths.
-// It is a thin wrapper over Start with a background context.
-func (d *Device) RunScenario(spec ScenarioRunSpec) (*Result, error) {
-	if spec.Spec == nil && spec.Scenario == "" {
-		// Preserve the legacy error (and its ErrUnknownScenario sentinel)
-		// for an empty name, as in Run.
-		_, err := scenario.ByName(spec.Scenario)
-		return nil, err
-	}
-	wl := WithScenario(spec.Scenario)
-	if spec.Spec != nil {
-		wl = WithScenarioSpec(spec.Spec)
-	}
-	return d.runToCompletion(context.Background(), NewSpec(
-		wl,
-		WithPolicy(spec.Policy),
-		WithModels(spec.Models),
-		WithSeed(spec.Seed),
-		WithTMax(spec.TMax),
-		WithGovernor(spec.Governor),
-		WithRecord(spec.Record),
-	))
-}
-
 // TraceDiff re-exports the sample-by-sample trace comparison report.
 type TraceDiff = trace.DiffReport
 
@@ -408,25 +308,16 @@ func ReadTrace(r io.Reader) (*trace.Recorder, error) { return trace.ReadCSV(r) }
 
 // ReplayTrace re-feeds a recorded scenario trace as the workload demand
 // source (zero-order hold over the recorded input series), runs a fresh
-// simulation under the same policy/seed/constraint, and returns the fresh
-// result plus the sample-by-sample diff against the recording. With the
-// parameters of the original run, the diff reports zero mismatches — any
-// drift means the sim/thermal/dtpm stack changed behaviour.
+// simulation under the options' policy/models/seed/constraint, and returns
+// the fresh result plus the sample-by-sample diff against the recording.
+// With the options of the original run, the diff reports zero mismatches —
+// any drift means the sim/thermal/dtpm stack changed behaviour.
 //
-// The trace supplies the workload and the control period, so only the
-// spec's Policy, Models, Seed, TMax, and Governor fields apply here;
-// Scenario and Spec are ignored and the fresh run always records. It is a
-// thin wrapper over Start with a background context (WithTrace is the
-// streaming-capable form).
-func (d *Device) ReplayTrace(rec *trace.Recorder, spec ScenarioRunSpec) (*Result, *TraceDiff, error) {
-	res, err := d.runToCompletion(context.Background(), NewSpec(
-		WithTrace(rec),
-		WithPolicy(spec.Policy),
-		WithModels(spec.Models),
-		WithSeed(spec.Seed),
-		WithTMax(spec.TMax),
-		WithGovernor(spec.Governor),
-	))
+// The trace replaces any workload option and supplies the control period
+// unless WithControlPeriod overrides it; the fresh run always records. It
+// is Start plus Result under ctx (WithTrace is the streaming form).
+func (d *Device) ReplayTrace(ctx context.Context, rec *trace.Recorder, opts ...Option) (*Result, *TraceDiff, error) {
+	res, err := d.runToCompletion(ctx, NewSpec(append(opts, WithTrace(rec))...))
 	if err != nil {
 		return nil, nil, err
 	}

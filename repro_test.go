@@ -2,11 +2,22 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
 
 var sharedModels *Models
+
+// runSpec runs one spec to completion through the session API: Start, then
+// block on Result.
+func runSpec(dev *Device, opts ...Option) (*Result, error) {
+	session, err := dev.Start(context.Background(), NewSpec(opts...))
+	if err != nil {
+		return nil, err
+	}
+	return session.Result()
+}
 
 func models(t *testing.T) *Models {
 	t.Helper()
@@ -54,7 +65,7 @@ func TestBenchmarksByClass(t *testing.T) {
 
 func TestRunAndSummary(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.Run(RunSpec{Benchmark: "dijkstra", Policy: DTPM, Models: models(t), Seed: 3})
+	res, err := runSpec(dev, WithBenchmark("dijkstra"), WithPolicy(DTPM), WithModels(models(t)), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +78,9 @@ func TestRunAndSummary(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	_, err := NewDevice().Run(RunSpec{Benchmark: "doom", Policy: WithFan})
-	if err == nil {
-		t.Fatal("unknown benchmark accepted")
+	_, err := runSpec(NewDevice(), WithBenchmark("doom"), WithPolicy(WithFan))
+	if !errors.Is(err, ErrUnknownBenchmark) {
+		t.Fatalf("unknown benchmark: got %v, want ErrUnknownBenchmark", err)
 	}
 }
 

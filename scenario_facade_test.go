@@ -24,12 +24,7 @@ func TestScenariosList(t *testing.T) {
 
 func TestRunScenarioAndReplay(t *testing.T) {
 	dev := NewDevice()
-	res, err := dev.RunScenario(ScenarioRunSpec{
-		Scenario: "cold-start",
-		Policy:   WithFan,
-		Seed:     11,
-		Record:   true,
-	})
+	res, err := runSpec(dev, WithScenario("cold-start"), WithPolicy(WithFan), WithSeed(11), WithRecord(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +46,8 @@ func TestRunScenarioAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, diff, err := dev.ReplayTrace(parsed, ScenarioRunSpec{Policy: WithFan, Seed: 11})
+	// The trace replaces the workload option it is given alongside.
+	fresh, diff, err := dev.ReplayTrace(context.Background(), parsed, WithBenchmark("sha"), WithPolicy(WithFan), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestRunScenarioAndReplay(t *testing.T) {
 	}
 
 	// A different seed must visibly diverge (the diff is not vacuous).
-	_, diff2, err := dev.ReplayTrace(res.Rec, ScenarioRunSpec{Policy: WithFan, Seed: 12})
+	_, diff2, err := dev.ReplayTrace(context.Background(), res.Rec, WithPolicy(WithFan), WithSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +79,7 @@ func TestRunScenarioCustomSpec(t *testing.T) {
 			{Name: "gap", DurationS: 4},
 		},
 	}
-	res, err := dev.RunScenario(ScenarioRunSpec{Spec: &spec, Policy: WithoutFan, Seed: 2})
+	res, err := runSpec(dev, WithScenarioSpec(&spec), WithPolicy(WithoutFan), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +89,8 @@ func TestRunScenarioCustomSpec(t *testing.T) {
 	// Invalid specs are rejected, not run.
 	bad := spec
 	bad.Phases = nil
-	if _, err := dev.RunScenario(ScenarioRunSpec{Spec: &bad, Policy: WithoutFan}); err == nil {
-		t.Error("RunScenario accepted a spec with no phases")
+	if _, err := runSpec(dev, WithScenarioSpec(&bad), WithPolicy(WithoutFan)); err == nil {
+		t.Error("a scenario spec with no phases was accepted")
 	}
 }
 

@@ -25,7 +25,7 @@ var sampleSeries = map[string]func(Sample) float64{
 // TestStreamMatchesRecordedTrace pins the stream/batch equivalence
 // contract: samples observed live during a recorded scenario run are
 // bit-identical to the rows of Result.Rec, and the streamed session ends
-// in the same Result the deprecated batch wrapper produces.
+// in the same Result a run nobody streams from produces.
 func TestStreamMatchesRecordedTrace(t *testing.T) {
 	dev := NewDevice()
 	spec := NewSpec(
@@ -72,11 +72,9 @@ func TestStreamMatchesRecordedTrace(t *testing.T) {
 		}
 	}
 
-	// The session's Result is the batch path's Result: the deprecated
-	// wrapper runs the identical simulation.
-	batch, err := dev.RunScenario(ScenarioRunSpec{
-		Scenario: "cold-start", Policy: WithFan, Seed: 11, Record: true,
-	})
+	// The session's Result is the batch path's Result: a run whose samples
+	// nobody consumes is the identical simulation.
+	batch, err := dev.runToCompletion(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +116,7 @@ func TestObserverCallbackForm(t *testing.T) {
 func TestCancelledRunIsExactPrefix(t *testing.T) {
 	const cancelStep = 50
 	dev := NewDevice()
-	full, err := dev.RunScenario(ScenarioRunSpec{
-		Scenario: "cold-start", Policy: WithFan, Seed: 11, Record: true,
-	})
+	full, err := runSpec(dev, WithScenario("cold-start"), WithPolicy(WithFan), WithSeed(11), WithRecord(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,8 @@ import (
 // WithScenarioSpec, or WithTrace — must be given; everything else defaults
 // to the paper's configuration. The zero Spec is not runnable.
 //
-// Spec replaces the deprecated RunSpec and ScenarioRunSpec structs; the
-// migration table in docs/api.md maps every old field to its option.
+// The migration table in docs/api.md maps every field of the removed batch
+// run structs to its option.
 type Spec struct {
 	policy   Policy
 	models   *Models
