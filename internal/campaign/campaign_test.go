@@ -255,4 +255,3 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 		}
 	}
 }
-

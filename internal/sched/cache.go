@@ -32,7 +32,7 @@ import (
 // store keys (Tag), so the two engines cannot disagree on it either.
 type Cache struct {
 	seed   int64
-	anchor *device
+	anchor device
 	// injected records that the anchor's models came from the engine
 	// rather than from a characterization at seed.
 	injected bool
@@ -41,7 +41,7 @@ type Cache struct {
 	tag     string // "models:<digest>" of the injected models; "" = unhashable
 
 	mu  sync.Mutex
-	dev map[string]*device
+	dev map[string]*device // every other platform, added on first use
 }
 
 // device is one platform's runner and its lazily made characterization.
@@ -66,12 +66,10 @@ func NewCache(runner *sim.Runner, models *sim.Characterization, seed int64) *Cac
 	if runner.Desc != nil {
 		name = runner.Desc.Name
 	}
-	anchor := &device{name: name, runner: runner, models: models}
 	return &Cache{
 		seed:     seed,
-		anchor:   anchor,
+		anchor:   device{name: name, runner: runner, models: models},
 		injected: models != nil,
-		dev:      map[string]*device{name: anchor},
 	}
 }
 
@@ -92,10 +90,13 @@ func (c *Cache) Platform(name string) (string, bool) {
 // cancelled characterization caches nothing, so a later call with a live
 // context retries instead of inheriting a poisoned "context canceled".
 func (c *Cache) Device(ctx context.Context, name string) (*sim.Runner, *sim.Characterization, error) {
-	if name == "" {
-		name = c.anchor.name
+	if name == "" || name == c.anchor.name {
+		return c.anchor.resolve(ctx, c.seed)
 	}
 	c.mu.Lock()
+	if c.dev == nil {
+		c.dev = make(map[string]*device)
+	}
 	dev, ok := c.dev[name]
 	if !ok {
 		dev = &device{name: name}
