@@ -345,7 +345,7 @@ func (e *Engine) cache() *sched.Cache {
 }
 
 // Run executes every cell of the grid and returns the report. Individual
-// cell failures (unknown benchmark, bad governor, missing models, panics)
+// cell failures (unknown benchmark, bad governor, unknown platform, panics)
 // are recorded in the report; Run itself only fails on an empty grid.
 func (e *Engine) Run(grid Grid) (*Report, error) {
 	return e.RunContext(context.Background(), grid)

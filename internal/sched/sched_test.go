@@ -206,7 +206,49 @@ func TestCacheDoesNotCacheContextCancellation(t *testing.T) {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 	if got != runner || models == nil {
-		t.Fatalf("retry served runner %p models %v, want the anchor %p with models", got, models, runner)
+		t.Fatalf("retry served runner %p models %p, want the anchor %p with models", got, models, runner)
+	}
+}
+
+// TestCacheConcurrentResolvers hammers one cache from several goroutines
+// (run under -race): the lazily characterized anchor is built once and
+// every caller shares it, while error entries, platform names and tags are
+// served alongside.
+func TestCacheConcurrentResolvers(t *testing.T) {
+	c := NewCache(nil, nil, 1)
+	const callers = 8
+	models := make([]*sim.Characterization, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := ""
+			if i%2 == 1 {
+				name = platform.DefaultName
+			}
+			_, m, err := c.Device(context.Background(), name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			models[i] = m
+			if _, _, err := c.Device(context.Background(), "no-such-board"); !errors.Is(err, platform.ErrUnknown) {
+				t.Errorf("unknown platform: %v", err)
+			}
+			if tag, ok := c.Tag(name); !ok || tag != "charseed:1" {
+				t.Errorf("Tag(%q) = %q, %v", name, tag, ok)
+			}
+			if p, ok := c.Platform(name); !ok || p != platform.DefaultName {
+				t.Errorf("Platform(%q) = %q, %v", name, p, ok)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, m := range models {
+		if m == nil || m != models[0] {
+			t.Fatalf("caller %d got models %p, caller 0 got %p: the anchor was characterized more than once", i, m, models[0])
+		}
 	}
 }
 

@@ -167,13 +167,13 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	s := &Store{dir: dir}
-	s.sweepTemp(time.Now())
+	s.sweepTemp()
 	return s, nil
 }
 
-// sweepTemp removes Put temp files last modified staleTempAge or more
-// before now. Failures are ignored: a leftover only costs disk space.
-func (s *Store) sweepTemp(now time.Time) {
+// sweepTemp removes Put temp files last modified staleTempAge or more ago.
+// Failures are ignored: a leftover only costs disk space.
+func (s *Store) sweepTemp() {
 	tmp := filepath.Join(s.dir, tmpDir)
 	entries, err := os.ReadDir(tmp)
 	if err != nil {
@@ -183,7 +183,7 @@ func (s *Store) sweepTemp(now time.Time) {
 		if !strings.HasPrefix(e.Name(), tempPrefix) {
 			continue
 		}
-		if info, err := e.Info(); err == nil && now.Sub(info.ModTime()) >= staleTempAge {
+		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) >= staleTempAge {
 			os.Remove(filepath.Join(tmp, e.Name()))
 		}
 	}

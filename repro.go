@@ -317,7 +317,9 @@ func ReadTrace(r io.Reader) (*trace.Recorder, error) { return trace.ReadCSV(r) }
 // unless WithControlPeriod overrides it; the fresh run always records. It
 // is Start plus Result under ctx (WithTrace is the streaming form).
 func (d *Device) ReplayTrace(ctx context.Context, rec *trace.Recorder, opts ...Option) (*Result, *TraceDiff, error) {
-	res, err := d.runToCompletion(ctx, NewSpec(append(opts, WithTrace(rec))...))
+	spec := NewSpec(opts...)
+	WithTrace(rec)(&spec)
+	res, err := d.runToCompletion(ctx, spec)
 	if err != nil {
 		return nil, nil, err
 	}
