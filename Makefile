@@ -142,9 +142,9 @@ api-surface:
 	$(GO) doc -all . > docs/api-surface.txt
 
 # End-to-end daemon smoke through the real binaries: start reprod, run the
-# thin-client fleet CLI cold and warm against it (warm must be 100% store
-# hits), compare exports byte-for-byte with an in-process run, and drain
-# with SIGTERM (see scripts/daemon-smoke.sh).
+# thin-client fleet and campaign CLIs cold and warm against it (warm must be
+# 100% store hits), compare exports byte-for-byte with in-process runs, and
+# drain with SIGTERM (see scripts/daemon-smoke.sh).
 daemon-smoke:
 	./scripts/daemon-smoke.sh
 

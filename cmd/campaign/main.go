@@ -18,38 +18,38 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/client"
 	"repro/internal/controlapi"
 	"repro/internal/governor"
 	"repro/internal/platform"
 	"repro/internal/scenario"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fatal(err)
+	code, err := run(os.Args[1:])
+	if err != nil {
+		cli.Exit("campaign", err, "run `campaign -list` for the known names")
+	}
+	if code != 0 {
+		os.Exit(code)
 	}
 }
 
-// run is main's testable body; errors come back for main to map onto exit
-// codes (the in-terminal exits — 130 on cancel, 1 on failed cells — stay
-// here because they are process-level contract, not library behavior).
-func run(args []string) error {
+// run is main's testable body: it returns the exit code of a finished
+// sweep (0 ok, 1 failed cells, 130 cancelled) or the error for main to map
+// onto one.
+func run(args []string) (int, error) {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	var (
 		policies  = fs.String("policies", "dtpm", "comma-separated policies (with-fan,without-fan,reactive,dtpm)")
@@ -72,7 +72,7 @@ func run(args []string) error {
 		noCache   = fs.Bool("no-cache", false, "disable the result store (compute every cell)")
 	)
 	if err := cli.ParseFlags(fs, args); err != nil {
-		return err
+		return 0, err
 	}
 
 	if *list {
@@ -84,7 +84,7 @@ func run(args []string) error {
 			pols = append(pols, p.String())
 		}
 		fmt.Println("policies:  ", strings.Join(pols, ", "))
-		return nil
+		return 0, nil
 	}
 
 	// SIGINT/SIGTERM cancel the sweep: workers stop picking up cells,
@@ -99,17 +99,19 @@ func run(args []string) error {
 	platAxis := *platforms
 	if *platAlias != "" {
 		if platAxis != "" {
-			return fmt.Errorf("use -platforms or -platform, not both")
+			return 0, fmt.Errorf("use -platforms or -platform, not both")
 		}
 		platAxis = *platAlias
 	}
 	grid, err := buildGrid(*policies, *benches, *scenarios, platAxis, *governors, *seeds, *tmax)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
+	out := cli.Output{Tool: "campaign", JSON: *jsonOut, CSV: *csvOut, Quiet: *quiet}
+	fmt.Fprintf(os.Stderr, "campaign: running %d cells\n", grid.Size())
 	if *addr != "" {
-		return runRemote(ctx, *addr, *tenant, grid, *baseSeed, *workers, *jsonOut, *csvOut, *quiet)
+		return out.Remote(ctx, *addr, *tenant, controlapi.KindCampaign, grid, *baseSeed, *workers)
 	}
 
 	eng := &campaign.Engine{
@@ -119,128 +121,12 @@ func run(args []string) error {
 	if !*noCache {
 		st, err := store.Open(*storeDir)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		eng.Store = st
 	}
-	// Run the sweep on the streaming engine (RunContext collects the
-	// completion-order stream into the deterministic cell-index order the
-	// exports rely on); OnCellDone prints live progress per cell.
-	if !*quiet {
-		eng.OnCellDone = func(done, total int, r campaign.CellResult) {
-			status := "ok"
-			if r.Err != "" {
-				status = "FAILED: " + r.Err
-			}
-			fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s %s\n", done, total, r.Cell, status)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "campaign: running %d cells\n", grid.Size())
-	rep, err := eng.RunContext(ctx, grid)
-	if eng.Store != nil {
-		fmt.Fprintf(os.Stderr, "campaign: store %s: %s\n", eng.Store.Dir(), eng.Store.Stats().Summary())
-	}
-	cancelled := err != nil && cli.Cancelled(err)
-	if err != nil && !cancelled {
-		return err
-	}
-
-	fmt.Print(rep.Summary())
-	if *jsonOut != "" {
-		if err := writeFile(*jsonOut, rep.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if *csvOut != "" {
-		if err := writeFile(*csvOut, rep.WriteCSV); err != nil {
-			return err
-		}
-	}
-	if cancelled {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(130)
-	}
-	if len(rep.Failures()) > 0 {
-		os.Exit(1)
-	}
-	return nil
-}
-
-func fatal(err error) {
-	cli.Exit("campaign", err, "run `campaign -list` for the known names")
-}
-
-// runRemote is the -addr thin-client path: submit the grid to a reprod
-// daemon, mirror the in-process progress/store/summary output from the
-// event stream, fetch the byte-identical exports, and exit with the
-// in-process codes. Ctrl-C cancels the run server-side and the partial
-// report is still exported before exiting 130.
-func runRemote(ctx context.Context, addr, tenant string, grid campaign.Grid, baseSeed int64, workers int, jsonOut, csvOut string, quiet bool) error {
-	cl := client.New(addr)
-	cl.Tenant = tenant
-	gridJSON, err := json.Marshal(grid)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "campaign: running %d cells\n", grid.Size())
-	info, err := cl.SubmitCampaign(ctx, controlapi.SubmitRequest{Spec: gridJSON, Seed: baseSeed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	go func() {
-		<-ctx.Done()
-		cl.Cancel(context.Background(), info.ID)
-	}()
-	done, err := cl.Follow(context.Background(), info.ID, 0, func(ev controlapi.Event) error {
-		if quiet || ev.Type != controlapi.EventProgress {
-			return nil
-		}
-		status := "ok"
-		if ev.Err != "" {
-			status = "FAILED: " + ev.Err
-		}
-		fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s %s\n", ev.Done, ev.Total, ev.Cell, status)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if done.StoreDir != "" {
-		fmt.Fprintf(os.Stderr, "campaign: store %s: %s\n", done.StoreDir, store.Stats{Hits: done.Hits, Misses: done.Misses}.Summary())
-	}
-	if done.State == controlapi.StateFailed {
-		return errors.New(done.RunErr)
-	}
-	if done.Summary == "" && done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "campaign:", done.RunErr)
-		os.Exit(130)
-	}
-	fmt.Print(done.Summary)
-	writeRemote := func(format, path string) error {
-		b, err := cl.Report(context.Background(), info.ID, format)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, b, 0o644)
-	}
-	if jsonOut != "" {
-		if err := writeRemote("json", jsonOut); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := writeRemote("csv", csvOut); err != nil {
-			return err
-		}
-	}
-	if done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "campaign:", done.RunErr)
-		os.Exit(130)
-	}
-	if done.Failures > 0 {
-		os.Exit(1)
-	}
-	return nil
+	res, err := server.ExecuteCampaign(ctx, eng, grid, out.Progress())
+	return out.Finish(res, err, eng.Store)
 }
 
 // buildGrid parses the axis flags into a campaign grid.
@@ -321,16 +207,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,14 +16,14 @@ func TestRunInProcess(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "sweep.json")
 	csvPath := filepath.Join(dir, "sweep.csv")
-	err := run([]string{
+	code, err := run([]string{
 		"-policies", "without-fan", "-benches", "dijkstra",
 		"-platforms", "fanless-phone", "-seeds", "1",
 		"-no-cache", "-quiet",
 		"-json", jsonPath, "-csv", csvPath,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || code != 0 {
+		t.Fatalf("run: exit %d, %v", code, err)
 	}
 	b, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -44,8 +42,8 @@ func TestRunInProcess(t *testing.T) {
 }
 
 func TestRunList(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
-		t.Fatal(err)
+	if code, err := run([]string{"-list"}); err != nil || code != 0 {
+		t.Fatalf("run -list: exit %d, %v", code, err)
 	}
 }
 
@@ -56,19 +54,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-platform", "exynos5410", "-platforms", "exynos5410"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if _, err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
-	}
-}
-
-func TestWriteFileErrors(t *testing.T) {
-	if err := writeFile(filepath.Join(t.TempDir(), "no-such-dir", "x.json"), nil); err == nil {
-		t.Error("uncreatable path accepted")
-	}
-	boom := errors.New("render failed")
-	err := writeFile(filepath.Join(t.TempDir(), "x.json"), func(w io.Writer) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("writer error not propagated: %v", err)
 	}
 }

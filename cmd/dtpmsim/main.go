@@ -109,14 +109,7 @@ func main() {
 			if len(policies) > 1 {
 				name = strings.TrimSuffix(name, ".csv") + "-" + pol.String() + ".csv"
 			}
-			f, err := os.Create(name)
-			if err != nil {
-				fatal(err)
-			}
-			if err := res.Rec.WriteCSV(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := cli.WriteFile(name, res.Rec.WriteCSV); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "traces written to %s\n", name)

@@ -15,14 +15,14 @@ func TestCmdRunInProcess(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "r.json")
 	csvPath := filepath.Join(dir, "r.csv")
-	err := cmdRun(context.Background(), []string{
+	code, err := cmdRun(context.Background(), []string{
 		"-n", "3", "-seed", "9", "-workers", "2",
 		"-scenarios", "cold-start", "-period", "0.5",
 		"-no-cache", "-quiet",
 		"-json", jsonPath, "-csv", csvPath,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || code != 0 {
+		t.Fatalf("cmdRun: exit %d, %v", code, err)
 	}
 	f, err := os.Open(jsonPath)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestCmdRunInProcess(t *testing.T) {
 func TestCmdRunAddrConflicts(t *testing.T) {
 	// Profiling flags profile the in-process engine; they cannot combine
 	// with -addr.
-	err := cmdRun(context.Background(), []string{
+	_, err := cmdRun(context.Background(), []string{
 		"-n", "1", "-addr", "127.0.0.1:1", "-cpuprofile", "cpu.out",
 	})
 	if err == nil {
@@ -61,7 +61,7 @@ func TestCmdRunAddrConflicts(t *testing.T) {
 }
 
 func TestCmdRunBadSpec(t *testing.T) {
-	if err := cmdRun(context.Background(), []string{"-n", "0"}); err == nil {
+	if _, err := cmdRun(context.Background(), []string{"-n", "0"}); err == nil {
 		t.Error("n=0 accepted")
 	}
 }

@@ -21,11 +21,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,11 +30,11 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/client"
 	"repro/internal/controlapi"
 	"repro/internal/fleet"
 	"repro/internal/platform"
 	"repro/internal/scenario"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/version"
@@ -50,10 +47,13 @@ func main() {
 	}
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	var err error
+	var (
+		code int
+		err  error
+	)
 	switch os.Args[1] {
 	case "run":
-		err = cmdRun(ctx, os.Args[2:])
+		code, err = cmdRun(ctx, os.Args[2:])
 	case "report":
 		err = cmdReport(os.Args[2:])
 	case "replay-cell":
@@ -71,6 +71,9 @@ func main() {
 	}
 	if err != nil {
 		cli.Exit("fleet", err, "platform and scenario names: `campaign -list`")
+	}
+	if code != 0 {
+		os.Exit(code)
 	}
 }
 
@@ -235,7 +238,7 @@ func (sf *storeFlags) open() (*store.Store, error) {
 	return store.Open(*sf.dir)
 }
 
-func cmdRun(ctx context.Context, args []string) error {
+func cmdRun(ctx context.Context, args []string) (int, error) {
 	fs := flag.NewFlagSet("fleet run", flag.ContinueOnError)
 	sf := newSpecFlags(fs)
 	stf := newStoreFlags(fs)
@@ -251,167 +254,40 @@ func cmdRun(ctx context.Context, args []string) error {
 		memProfile = fs.String("memprofile", "", "write a post-run heap profile (after GC) to this file")
 	)
 	if err := cli.ParseFlags(fs, args); err != nil {
-		return err
+		return 0, err
 	}
 	spec, err := sf.spec()
 	if err != nil {
-		return err
+		return 0, err
 	}
+	if *addr != "" && (*cpuProfile != "" || *memProfile != "") {
+		return 0, fmt.Errorf("-cpuprofile/-memprofile profile the in-process engine; drop -addr")
+	}
+	out := cli.Output{Tool: "fleet", JSON: *jsonOut, CSV: *csvOut, Quiet: *quiet}
+	fmt.Fprintf(os.Stderr, "fleet: simulating %d devices\n", spec.N)
 	if *addr != "" {
-		if *cpuProfile != "" || *memProfile != "" {
-			return fmt.Errorf("-cpuprofile/-memprofile profile the in-process engine; drop -addr")
-		}
-		return runRemote(ctx, *addr, *tenant, spec, *baseSeed, *workers, *jsonOut, *csvOut, *quiet)
+		return out.Remote(ctx, *addr, *tenant, controlapi.KindFleet, spec, *baseSeed, *workers)
 	}
 	st, err := stf.open()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	prof, err := startProfile(*cpuProfile)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	eng := &fleet.Engine{Workers: *workers, BaseSeed: *baseSeed, Store: st}
-	if !*quiet {
-		eng.OnCellDone = func(p fleet.Progress) {
-			status := "ok"
-			switch {
-			case p.Err != "":
-				status = "FAILED: " + p.Err
-			case p.Cached:
-				status = "cached"
-			}
-			fmt.Fprintf(os.Stderr, "fleet: [%d/%d] %s %s\n", p.Done, p.Total, p.Cell, status)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fleet: simulating %d devices\n", spec.N)
-	rep, err := eng.Run(ctx, spec)
-	// Profiles are finalized before any exit path below: the CPU profile
+	res, err := server.ExecuteFleet(ctx, eng, spec, out.Progress())
+	// Profiles are finalized before the run is reported: the CPU profile
 	// covers exactly the population run (cancelled or not) and the heap
 	// profile snaps what the run left retained.
 	if perr := prof.finish(*memProfile); perr != nil {
 		if err == nil {
-			return perr
+			return 0, perr
 		}
 		fmt.Fprintln(os.Stderr, "fleet:", perr)
 	}
-	if st != nil {
-		fmt.Fprintf(os.Stderr, "fleet: store %s: %s\n", st.Dir(), st.Stats().Summary())
-	}
-	cancelled := err != nil && cli.Cancelled(err)
-	if err != nil && !cancelled {
-		return err
-	}
-	if rep == nil {
-		// Cancelled before any cell could run (e.g. Ctrl-C during the
-		// anchor characterization): nothing partial to report.
-		return err
-	}
-	fmt.Print(rep.Summary())
-	if *jsonOut != "" {
-		if werr := writeFile(*jsonOut, rep.WriteJSON); werr != nil {
-			return werr
-		}
-	}
-	if *csvOut != "" {
-		if werr := writeFile(*csvOut, rep.WriteCSV); werr != nil {
-			return werr
-		}
-	}
-	if cancelled {
-		fmt.Fprintln(os.Stderr, "fleet:", err)
-		os.Exit(130)
-	}
-	if len(rep.Failures) > 0 {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// runRemote is the -addr thin-client path of `fleet run`: submit the spec
-// to a reprod daemon, mirror the in-process progress/store/summary output
-// from the event stream (the daemon pre-renders every line's fields, so
-// the bytes match), fetch the byte-identical report exports, and exit with
-// the in-process codes. Ctrl-C cancels the run server-side and then keeps
-// following: the daemon finalizes it with a partial report, exactly like
-// the in-process engine, and the client exits 130 after exporting it.
-func runRemote(ctx context.Context, addr, tenant string, spec fleet.Spec, baseSeed int64, workers int, jsonOut, csvOut string, quiet bool) error {
-	cl := client.New(addr)
-	cl.Tenant = tenant
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "fleet: simulating %d devices\n", spec.N)
-	info, err := cl.SubmitFleet(ctx, controlapi.SubmitRequest{Spec: specJSON, Seed: baseSeed, Workers: workers})
-	if err != nil {
-		return err
-	}
-	// Follow on a background context: an interrupt must not sever the
-	// stream — it cancels the run server-side, and the stream then delivers
-	// the partial run's done event.
-	go func() {
-		<-ctx.Done()
-		cl.Cancel(context.Background(), info.ID)
-	}()
-	done, err := cl.Follow(context.Background(), info.ID, 0, func(ev controlapi.Event) error {
-		if quiet || ev.Type != controlapi.EventProgress {
-			return nil
-		}
-		status := "ok"
-		switch {
-		case ev.Err != "":
-			status = "FAILED: " + ev.Err
-		case ev.Cached:
-			status = "cached"
-		}
-		fmt.Fprintf(os.Stderr, "fleet: [%d/%d] %s %s\n", ev.Done, ev.Total, ev.Cell, status)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if done.StoreDir != "" {
-		fmt.Fprintf(os.Stderr, "fleet: store %s: %s\n", done.StoreDir, store.Stats{Hits: done.Hits, Misses: done.Misses}.Summary())
-	}
-	if done.State == controlapi.StateFailed {
-		return errors.New(done.RunErr)
-	}
-	// A run cancelled before any cell could start has no report — mirror
-	// the in-process "cancelled during characterization" exit.
-	if done.Summary == "" && done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "fleet:", done.RunErr)
-		os.Exit(130)
-	}
-	fmt.Print(done.Summary)
-	if jsonOut != "" {
-		if err := fetchReport(cl, info.ID, "json", jsonOut); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := fetchReport(cl, info.ID, "csv", csvOut); err != nil {
-			return err
-		}
-	}
-	if done.State == controlapi.StateCancelled {
-		fmt.Fprintln(os.Stderr, "fleet:", done.RunErr)
-		os.Exit(130)
-	}
-	if done.Failures > 0 {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// fetchReport downloads one rendered export into a local file — the same
-// bytes the in-process path writes, served from the daemon.
-func fetchReport(cl *client.Client, id, format, path string) error {
-	b, err := cl.Report(context.Background(), id, format)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
+	return out.Finish(res, err, st)
 }
 
 func cmdReport(args []string) error {
@@ -466,7 +342,7 @@ func cmdReplayCell(ctx context.Context, args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, replaySummary(cfg, res))
 	if *out != "" {
-		return writeFile(*out, res.Rec.WriteCSV)
+		return cli.WriteFile(*out, res.Rec.WriteCSV)
 	}
 	return res.Rec.WriteCSV(os.Stdout)
 }
@@ -531,18 +407,6 @@ func (p *profile) finish(memPath string) error {
 	}
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

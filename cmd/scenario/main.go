@@ -27,7 +27,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -258,7 +257,7 @@ func cmdRun(ctx context.Context, args []string, record bool) error {
 	// Written even when the run was interrupted: the partial recording
 	// over the completed intervals is exactly what -o asked for.
 	if *out != "" && res.Rec != nil {
-		if err := writeFile(*out, res.Rec.WriteCSV); err != nil {
+		if err := cli.WriteFile(*out, res.Rec.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "scenario: trace written to %s\n", *out)
@@ -306,7 +305,7 @@ func cmdReplay(ctx context.Context, args []string) error {
 	}
 	printResult(res)
 	if *out != "" && res.Rec != nil {
-		if err := writeFile(*out, res.Rec.WriteCSV); err != nil {
+		if err := cli.WriteFile(*out, res.Rec.WriteCSV); err != nil {
 			return err
 		}
 	}
@@ -384,16 +383,4 @@ func readTrace(path string) (*trace.Recorder, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rec, nil
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,6 +1,9 @@
 // Package cli holds the conventions shared by every command in cmd/: the
 // sentinel-error to exit-code mapping and the live progress observer, so
 // the next sentinel (or a change to the exit conventions) is edited once.
+// The run CLIs (fleet, campaign) also report through one path here
+// (Output): the same progress lines, store line, summary, export files and
+// exit codes whether a run executes in-process or on a reprod daemon.
 package cli
 
 import (

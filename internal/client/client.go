@@ -1,11 +1,11 @@
 // Package client is the thin-client side of the control API: a typed HTTP
-// wrapper over internal/controlapi that cmd/fleet and cmd/campaign use in
-// -addr mode and any future service (soak harness, search service) can
-// reuse. It owns the engine-version handshake, the tenant header, typed
-// error decoding (errors.Is against the controlapi sentinels works on
-// everything it returns), and the reattach protocol: Follow survives
-// dropped stream connections by reconnecting with the last cursor it saw,
-// so the caller observes every event exactly once, in order.
+// wrapper over internal/controlapi that the run CLIs' -addr path
+// (internal/cli) and the soak harness use. It owns the engine-version
+// handshake, the tenant header, typed error decoding (errors.Is against
+// the controlapi sentinels works on everything it returns), and the
+// reattach protocol: Follow survives dropped stream connections by
+// reconnecting with the last cursor it saw, so the caller observes every
+// event exactly once, in order.
 package client
 
 import (

@@ -5,16 +5,16 @@ import "repro/internal/platform"
 // StepInto computes, in one pass, everything the per-interval simulation
 // loop needs from the ground-truth model: the full Breakdown (what
 // Evaluate returns) plus the per-hotspot core powers and the board-node
-// power (what CorePowersInto returns). The scalar loop calls Evaluate and
-// then CorePowersInto, and CorePowersInto internally re-runs Evaluate —
-// three passes over the exponential leakage law per interval where one
-// suffices. With four big cores that is 20 Exp evaluations reduced to 7.
+// power (what CorePowersInto returns). Calling Evaluate and then
+// CorePowersInto, which internally re-runs Evaluate, takes three passes
+// over the exponential leakage law per interval where one suffices. With
+// four big cores that is 20 Exp evaluations reduced to 7.
 //
 // The contract is bit-identity with the two-call sequence: every Dynamic
 // and Leakage term is computed by the same expressions on the same
 // arguments, each exactly once, and combined in the same order — when the
 // big cluster is active, nc == nBig, so Evaluate's leak share li/nc and
-// CorePowersInto's li/nBig are the same division. The batched fleet kernel
+// CorePowersInto's li/nBig are the same division. The simulation kernel
 // is built on this; fused_test.go enforces it against the oracle pair.
 func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (Breakdown, float64) {
 	var b Breakdown

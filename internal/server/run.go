@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -57,8 +58,8 @@ type run struct {
 	done   int
 	cached int
 	runErr string
-	// Rendered report exports, terminal states only. Byte-identical to the
-	// in-process WriteJSON/WriteCSV output: they ARE that output, captured.
+	// Rendered report exports, terminal states only: the Outcome bytes the
+	// in-process CLIs write, rendered by the same Execute* function.
 	reportJSON []byte
 	reportCSV  []byte
 }
@@ -111,7 +112,6 @@ func (r *run) setState(s string) {
 
 // appendProgress logs one per-cell completion event.
 func (r *run) appendProgress(ev controlapi.Event) {
-	ev.Type = controlapi.EventProgress
 	r.mu.Lock()
 	ev.Seq = int64(len(r.events)) + 1
 	r.events = append(r.events, ev)
@@ -152,23 +152,23 @@ func (r *run) report(format string) ([]byte, bool) {
 }
 
 // finalize appends the terminal done event and flips the state, atomically.
-// summary/reportJSON/reportCSV are nil-able: a run cancelled before it
-// started has no report, only a terminal state.
-func (r *run) finalize(state, runErr string, rep reportExports, storeDir string) {
+// The Outcome may be zero: a run cancelled before it started has no report,
+// only a terminal state.
+func (r *run) finalize(state, runErr string, out Outcome, storeDir string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.state = state
 	r.runErr = runErr
-	r.reportJSON = rep.json
-	r.reportCSV = rep.csv
+	r.reportJSON = out.JSON
+	r.reportCSV = out.CSV
 	ev := controlapi.Event{
 		Seq:       int64(len(r.events)) + 1,
 		Type:      controlapi.EventDone,
 		State:     state,
 		RunErr:    runErr,
-		Summary:   rep.summary,
-		Failures:  rep.failures,
-		Completed: rep.completed,
+		Summary:   out.Summary,
+		Failures:  out.Failures,
+		Completed: out.Completed,
 	}
 	if storeDir != "" {
 		ev.StoreDir = storeDir
@@ -177,14 +177,6 @@ func (r *run) finalize(state, runErr string, rep reportExports, storeDir string)
 	}
 	r.events = append(r.events, ev)
 	r.wakeLocked()
-}
-
-// reportExports is a terminal run's rendered artifacts.
-type reportExports struct {
-	json, csv []byte
-	summary   string
-	failures  int
-	completed int
 }
 
 // engineSlot holds the resident engines of one base seed. Engines are what
@@ -214,7 +206,9 @@ func (s *Server) slot(seed int64) *engineSlot {
 
 // execute runs one dispatched run to its terminal state and then releases
 // its admission slot. It is the only writer of terminal states for runs
-// that reached dispatch.
+// that reached dispatch. The engines are the slot's resident ones: their
+// device caches and store stay warm, so resubmitting a spec to a live
+// daemon costs only the store lookups.
 func (s *Server) execute(r *run) {
 	defer s.wg.Done()
 	if s.testRunStart != nil {
@@ -225,13 +219,22 @@ func (s *Server) execute(r *run) {
 	slot := s.slot(r.seed)
 	slot.mu.Lock()
 	var (
-		rep reportExports
+		out Outcome
 		err error
 	)
 	if r.kind == controlapi.KindFleet {
-		rep, err = s.executeFleet(slot, r)
+		if slot.fleet == nil {
+			slot.fleet = &fleet.Engine{BaseSeed: r.seed, Store: s.cfg.Store}
+		}
+		slot.fleet.Workers = s.runWorkers(r)
+		slot.fleet.BatchSize = r.batch
+		out, err = ExecuteFleet(r.ctx, slot.fleet, r.fleetSpec, r.appendProgress)
 	} else {
-		rep, err = s.executeCampaign(slot, r)
+		if slot.camp == nil {
+			slot.camp = &campaign.Engine{BaseSeed: r.seed, Store: s.cfg.Store}
+		}
+		slot.camp.Workers = s.runWorkers(r)
+		out, err = ExecuteCampaign(r.ctx, slot.camp, r.grid, r.appendProgress)
 	}
 	slot.mu.Unlock()
 	state := controlapi.StateSucceeded
@@ -248,8 +251,11 @@ func (s *Server) execute(r *run) {
 	if s.cfg.Store != nil {
 		storeDir = s.cfg.Store.Dir()
 	}
-	r.finalize(state, runErr, rep, storeDir)
+	// Finalize under the server lock, so a reader that resolves runs
+	// under it never sees this run terminal before retention has noted it
+	// (and evicted what it displaces).
 	s.mu.Lock()
+	r.finalize(state, runErr, out, storeDir)
 	s.active--
 	s.noteTerminalLocked(r)
 	s.dispatchLocked()
@@ -265,103 +271,93 @@ func (s *Server) runWorkers(r *run) int {
 	return s.cfg.Workers
 }
 
-// executeFleet runs one fleet on the slot's resident engine. The engine is
-// per-seed and long-lived: its lazy anchor characterization, per-platform
-// device cache, and store stay warm, so resubmitting a spec to a live
-// daemon costs only the store lookups.
-func (s *Server) executeFleet(slot *engineSlot, r *run) (reportExports, error) {
-	if slot.fleet == nil {
-		slot.fleet = &fleet.Engine{BaseSeed: r.seed, Store: s.cfg.Store}
+// Outcome is a finished run's rendered artifacts: the JSON and CSV exports
+// (the report's own WriteJSON/WriteCSV bytes), the text summary, and the
+// failed and completed cell counts. A run that produced no report has the
+// zero Outcome (empty Summary).
+type Outcome struct {
+	JSON, CSV []byte
+	Summary   string
+	Failures  int
+	Completed int
+}
+
+// ExecuteFleet runs spec on eng and renders the report. progress, when
+// non-nil, receives one controlapi progress event per finished device,
+// serially. A cancelled run comes back with its partial Outcome and an
+// error wrapping sim.ErrCancelled. The daemon and the in-process CLIs both
+// run fleets through here, which is what makes their exports byte-identical.
+func ExecuteFleet(ctx context.Context, eng *fleet.Engine, spec fleet.Spec, progress func(controlapi.Event)) (Outcome, error) {
+	if progress != nil {
+		eng.OnCellDone = func(p fleet.Progress) {
+			progress(controlapi.Event{
+				Type:   controlapi.EventProgress,
+				Done:   p.Done,
+				Total:  p.Total,
+				Cell:   p.Cell.String(),
+				Err:    p.Err,
+				Cached: p.Cached,
+			})
+		}
+		defer func() { eng.OnCellDone = nil }()
 	}
-	eng := slot.fleet
-	eng.Workers = s.runWorkers(r)
-	eng.BatchSize = r.batch
-	eng.OnCellDone = func(p fleet.Progress) {
-		r.appendProgress(controlapi.Event{
-			Done:   p.Done,
-			Total:  p.Total,
-			Cell:   p.Cell.String(),
-			Err:    p.Err,
-			Cached: p.Cached,
-		})
-	}
-	rep, err := eng.Run(r.ctx, r.fleetSpec)
-	eng.OnCellDone = nil
+	rep, err := eng.Run(ctx, spec)
 	if rep == nil {
-		return reportExports{}, err
+		return Outcome{}, err
 	}
-	out, rerr := renderFleet(rep)
-	if err == nil {
-		err = rerr
-	}
-	return out, err
+	return render("fleet", rep, len(rep.Failures), rep.Completed, err)
 }
 
-// executeCampaign runs one campaign on the slot's resident engine. Like
-// the fleet engine it characterizes each device lazily, on the first
-// computed cell that needs it, and keeps the result: later runs of the
-// same seed reuse it, and a fully warm run never characterizes.
-func (s *Server) executeCampaign(slot *engineSlot, r *run) (reportExports, error) {
-	if slot.camp == nil {
-		slot.camp = &campaign.Engine{BaseSeed: r.seed, Store: s.cfg.Store}
+// ExecuteCampaign is ExecuteFleet for a campaign grid: one progress event
+// per finished cell, then the rendered report.
+func ExecuteCampaign(ctx context.Context, eng *campaign.Engine, grid campaign.Grid, progress func(controlapi.Event)) (Outcome, error) {
+	if progress != nil {
+		eng.OnCellDone = func(done, total int, res campaign.CellResult) {
+			progress(controlapi.Event{
+				Type:   controlapi.EventProgress,
+				Done:   done,
+				Total:  total,
+				Cell:   res.Cell.String(),
+				Err:    res.Err,
+				Cached: res.Cached,
+			})
+		}
+		defer func() { eng.OnCellDone = nil }()
 	}
-	eng := slot.camp
-	eng.Workers = s.runWorkers(r)
-	eng.OnCellDone = func(done, total int, res campaign.CellResult) {
-		r.appendProgress(controlapi.Event{
-			Done:   done,
-			Total:  total,
-			Cell:   res.Cell.String(),
-			Err:    res.Err,
-			Cached: res.Cached,
-		})
-	}
-	rep, err := eng.RunContext(r.ctx, r.grid)
-	eng.OnCellDone = nil
+	rep, err := eng.RunContext(ctx, grid)
 	if rep == nil {
-		return reportExports{}, err
-	}
-	out, rerr := renderCampaign(rep)
-	if err == nil {
-		err = rerr
-	}
-	return out, err
-}
-
-// renderFleet captures the report's exports — the same WriteJSON/WriteCSV
-// bytes the in-process CLI writes, so GET /v1/runs/{id}/report is
-// byte-identical to a local -json/-csv file.
-func renderFleet(rep *fleet.Report) (reportExports, error) {
-	var j, c bytes.Buffer
-	if err := rep.WriteJSON(&j); err != nil {
-		return reportExports{}, fmt.Errorf("server: rendering fleet report: %w", err)
-	}
-	if err := rep.WriteCSV(&c); err != nil {
-		return reportExports{}, fmt.Errorf("server: rendering fleet report: %w", err)
-	}
-	return reportExports{
-		json:      j.Bytes(),
-		csv:       c.Bytes(),
-		summary:   rep.Summary(),
-		failures:  len(rep.Failures),
-		completed: rep.Completed,
-	}, nil
-}
-
-func renderCampaign(rep *campaign.Report) (reportExports, error) {
-	var j, c bytes.Buffer
-	if err := rep.WriteJSON(&j); err != nil {
-		return reportExports{}, fmt.Errorf("server: rendering campaign report: %w", err)
-	}
-	if err := rep.WriteCSV(&c); err != nil {
-		return reportExports{}, fmt.Errorf("server: rendering campaign report: %w", err)
+		return Outcome{}, err
 	}
 	fails := len(rep.Failures())
-	return reportExports{
-		json:      j.Bytes(),
-		csv:       c.Bytes(),
-		summary:   rep.Summary(),
-		failures:  fails,
-		completed: len(rep.Cells) - fails,
-	}, nil
+	return render("campaign", rep, fails, len(rep.Cells)-fails, err)
+}
+
+// exporter is the export surface both engines' reports share.
+type exporter interface {
+	WriteJSON(io.Writer) error
+	WriteCSV(io.Writer) error
+	Summary() string
+}
+
+// render captures a report's exports. A run error (cancellation) takes
+// precedence over a render error; a failed render leaves no Outcome.
+func render(kind string, rep exporter, failures, completed int, runErr error) (Outcome, error) {
+	var j, c bytes.Buffer
+	err := rep.WriteJSON(&j)
+	if err == nil {
+		err = rep.WriteCSV(&c)
+	}
+	if err != nil {
+		if runErr == nil {
+			runErr = fmt.Errorf("server: rendering %s report: %w", kind, err)
+		}
+		return Outcome{}, runErr
+	}
+	return Outcome{
+		JSON:      j.Bytes(),
+		CSV:       c.Bytes(),
+		Summary:   rep.Summary(),
+		Failures:  failures,
+		Completed: completed,
+	}, runErr
 }

@@ -17,9 +17,10 @@
 // Every run is a named resource with an append-only event log. Progress
 // streams as NDJSON from GET /v1/runs/{id}/stream; a disconnected client
 // reattaches with ?cursor=K and receives exactly the events it has not
-// seen. Reports are rendered once, at the run's terminal transition, by the
-// same WriteJSON/WriteCSV code the CLIs call in-process — byte identity
-// between the two paths is by construction, not by convention.
+// seen. Reports are rendered once, at the run's terminal transition, by
+// ExecuteFleet/ExecuteCampaign — the same functions the CLIs run in-process
+// through, so byte identity between the two paths is by construction, not
+// by convention.
 package server
 
 import (
@@ -155,8 +156,8 @@ func (s *Server) retryAfter() int {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
-	mux.HandleFunc("POST /v1/fleets", s.handleSubmitFleet)
-	mux.HandleFunc("POST /v1/campaigns", s.handleSubmitCampaign)
+	mux.HandleFunc("POST /v1/fleets", s.handleSubmit(controlapi.KindFleet, parseFleet))
+	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit(controlapi.KindCampaign, parseCampaign))
 	mux.HandleFunc("GET /v1/runs", s.handleRuns)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleRun)
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
@@ -224,42 +225,46 @@ func decodeSubmit(req *http.Request) (controlapi.SubmitRequest, error) {
 	return sr, nil
 }
 
-func (s *Server) handleSubmitFleet(w http.ResponseWriter, req *http.Request) {
-	sr, err := decodeSubmit(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeBadRequest, err.Error()))
-		return
+// handleSubmit serves one submit route: parse reads the kind's spec into
+// the run (the wire spec is exactly the CLI's spec bytes: the same parser,
+// the same unknown-field and bounds errors), then the run is admitted.
+func (s *Server) handleSubmit(kind string, parse func(r *run, spec []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		sr, err := decodeSubmit(req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, apiError(controlapi.CodeBadRequest, err.Error()))
+			return
+		}
+		r := newRun(kind, tenantOf(req), sr)
+		if err := parse(r, sr.Spec); err != nil {
+			r.cancel()
+			writeError(w, http.StatusBadRequest, apiError(controlapi.CodeInvalidSpec, err.Error()))
+			return
+		}
+		s.submit(w, r)
 	}
-	// The wire spec is exactly the strict-JSON spec file format: the same
-	// parser, the same unknown-field and bounds errors.
-	spec, err := fleet.ParseJSON(sr.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeInvalidSpec, err.Error()))
-		return
-	}
-	r := newRun(controlapi.KindFleet, tenantOf(req), sr)
-	r.fleetSpec = spec
-	r.cells = spec.N
-	s.submit(w, r)
 }
 
-func (s *Server) handleSubmitCampaign(w http.ResponseWriter, req *http.Request) {
-	sr, err := decodeSubmit(req)
+// parseFleet reads a strict-JSON fleet spec (the -spec file format).
+func parseFleet(r *run, data []byte) error {
+	spec, err := fleet.ParseJSON(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeBadRequest, err.Error()))
-		return
+		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(sr.Spec))
+	r.fleetSpec, r.cells = spec, spec.N
+	return nil
+}
+
+// parseCampaign reads a campaign grid in its JSON form.
+func parseCampaign(r *run, data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var grid campaign.Grid
 	if err := dec.Decode(&grid); err != nil {
-		writeError(w, http.StatusBadRequest, apiError(controlapi.CodeInvalidSpec, fmt.Sprintf("campaign: %v", err)))
-		return
+		return fmt.Errorf("campaign: %v", err)
 	}
-	r := newRun(controlapi.KindCampaign, tenantOf(req), sr)
-	r.grid = grid
-	r.cells = grid.Size()
-	s.submit(w, r)
+	r.grid, r.cells = grid, grid.Size()
+	return nil
 }
 
 // submit admits the parsed run through the tenant scheduler and answers

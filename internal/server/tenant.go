@@ -91,7 +91,7 @@ func (s *Server) cancelRun(r *run) {
 		s.unqueueLocked(r)
 		s.mu.Unlock()
 		r.cancel()
-		r.finalize(controlapi.StateCancelled, "run cancelled before start", reportExports{}, "")
+		r.finalize(controlapi.StateCancelled, "run cancelled before start", Outcome{}, "")
 		s.noteTerminal(r)
 		return
 	}
@@ -138,7 +138,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, r := range queued {
 		r.cancel()
-		r.finalize(controlapi.StateCancelled, "run cancelled: server draining", reportExports{}, "")
+		r.finalize(controlapi.StateCancelled, "run cancelled: server draining", Outcome{}, "")
 		s.noteTerminal(r)
 	}
 	for _, r := range running {

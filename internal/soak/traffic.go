@@ -14,6 +14,7 @@ import (
 	"repro/internal/controlapi"
 	"repro/internal/fleet"
 	"repro/internal/platform"
+	"repro/internal/server"
 )
 
 // rng is a splitmix64 stream — the same deterministic derivation idiom the
@@ -149,24 +150,18 @@ func (h *harness) probe(ctx context.Context) ([]byte, error) {
 }
 
 // probeMatchesInProcess checks transport-level byte identity: the daemon's
-// probe exports must equal what the in-process engine writes for the same
-// spec and seed.
+// probe exports must equal what an in-process run of the same spec and seed
+// renders — through server.ExecuteFleet, the function the daemon renders
+// with, so the check compares two runs of the same code.
 func (h *harness) probeMatchesInProcess(ctx context.Context, daemonBytes []byte) error {
-	eng := &fleet.Engine{BaseSeed: probeSeed}
-	rep, err := eng.Run(ctx, h.fleetSpec("soak-probe", 4))
+	out, err := server.ExecuteFleet(ctx, &fleet.Engine{BaseSeed: probeSeed}, h.fleetSpec("soak-probe", 4), nil)
 	if err != nil {
 		return fmt.Errorf("soak: in-process probe: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return err
-	}
-	if err := rep.WriteCSV(&buf); err != nil {
-		return err
-	}
-	if !bytes.Equal(daemonBytes, buf.Bytes()) {
+	want := append(out.JSON, out.CSV...)
+	if !bytes.Equal(daemonBytes, want) {
 		return fmt.Errorf("soak: determinism drift: daemon probe exports differ from in-process engine (%d vs %d bytes)",
-			len(daemonBytes), buf.Len())
+			len(daemonBytes), len(want))
 	}
 	return nil
 }

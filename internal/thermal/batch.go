@@ -16,8 +16,8 @@ import "math"
 // the device's row. The batched fleet kernel depends on this; the
 // byte-identity property test in batch_test.go enforces it.
 //
-// Unlike Sim, the ambient temperature is per device (SetAmbient): the
-// scalar loop models scripted ambient changes by mutating Sim.P.Ambient,
+// Unlike Sim, whose ambient is the one Sim.P.Ambient, the ambient
+// temperature is per device (SetAmbient): scripts change it over time,
 // and devices of one batch sit in different rooms.
 type BatchSim struct {
 	p   Params

@@ -3,13 +3,15 @@
 # binaries — the CI job that proves the service path, not just the
 # packages:
 #
-#   1. build reprod and fleet, start the daemon on an ephemeral port
+#   1. build reprod, fleet and campaign, start the daemon on an ephemeral
+#      port
 #   2. cold `fleet run -addr` fills the daemon's store
 #   3. warm re-run of the identical spec must be served entirely from the
 #      store (0 misses, 100% hit rate)
 #   4. both daemon runs' exports must be byte-identical to an in-process
 #      `fleet run -no-cache` of the same spec
-#   5. SIGTERM must drain cleanly and exit 0
+#   5. steps 2-4 again for a 2-cell `campaign -addr` grid
+#   6. SIGTERM must drain cleanly and exit 0
 set -euo pipefail
 
 GO=${GO:-go}
@@ -22,9 +24,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "daemon-smoke: building reprod and fleet"
+echo "daemon-smoke: building reprod, fleet and campaign"
 $GO build -o "$workdir/reprod" ./cmd/reprod
 $GO build -o "$workdir/fleet" ./cmd/fleet
+$GO build -o "$workdir/campaign" ./cmd/campaign
 
 "$workdir/reprod" -listen 127.0.0.1:0 -store "$workdir/store" -workers 4 \
     2>"$workdir/reprod.log" &
@@ -77,6 +80,31 @@ cmp "$workdir/cold.csv" "$workdir/local.csv"
 cmp "$workdir/warm.json" "$workdir/local.json"
 cmp "$workdir/warm.csv" "$workdir/local.csv"
 echo "daemon-smoke: daemon exports byte-identical to in-process"
+
+grid_flags=(-policies without-fan,dtpm -benches dijkstra -seeds 1 -workers 2 -seed 7)
+
+echo "daemon-smoke: cold campaign via daemon"
+"$workdir/campaign" "${grid_flags[@]}" -addr "$addr" \
+    -json "$workdir/grid-cold.json" -csv "$workdir/grid-cold.csv" 2>&1 | tee "$workdir/grid-cold.log"
+
+echo "daemon-smoke: warm campaign re-run via daemon (must be 100% store hits)"
+"$workdir/campaign" "${grid_flags[@]}" -addr "$addr" \
+    -json "$workdir/grid-warm.json" -csv "$workdir/grid-warm.csv" 2>&1 | tee "$workdir/grid-warm.log"
+if ! grep -q ' 0 misses (100% hit rate)' "$workdir/grid-warm.log"; then
+    echo "daemon-smoke: warm campaign re-run was not served entirely from the store:" >&2
+    grep 'store' "$workdir/grid-warm.log" >&2 || true
+    exit 1
+fi
+
+echo "daemon-smoke: in-process campaign reference run"
+"$workdir/campaign" "${grid_flags[@]}" -no-cache -quiet \
+    -json "$workdir/grid-local.json" -csv "$workdir/grid-local.csv"
+
+cmp "$workdir/grid-cold.json" "$workdir/grid-local.json"
+cmp "$workdir/grid-cold.csv" "$workdir/grid-local.csv"
+cmp "$workdir/grid-warm.json" "$workdir/grid-local.json"
+cmp "$workdir/grid-warm.csv" "$workdir/grid-local.csv"
+echo "daemon-smoke: daemon campaign exports byte-identical to in-process"
 
 echo "daemon-smoke: SIGTERM drain"
 kill -TERM "$daemon_pid"
