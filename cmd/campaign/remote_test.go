@@ -13,27 +13,33 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRunRemote drives the -addr thin-client path against an in-process
-// daemon: the exported report must be byte-identical to an in-process
-// engine run prepared the way this CLI prepares it (anchor models
-// characterized up front at the same seed).
+// TestRunRemote drives the -addr thin-client path of the command against an
+// in-process daemon: the exported report must be byte-identical to an
+// in-process engine run of the same grid (anchor models characterized up
+// front at the same seed).
 func TestRunRemote(t *testing.T) {
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+
+	const seed = 17
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "grid.json")
+	code, err := run([]string{
+		"-addr", ts.URL,
+		"-policies", "without-fan,dtpm", "-benches", "dijkstra", "-seeds", "1",
+		"-seed", "17", "-workers", "2", "-quiet",
+		"-json", jsonPath,
+	})
+	if err != nil || code != 0 {
+		t.Fatalf("run -addr: exit %d, %v", code, err)
+	}
 
 	grid := campaign.Grid{
 		Policies:   []sim.Policy{sim.PolicyNoFan, sim.PolicyDTPM},
 		Benchmarks: []string{"dijkstra"},
 		Seeds:      []int64{1},
 	}
-	const seed = 17
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "grid.json")
-	if err := runRemote(context.Background(), ts.URL, "", grid, seed, 2, jsonPath, "", true); err != nil {
-		t.Fatal(err)
-	}
-
 	ctx := context.Background()
 	runner := sim.NewRunner()
 	models, err := runner.Characterize(ctx, seed)
@@ -59,7 +65,7 @@ func TestRunRemote(t *testing.T) {
 }
 
 func TestRunRemoteRejectsBadDaemon(t *testing.T) {
-	if err := runRemote(context.Background(), "127.0.0.1:1", "", campaign.Grid{}, 1, 0, "", "", true); err == nil {
+	if _, err := run([]string{"-addr", "127.0.0.1:1", "-benches", "dijkstra", "-quiet"}); err == nil {
 		t.Error("unreachable daemon reported success")
 	}
 }

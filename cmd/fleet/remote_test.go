@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,12 +11,11 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
-// TestRunRemote drives the -addr thin-client path against an in-process
-// daemon and checks the acceptance contract: the exported files are
-// byte-identical to an in-process engine run of the same spec.
+// TestRunRemote drives `fleet run -addr` against an in-process daemon and
+// checks the acceptance contract: the exported files are byte-identical to
+// an in-process engine run of the same spec.
 func TestRunRemote(t *testing.T) {
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -32,10 +31,23 @@ func TestRunRemote(t *testing.T) {
 		},
 	}
 	dir := t.TempDir()
+	specPath := filepath.Join(dir, "spec.json")
 	jsonPath := filepath.Join(dir, "r.json")
 	csvPath := filepath.Join(dir, "r.csv")
-	if err := runRemote(context.Background(), ts.URL, "team-a", spec, 11, 2, jsonPath, csvPath, true); err != nil {
+	b, err := json.Marshal(spec)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(specPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, err := cmdRun(context.Background(), []string{
+		"-addr", ts.URL, "-tenant", "team-a", "-spec", specPath,
+		"-seed", "11", "-workers", "2", "-quiet",
+		"-json", jsonPath, "-csv", csvPath,
+	})
+	if err != nil || code != 0 {
+		t.Fatalf("fleet run -addr: exit %d, %v", code, err)
 	}
 
 	eng := &fleet.Engine{BaseSeed: 11, Workers: 2}
@@ -65,23 +77,7 @@ func TestRunRemote(t *testing.T) {
 }
 
 func TestRunRemoteRejectsBadDaemon(t *testing.T) {
-	if err := runRemote(context.Background(), "127.0.0.1:1", "", fleet.Spec{N: 1}, 1, 0, "", "", true); err == nil {
+	if _, err := cmdRun(context.Background(), []string{"-addr", "127.0.0.1:1", "-n", "1", "-quiet"}); err == nil {
 		t.Error("unreachable daemon reported success")
-	}
-}
-
-// TestHitRate pins the remote store line: rendering the daemon's per-run
-// counters through store.Stats.Summary keeps the bytes the thin client
-// printed before (daemon-smoke greps "0 misses (100% hit rate)").
-func TestHitRate(t *testing.T) {
-	for _, c := range []struct{ hits, misses uint64 }{{0, 0}, {3, 1}, {64, 0}, {1, 2}} {
-		rate := 0.0
-		if c.hits+c.misses > 0 {
-			rate = float64(c.hits) / float64(c.hits+c.misses)
-		}
-		want := fmt.Sprintf("%d hits, %d misses (%.0f%% hit rate)", c.hits, c.misses, 100*rate)
-		if got := (store.Stats{Hits: c.hits, Misses: c.misses}).Summary(); got != want {
-			t.Errorf("store line for %d/%d = %q, want %q", c.hits, c.misses, got, want)
-		}
 	}
 }
