@@ -28,6 +28,13 @@ MIN_SPEEDUP ?= 0.9
 # stopped pooling, a slice that started escaping).
 MAX_BATCH_BYTES ?= 400000
 
+# Absolute B/op ceiling for the in-process warm fleet on BenchmarkFleetWarm
+# (1024 store-served cells per op). Measured 2.9-3.7 MB/op over ten runs
+# on a 2-CPU host (the spread is sync.Pool refills after a GC); the
+# ceiling leaves ~60% headroom. Reflective JSON decoding of the entries
+# measured ~21.4 MB/op, so a return to it fails on any host.
+MAX_WARM_BYTES ?= 6000000
+
 .PHONY: all build test race bench-harness bench bench-json bench-baseline bench-ratio bench-record lint fmt fuzz cover api-check api-surface daemon-smoke soak soak-smoke ci clean
 
 # The hot-loop benchmarks whose allocs/op are engineered to be flat and
@@ -37,8 +44,10 @@ MAX_BATCH_BYTES ?= 400000
 # BenchmarkFleetCell covers the fleet unit of work (per-device scenario run
 # folded into the online aggregators, no trace retained);
 # BenchmarkFleetThroughput covers the batched SoA fleet kernel at its
-# default width against width 1 (same fleet, BatchSize 1 vs default).
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$
+# default width against width 1 (same fleet, BatchSize 1 vs default);
+# BenchmarkFleetWarm covers the store-served warm fleet (entry read,
+# verify, decode, merge, report; no simulation).
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$
 
 all: build
 
@@ -64,13 +73,15 @@ bench:
 
 # Machine-readable allocation snapshot of the simulation hot loops plus the
 # regression gate: fails when allocs/op grew >20% over the committed
-# baseline. ns/op and B/op ride along in the artifact for trend diffing but
-# are never gated (they depend on the host).
+# baseline, or when B/op of the batched kernel or the warm fleet passes its
+# absolute ceiling. ns/op rides along in the artifact for trend diffing but
+# is never gated (it depends on the host).
 bench-json:
 	$(GO) test -run '^$$' -bench '$(HOTBENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_latest.json
 	$(GO) run ./cmd/benchjson -check -max-allocs-regress 0.20 BENCH_baseline.json BENCH_latest.json
 	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetThroughput/batched,$(MAX_BATCH_BYTES)' BENCH_latest.json
+	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetWarm,$(MAX_WARM_BYTES)' BENCH_latest.json
 
 # Regenerate the committed baseline after an INTENTIONAL allocation-profile
 # change; say why in the commit message.
@@ -118,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzCellEntry$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 # Coverage profile + total, the same numbers the CI coverage gate checks.
 cover:

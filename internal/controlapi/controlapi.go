@@ -7,7 +7,7 @@
 //
 // The API is versioned two ways. The path version (APIVersion, "v1") names
 // the protocol shape and only changes when these structs change
-// incompatibly. The engine version (version.Engine, e.g. "repro-engine/7")
+// incompatibly. The engine version (version.Engine, e.g. "repro-engine/8")
 // names the simulation generation: every response carries it in the
 // EngineHeader, and the server rejects any client whose EngineHeader
 // differs — a daemon and a CLI built from different engine generations

@@ -56,9 +56,10 @@ type cellAgg struct {
 }
 
 // aggPool recycles cell aggregators — the histogram backing dominates a
-// cell's footprint, and on store-less runs the collector returns each one
-// the moment its merge folds it, so a million-cell fleet cycles through a
-// worker-count-sized set of them instead of allocating a million.
+// cell's footprint, and the collector returns each one the moment its
+// merge folds it, so a million-cell fleet (computed or served from the
+// store) cycles through a worker-count-sized set of them instead of
+// allocating a million.
 var aggPool = sync.Pool{New: func() any {
 	return &cellAgg{skin: stats.NewHistogram(skinLoC, skinHiC, skinBins)}
 }}
@@ -71,7 +72,7 @@ func newCellAgg(desc *platform.Descriptor, tmax float64) *cellAgg {
 }
 
 // releaseCellAgg returns a merged aggregator to the pool. Callers must be
-// the last reader: the collector only recycles on store-less runs, and a
+// the last reader: the store writer only ever sees encoded bytes, and a
 // failed unit's abandoned aggregators are deliberately NOT released (the
 // panic path can't prove the batch kernel dropped every reference).
 func releaseCellAgg(a *cellAgg) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // DefaultBatchSize is the lock-step batch width the engine uses when
@@ -28,29 +29,42 @@ func (e *Engine) batchSize() int {
 
 // runBatchUnit executes one work unit. With a store attached the unit is
 // first split into hits and misses: hits are served as-is and only the
-// misses are computed — then handed to the async store writer, which
-// persists them off the hot path (the collector never recycles aggregators
-// on store-backed runs, so the writer's reads stay safe). The outcomes are
-// returned in unit order (outs[j] belongs to indices[j]).
+// misses are computed — then encoded and handed to the async store
+// writer, which persists them off the hot path. The outcomes are returned
+// in unit order (outs[j] belongs to indices[j]).
 func (e *Engine) runBatchUnit(ctx context.Context, spec Spec, pol sim.Policy, indices []int, writer *storeWriter) []cellOutcome {
 	if e.Store == nil {
 		return e.computeUnit(ctx, spec, pol, indices)
 	}
 	outs := make([]cellOutcome, len(indices))
-	var missIdx, missPos []int
-	for j, i := range indices {
-		if out, ok := e.lookupCell(spec, i); ok {
-			outs[j] = out
-		} else {
-			missIdx = append(missIdx, i)
-			missPos = append(missPos, j)
-		}
+	// A miss keeps its content address for the write; an unaddressable
+	// cell (addr false) is computed and never stored.
+	type miss struct {
+		pos  int
+		key  store.Digest
+		addr bool
 	}
-	if len(missIdx) > 0 {
+	var misses []miss
+	var missIdx []int
+	for j, i := range indices {
+		cfg := DeriveCell(spec, e.BaseSeed, i)
+		key, addr := e.cellDigest(spec, cfg, "fleet-cell")
+		if addr {
+			if out, ok := e.lookupCell(key, cfg); ok {
+				outs[j] = out
+				continue
+			}
+		}
+		misses = append(misses, miss{j, key, addr})
+		missIdx = append(missIdx, i)
+	}
+	if len(misses) > 0 {
 		computed := e.computeUnit(ctx, spec, pol, missIdx)
-		for k, j := range missPos {
-			writer.enqueue(computed[k])
-			outs[j] = computed[k]
+		for k, m := range misses {
+			if payload, ok := cellPayload(computed[k]); ok && m.addr {
+				writer.enqueue(m.key, payload)
+			}
+			outs[m.pos] = computed[k]
 		}
 	}
 	return outs

@@ -110,12 +110,9 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Per-worker sim scratch is recycled through pooled arenas, and the
+	// collector returns each merged cell's aggregator to its pool.
 	coll := newCollector(spec.N)
-	// Per-worker sim scratch is recycled through pooled arenas; the
-	// collector returns each merged cell's aggregator to the pool — but
-	// only on store-less runs: with a store attached the async writer may
-	// still be marshalling an aggregate after the merge has folded it.
-	coll.recycle = e.Store == nil
 	var (
 		mu   sync.Mutex
 		done int
@@ -126,7 +123,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	// store falls that far behind.
 	var writer *storeWriter
 	if e.Store != nil {
-		writer = e.startWriter(spec, 4*pool.Size(spec.N)*e.batchSize())
+		writer = e.startWriter(4 * pool.Size(spec.N) * e.batchSize())
 	}
 	// Work units pack same-(platform, scenario) cells for the batched
 	// kernel, derived lazily in (platform, scenario) grouped chunks; every
@@ -270,13 +267,15 @@ func (e *Engine) cell(ctx context.Context, spec Spec, index int, record bool) (c
 		return cellOutcome{}, err
 	}
 	if e.Store != nil {
+		cfg := DeriveCell(spec, e.BaseSeed, index)
 		if record {
-			cfg := DeriveCell(spec, e.BaseSeed, index)
 			if out, ok := e.lookupTrace(spec, cfg); ok {
 				return out, nil
 			}
-		} else if out, ok := e.lookupCell(spec, index); ok {
-			return out, nil
+		} else if key, ok := e.cellDigest(spec, cfg, "fleet-cell"); ok {
+			if out, ok := e.lookupCell(key, cfg); ok {
+				return out, nil
+			}
 		}
 	}
 	out := e.runCell(ctx, spec, pol, index, record)
@@ -318,10 +317,6 @@ type collector struct {
 	groups    map[[2]string]*groupAgg
 	keys      [][2]string
 
-	// recycle returns merged aggregators to the arena pool. Disabled on
-	// store-backed runs: the async writer may still be marshalling an
-	// aggregate after the merge folded it.
-	recycle bool
 	// window caps the pending map: gate blocks unit hand-out while the
 	// window is full (0 = ungated). Must exceed the planner's flush window
 	// so the frontier cell is always in flight whenever gate blocks.
@@ -386,9 +381,7 @@ func (c *collector) add(i int, out cellOutcome) {
 			c.overall.merge(o.agg, o.metrics)
 			c.completed++
 		}
-		if c.recycle {
-			releaseCellAgg(o.agg)
-		}
+		releaseCellAgg(o.agg)
 		c.next++
 	}
 	c.cond.Broadcast()

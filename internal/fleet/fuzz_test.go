@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -64,6 +65,26 @@ func FuzzFleetSpec(f *testing.F) {
 			if cfg != DeriveCell(spec, 99, i) {
 				t.Fatalf("cell %d: derivation not pure", i)
 			}
+		}
+	})
+}
+
+// FuzzCellEntry holds the strict fleet-cell decoder to its contract on
+// arbitrary bytes: it never panics, and every payload it accepts
+// re-encodes to identical bytes (the encoding of a state is unique). The
+// seed corpus is real payloads of a mixed 3-platform fleet.
+func FuzzCellEntry(f *testing.F) {
+	for _, out := range codecOutcomes(f)[:8] {
+		f.Add(appendCellEntry(nil, out.agg, out.metrics))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		a, m := newEntryAgg(), new(CellMetrics)
+		if decodeCellEntry(p, a, m) != nil {
+			return
+		}
+		if re := appendCellEntry(nil, a, m); !bytes.Equal(re, p) {
+			t.Fatalf("accepted payload re-encodes differently:\n in: %x\nout: %x", p, re)
 		}
 	})
 }

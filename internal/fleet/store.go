@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -29,21 +28,6 @@ type cellKey struct {
 	TMaxC          float64       `json:"tmax_c"`
 	ControlPeriodS float64       `json:"control_period_s"`
 	Models         string        `json:"models"`
-}
-
-// cellEntry is the persisted outcome of one fleet cell: the full aggregator
-// state (not just the metrics), because the group merge consumes histogram
-// bins and moments — caching anything less could not rebuild a warm report
-// byte-identical to a cold one. encoding/json round-trips float64 values
-// bit-exactly (shortest-round-trip formatting), so it can.
-type cellEntry struct {
-	Skin     *stats.Histogram `json:"skin"`
-	SkinM    stats.Moments    `json:"skin_m"`
-	CoreM    stats.Moments    `json:"core_m"`
-	OverN    uint64           `json:"over_n"`
-	N        uint64           `json:"n"`
-	FreqFrac float64          `json:"freq_frac"`
-	Metrics  CellMetrics      `json:"metrics"`
 }
 
 // traceEntry is the persisted outcome of one replayed cell: the run's
@@ -88,62 +72,43 @@ func (e *Engine) cellDigest(spec Spec, cfg CellConfig, kind string) (store.Diges
 	return d, true
 }
 
-// lookupCell serves one cell's aggregate outcome from the store. ok=false
-// on any miss — never stored, corrupt entry, stale engine, or an entry
-// whose histogram shape does not match the report contract (possible only
-// through foreign bytes; treated as a recomputable miss, never trusted).
-func (e *Engine) lookupCell(spec Spec, index int) (cellOutcome, bool) {
-	cfg := DeriveCell(spec, e.BaseSeed, index)
-	key, ok := e.cellDigest(spec, cfg, "fleet-cell")
-	if !ok {
+// lookupCell serves cell cfg's aggregate outcome from the fleet-cell
+// entry under key, decoded into a pooled aggregator. ok=false on any miss —
+// never stored, corrupt entry, stale engine, or a payload the strict
+// decoder rejects (possible only through foreign bytes; treated as a
+// recomputable miss, never trusted).
+func (e *Engine) lookupCell(key store.Digest, cfg CellConfig) (cellOutcome, bool) {
+	agg := aggPool.Get().(*cellAgg)
+	m := new(CellMetrics)
+	if !e.Store.Decode(key, func(p []byte) error { return decodeCellEntry(p, agg, m) }) {
+		releaseCellAgg(agg)
 		return cellOutcome{}, false
 	}
-	var ent cellEntry
-	if !e.Store.GetJSON(key, &ent) {
-		return cellOutcome{}, false
-	}
-	if ent.Skin == nil || ent.Skin.Lo != skinLoC || ent.Skin.Hi != skinHiC || len(ent.Skin.Bins) != skinBins {
-		return cellOutcome{}, false
-	}
-	m := ent.Metrics
-	return cellOutcome{
-		cfg: cfg,
-		agg: &cellAgg{
-			skin:     ent.Skin,
-			skinM:    ent.SkinM,
-			coreM:    ent.CoreM,
-			overN:    ent.OverN,
-			n:        ent.N,
-			freqFrac: ent.FreqFrac,
-		},
-		metrics: &m,
-		cached:  true,
-	}, true
+	return cellOutcome{cfg: cfg, agg: agg, metrics: m, cached: true}, true
 }
 
-// putCell persists one freshly computed successful outcome. It runs on
-// the async store writer's goroutine, concurrent with the collector's
-// merge — safe because both only read the aggregator, and the collector
-// never recycles aggregators on store-backed runs. Store write failures
-// are deliberately non-fatal (the store counts them in its WriteErrors):
-// the run still has the result, the next run just recomputes.
-func (e *Engine) putCell(spec Spec, out cellOutcome) {
+// cellPayload encodes a freshly computed outcome as its fleet-cell entry;
+// ok=false for an outcome that is not persisted (a failure, a cached cell).
+func cellPayload(out cellOutcome) ([]byte, bool) {
 	if out.err != "" || out.agg == nil || out.metrics == nil || out.cached {
-		return
+		return nil, false
 	}
-	key, ok := e.cellDigest(spec, out.cfg, "fleet-cell")
+	return appendCellEntry(nil, out.agg, out.metrics), true
+}
+
+// putCell persists one freshly computed outcome synchronously (the
+// single-cell path; fleet runs go through the async store writer). Store
+// write failures are deliberately non-fatal (the store counts them in its
+// WriteErrors): the run still has the result, the next run just
+// recomputes.
+func (e *Engine) putCell(spec Spec, out cellOutcome) {
+	payload, ok := cellPayload(out)
 	if !ok {
 		return
 	}
-	_ = e.Store.PutJSON(key, cellEntry{
-		Skin:     out.agg.skin,
-		SkinM:    out.agg.skinM,
-		CoreM:    out.agg.coreM,
-		OverN:    out.agg.overN,
-		N:        out.agg.n,
-		FreqFrac: out.agg.freqFrac,
-		Metrics:  *out.metrics,
-	})
+	if key, ok := e.cellDigest(spec, out.cfg, "fleet-cell"); ok {
+		_ = e.Store.Put(key, payload)
+	}
 }
 
 // lookupTrace serves one replayed cell (full trace) from the store.

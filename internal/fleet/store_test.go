@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/scenario"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -194,6 +196,67 @@ func TestFleetStoreCorruptionFallback(t *testing.T) {
 	// The recompute healed the entry: a third run is fully warm.
 	_, _, _ = runStoreFleet(t, st, spec)
 	if final := st.Stats(); final.Misses != warm.Misses {
+		t.Errorf("healed entry missed again: %+v", final)
+	}
+}
+
+// TestFleetStoreJSONPayloadFallback: an entry whose header is valid for
+// its fleet-cell key but whose payload is the old JSON encoding (what a
+// fleet-cell entry held before the binary layout) passes the store's
+// verification and fails the strict decoder. It is an invalid miss, never
+// a hit; the cell recomputes, the report stays byte-identical, and the
+// recompute's write heals the entry.
+func TestFleetStoreJSONPayloadFallback(t *testing.T) {
+	registerStoreScenario(t, "store-mix-a", 4)
+	registerStoreScenario(t, "store-mix-b", 5)
+	registerStoreScenario(t, "store-mix-c", 6)
+	st := openTestStore(t)
+	spec := storeSpec(12)
+	_, coldJSON, coldCSV := runStoreFleet(t, st, spec)
+
+	eng := &Engine{Workers: 1, BaseSeed: 11, Store: st}
+	key, ok := eng.cellDigest(spec.normalized(), DeriveCell(spec, 11, 3), "fleet-cell")
+	if !ok {
+		t.Fatal("cell 3 not addressable")
+	}
+	binary, ok := st.Get(key)
+	if !ok {
+		t.Fatal("cell 3 not stored")
+	}
+	agg, m := newEntryAgg(), new(CellMetrics)
+	if err := decodeCellEntry(binary, agg, m); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(struct {
+		Skin     *stats.Histogram `json:"skin"`
+		SkinM    stats.Moments    `json:"skin_m"`
+		CoreM    stats.Moments    `json:"core_m"`
+		OverN    uint64           `json:"over_n"`
+		N        uint64           `json:"n"`
+		FreqFrac float64          `json:"freq_frac"`
+		Metrics  CellMetrics      `json:"metrics"`
+	}{agg.skin, agg.skinM, agg.coreM, agg.overN, agg.n, agg.freqFrac, *m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, legacy); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+
+	_, warmJSON, warmCSV := runStoreFleet(t, st, spec)
+	warm := st.Stats()
+	if warm.Invalid-before.Invalid != 1 || warm.Misses-before.Misses != 1 || warm.Hits-before.Hits != uint64(spec.N-1) {
+		t.Errorf("JSON payload run: %+v after %+v, want 1 invalid miss and %d hits", warm, before, spec.N-1)
+	}
+	if !bytes.Equal(coldJSON, warmJSON) || !bytes.Equal(coldCSV, warmCSV) {
+		t.Error("report diverged after the JSON payload fallback")
+	}
+	if healed, ok := st.Get(key); !ok || !bytes.Equal(healed, binary) {
+		t.Error("recompute did not rewrite the binary entry")
+	}
+	_, _, _ = runStoreFleet(t, st, spec)
+	if final := st.Stats(); final.Misses != warm.Misses || final.Invalid != warm.Invalid {
 		t.Errorf("healed entry missed again: %+v", final)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -94,8 +95,9 @@ func KeyDigest(kind string, spec any) (Digest, error) {
 }
 
 // Stats are the store's monotone counters since Open. Hits+Misses counts
-// Get calls; Invalid counts the subset of misses caused by an entry that
-// exists but failed verification (corruption or a stale engine version).
+// finished Decode calls (Get and GetJSON are Decodes); Invalid counts the
+// subset of misses caused by an entry that exists but failed verification
+// (corruption or a stale engine version) or the caller's decode.
 // WriteErrors counts failed Puts (a full disk, an unwritable directory):
 // the engines persist best-effort, so a failed write costs the next run a
 // recompute, never this run its result — the counter keeps it visible.
@@ -210,64 +212,79 @@ func (s *Store) entryPath(key Digest) string {
 	return filepath.Join(s.dir, "objects", name[:2], name+".entry")
 }
 
-// header is the first line of every entry file.
-type header struct {
-	Format  int    `json:"format"`
-	Engine  string `json:"engine"`
-	Key     string `json:"key"`
-	Payload string `json:"payload_sha256"`
-	Size    int64  `json:"size"`
-}
-
 // Get returns the verified payload stored under key, or ok=false on a
 // miss. A miss is indistinguishable by design between "never computed",
 // "corrupt entry", and "stale engine version" — in every case the caller
 // recomputes and Puts, which heals the entry; only the Invalid counter
 // tells the cases apart.
-func (s *Store) Get(key Digest) ([]byte, bool) {
+func (s *Store) Get(key Digest) (payload []byte, ok bool) {
+	ok = s.Decode(key, func(p []byte) error {
+		payload = p
+		return nil
+	})
+	return payload, ok
+}
+
+// Decode hands the verified payload stored under key to decode and
+// reports whether the entry was served. The payload is a fresh buffer the
+// callback may keep. A hit is counted only once decode has succeeded: a
+// missing entry counts as a miss, and an unverifiable entry or a payload
+// decode rejects (schema skew inside one engine version — should not
+// happen, but must not crash) as invalid plus miss, never as a hit.
+func (s *Store) Decode(key Digest, decode func(payload []byte) error) bool {
 	data, err := os.ReadFile(s.entryPath(key))
 	if err != nil {
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
 	payload, err := verify(key, data)
+	if err == nil {
+		err = decode(payload)
+	}
 	if err != nil {
 		s.invalid.Add(1)
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
 	s.hits.Add(1)
-	return payload, true
+	return true
+}
+
+// appendHeader appends the header line that opens every entry file (the
+// newline excluded): the entry format, the engine version, the key, and
+// the payload's SHA-256 and size. The bytes are exactly what json.Marshal
+// writes for those fields (every value is plain ASCII needing no escape),
+// so Put and verify share one builder and verify compares bytes instead
+// of parsing JSON.
+func appendHeader(dst []byte, key Digest, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	dst = append(dst, `{"format":`...)
+	dst = strconv.AppendInt(dst, entryFormat, 10)
+	dst = append(dst, `,"engine":"`...)
+	dst = append(dst, EngineVersion...)
+	dst = append(dst, `","key":"`...)
+	dst = hex.AppendEncode(dst, key[:])
+	dst = append(dst, `","payload_sha256":"`...)
+	dst = hex.AppendEncode(dst, sum[:])
+	dst = append(dst, `","size":`...)
+	dst = strconv.AppendInt(dst, int64(len(payload)), 10)
+	return append(dst, '}')
 }
 
 // verify checks one raw entry file against the key it is addressed by and
-// returns its payload. Every failure mode — torn header, truncated
-// payload, flipped bit, foreign key, stale engine — is an error.
+// returns its payload. The header line must be byte-for-byte the one Put
+// would write for this key and payload, so every failure mode — torn
+// header, truncated payload, flipped bit, foreign key, stale engine or
+// entry format — is an error.
 func verify(key Digest, data []byte) ([]byte, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("store: entry missing header line")
 	}
-	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil {
-		return nil, fmt.Errorf("store: corrupt header: %w", err)
-	}
-	if h.Format != entryFormat {
-		return nil, fmt.Errorf("store: entry format %d, want %d", h.Format, entryFormat)
-	}
-	if h.Engine != EngineVersion {
-		return nil, fmt.Errorf("store: entry from engine %q, want %q", h.Engine, EngineVersion)
-	}
-	if h.Key != key.String() {
-		return nil, fmt.Errorf("store: entry keyed %s filed under %s", h.Key, key)
-	}
 	payload := data[nl+1:]
-	if int64(len(payload)) != h.Size {
-		return nil, fmt.Errorf("store: payload %d bytes, header says %d (truncated entry)", len(payload), h.Size)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != h.Payload {
-		return nil, fmt.Errorf("store: payload digest mismatch (corrupt entry)")
+	var buf [256]byte
+	if !bytes.Equal(data[:nl], appendHeader(buf[:0], key, payload)) {
+		return nil, fmt.Errorf("store: entry header does not match key %s and its payload (corrupt, truncated, foreign or stale entry)", key)
 	}
 	return payload, nil
 }
@@ -291,22 +308,12 @@ func (s *Store) put(key Digest, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	hdr, err := json.Marshal(header{
-		Format:  entryFormat,
-		Engine:  EngineVersion,
-		Key:     key.String(),
-		Payload: hex.EncodeToString(sum[:]),
-		Size:    int64(len(payload)),
-	})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpDir), tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := tmp.Write(append(append(hdr, '\n'), payload...))
+	entry := append(appendHeader(make([]byte, 0, 256+len(payload)), key, payload), '\n')
+	_, werr := tmp.Write(append(entry, payload...))
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
@@ -322,25 +329,25 @@ func (s *Store) put(key Digest, payload []byte) error {
 	return nil
 }
 
-// GetJSON is Get plus a strict JSON decode of the payload into out. A
-// payload that fails to decode (schema skew inside one engine version —
-// should not happen, but must not crash) counts as invalid and misses.
+// GetJSON is Decode with a strict JSON decode of the payload into out. A
+// *json.RawMessage receives the payload verbatim: the store is
+// byte-transparent, and raw bytes need no decoding.
 func (s *Store) GetJSON(key Digest, out any) bool {
-	payload, ok := s.Get(key)
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		s.invalid.Add(1)
-		s.hits.Add(^uint64(0)) // undo the hit: this entry is unusable
-		s.misses.Add(1)
-		return false
-	}
-	return true
+	return s.Decode(key, func(payload []byte) error {
+		if raw, ok := out.(*json.RawMessage); ok {
+			*raw = payload
+			return nil
+		}
+		return json.Unmarshal(payload, out)
+	})
 }
 
-// PutJSON marshals v and Puts it under key.
+// PutJSON marshals v and Puts it under key. A json.RawMessage is stored
+// verbatim, as GetJSON serves it.
 func (s *Store) PutJSON(key Digest, v any) error {
+	if raw, ok := v.(json.RawMessage); ok {
+		return s.Put(key, raw)
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("store: encoding payload: %w", err)

@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -196,6 +199,125 @@ func TestGetJSONRejectsSchemaSkew(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 0 || st.Misses != 1 || st.Invalid != 1 {
 		t.Fatalf("stats after schema skew: %+v", st)
+	}
+}
+
+// TestDecodeCountsExactly races Decode and GetJSON callers over a good
+// entry, an undecodable one and a missing one while a reader polls Stats
+// the way healthz does. The final counters are exact, and no snapshot ever
+// shows more hits than good-entry calls or more hits+misses than calls:
+// a decode failure is never counted as a hit, not even transiently.
+func TestDecodeCountsExactly(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := testKey(t, testSpec{Scenario: "good"})
+	bad := testKey(t, testSpec{Scenario: "bad"})
+	absent := testKey(t, testSpec{Scenario: "absent"})
+	if err := s.Put(good, []byte(`{"n":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(bad, []byte(`{"n":"not-a-number"}`)); err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		N uint64 `json:"n"`
+	}
+	decodeEntry := func(p []byte) error { return json.Unmarshal(p, new(entry)) }
+
+	var goodCalls, allCalls atomic.Uint64
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Stats first: every call it counts was started before the
+			// call counters are read.
+			st := s.Stats()
+			if g, all := goodCalls.Load(), allCalls.Load(); st.Hits > g || st.Hits+st.Misses > all {
+				t.Errorf("snapshot %+v over-counts: %d good calls, %d calls started", st, g, all)
+				return
+			}
+		}
+	}()
+
+	const workers, rounds = 4, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out entry
+			for i := 0; i < rounds; i++ {
+				goodCalls.Add(2)
+				allCalls.Add(2)
+				if !s.Decode(good, decodeEntry) || !s.GetJSON(good, &out) {
+					t.Error("good entry missed")
+				}
+				allCalls.Add(3)
+				if s.Decode(bad, decodeEntry) || s.GetJSON(bad, &out) {
+					t.Error("undecodable entry served")
+				}
+				if s.Decode(absent, decodeEntry) {
+					t.Error("absent entry served")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	st := s.Stats()
+	const calls = workers * rounds
+	if st.Hits != 2*calls || st.Misses != 3*calls || st.Invalid != 2*calls {
+		t.Fatalf("stats %+v, want %d hits, %d misses, %d invalid", st, 2*calls, 3*calls, 2*calls)
+	}
+}
+
+// TestHeaderLineMatchesJSON pins the header builder to the bytes
+// json.Marshal writes for the same fields, the layout every entry on disk
+// carries.
+func TestHeaderLineMatchesJSON(t *testing.T) {
+	for i, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0, 0xff, '\n'}, 1000)} {
+		key := testKey(t, testSpec{Seed: int64(i)})
+		sum := sha256.Sum256(payload)
+		want, err := json.Marshal(struct {
+			Format  int    `json:"format"`
+			Engine  string `json:"engine"`
+			Key     string `json:"key"`
+			Payload string `json:"payload_sha256"`
+			Size    int64  `json:"size"`
+		}{entryFormat, EngineVersion, key.String(), hex.EncodeToString(sum[:]), int64(len(payload))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendHeader(nil, key, payload); !bytes.Equal(got, want) {
+			t.Errorf("payload %d: header\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
+// TestRawMessageVerbatim: a json.RawMessage goes in and comes out as its
+// exact bytes, JSON or not.
+func TestRawMessageVerbatim(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, testSpec{Scenario: "raw"})
+	payload := json.RawMessage{0x01, 0xff, '\n', 0x00}
+	if err := s.PutJSON(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	var got json.RawMessage
+	if !s.GetJSON(key, &got) || !bytes.Equal(got, payload) {
+		t.Fatalf("raw payload round trip: %x", got)
 	}
 }
 

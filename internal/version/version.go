@@ -12,5 +12,5 @@
 // engine generations.
 package version
 
-// Engine names the simulation-engine generation, e.g. "repro-engine/7".
-const Engine = "repro-engine/7"
+// Engine names the simulation-engine generation, e.g. "repro-engine/8".
+const Engine = "repro-engine/8"

@@ -55,7 +55,7 @@ import (
 )
 
 // EngineVersion names the simulation-engine generation this build produces
-// bytes for (e.g. "repro-engine/7"). It is the provenance string in every
+// bytes for (e.g. "repro-engine/8"). It is the provenance string in every
 // result-store key and entry header, the version every daemon API envelope
 // carries, and the handshake the daemon rejects mismatched clients on —
 // all three consume the one shared constant, so they can never drift.
