@@ -46,8 +46,10 @@ MAX_WARM_BYTES ?= 6000000
 # BenchmarkFleetThroughput covers the batched SoA fleet kernel at its
 # default width against width 1 (same fleet, BatchSize 1 vs default);
 # BenchmarkFleetWarm covers the store-served warm fleet (entry read,
-# verify, decode, merge, report; no simulation).
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$
+# verify, decode, merge, report; no simulation);
+# BenchmarkStagePredict covers the DTPM predictor stage at model orders 4
+# and 8 (0 allocs/op, so any allocation fails the gate).
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$
 
 all: build
 

@@ -19,8 +19,10 @@ import (
 	"repro/internal/dtpm"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/sysid"
 	"repro/internal/workload"
 )
 
@@ -342,6 +344,66 @@ func BenchmarkDTPMControlInterval(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(intervals), "ns/interval")
+}
+
+// BenchmarkStagePredict times the first kernel stage of the performance
+// ledger: one DTPM prediction, 10 intervals (1 s) ahead under constant
+// power, through a characterized model's Predictor. It is the call shape
+// bench/probes.go times as sysid.predict_ns. order4 is the default
+// platform's model, order8 tablet-8big's; the predictor must not allocate
+// (allocs/op is gated in HOTBENCH).
+func BenchmarkStagePredict(b *testing.B) {
+	for _, c := range []struct{ name, platform string }{
+		{"order4", platform.DefaultName},
+		{"order8", "tablet-8big"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := stageThermalModel(b, c.platform)
+			// A hot interval: the hottest core near TMax, the rest
+			// trailing by 0.5 °C each, the big cluster at full draw.
+			temps := make([]float64, m.States())
+			for i := range temps {
+				temps[i] = 62 - 0.5*float64(i)
+			}
+			powers := []float64{3.2, 0.15, 0.6, 0.4}
+			pred := m.NewPredictor()
+			dst := make([]float64, m.States())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pred.PredictConstInto(dst, temps, powers, 10)
+			}
+		})
+	}
+}
+
+var (
+	stageModelsMu sync.Mutex
+	stageModels   = map[string]*sysid.ThermalModel{}
+)
+
+// stageThermalModel returns the seed-1 characterized thermal model of the
+// named platform, characterizing it once per process.
+func stageThermalModel(b *testing.B, name string) *sysid.ThermalModel {
+	b.Helper()
+	if name == platform.DefaultName {
+		return benchContext(b).Char.Thermal
+	}
+	stageModelsMu.Lock()
+	defer stageModelsMu.Unlock()
+	if m, ok := stageModels[name]; ok {
+		return m
+	}
+	desc, err := platform.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := sim.NewRunnerFor(desc).Characterize(context.Background(), 1)
+	if err != nil {
+		b.Fatalf("characterize %s: %v", name, err)
+	}
+	stageModels[name] = ch.Thermal
+	return ch.Thermal
 }
 
 // --- Ablation benches: the controller design choices DESIGN.md §5 calls

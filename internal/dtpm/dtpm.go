@@ -23,6 +23,7 @@ package dtpm
 import (
 	"fmt"
 
+	"repro/internal/mat"
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/sysid"
@@ -163,6 +164,12 @@ type Controller struct {
 	pvec      [sysid.NumInputs]float64
 	pred      []float64
 	predictor *sysid.Predictor
+
+	// The HorizonGains of horizon gainsN, kept here so the budget path
+	// does not take the shared model's mutex every interval. Keyed by the
+	// horizon, so a later change to Cfg still gets the right gains.
+	gainsN int
+	an, bn *mat.Mat
 }
 
 // NewController builds a controller from the identified thermal model and
@@ -328,7 +335,11 @@ func (c *Controller) computeBudget(chip *platform.Chip, in Inputs, pred []float6
 	if c.Cfg.OneStepBudget {
 		hn = 1
 	}
-	an, bn := c.Model.HorizonGains(hn)
+	if c.an == nil || c.gainsN != hn {
+		c.an, c.bn = c.Model.HorizonGains(hn)
+		c.gainsN = hn
+	}
+	an, bn := c.an, c.bn
 	// Right-hand side in relative coordinates, with the guard band and the
 	// asymmetry margin.
 	rhs := c.Cfg.TMax - c.Cfg.Guard - c.asymMargin(in.Temps) - c.Model.Ambient

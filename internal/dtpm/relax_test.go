@@ -190,3 +190,30 @@ func TestOneStepBudgetSmallerThanHorizonWhileRising(t *testing.T) {
 			oneStep, horizon)
 	}
 }
+
+// TestBudgetFollowsHorizonChange: the controller keeps the horizon gains
+// between intervals, but a later change to Cfg must still be budgeted with
+// the gains of the new horizon, exactly as a controller built with it.
+func TestBudgetFollowsHorizonChange(t *testing.T) {
+	chip := platform.NewChip()
+	fresh := func(oneStep bool) float64 {
+		cfg := DefaultConfig()
+		cfg.OneStepBudget = oneStep
+		return newTestController(t, cfg).Update(chip, hotInputs(chip)).TotalBudget
+	}
+	horizon, oneStep := fresh(false), fresh(true)
+	if horizon == oneStep {
+		t.Fatalf("horizon and one-step budgets coincide (%.3f W); the test needs them apart", horizon)
+	}
+	c := newTestController(t, DefaultConfig())
+	for i, step := range []bool{false, true, false} {
+		c.Cfg.OneStepBudget = step
+		want := horizon
+		if step {
+			want = oneStep
+		}
+		if got := c.Update(chip, hotInputs(chip)).TotalBudget; got != want {
+			t.Errorf("interval %d (OneStepBudget=%v): budget %.6f W, want %.6f W", i, step, got, want)
+		}
+	}
+}

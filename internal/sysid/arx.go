@@ -186,18 +186,36 @@ func (m *ThermalModel) NewPredictor() *Predictor {
 // replays Step's exact operation order — relative-to-ambient conversion
 // every step, A·dT then B·P accumulated in MulVec order — so the result is
 // bit-identical to PredictConst. This is the DTPM control loop's hot path:
-// it runs twice per 100 ms interval in every simulation cell, so it must
-// not allocate.
+// it runs once per DTPM interval in every simulation cell, plus once more
+// when prediction accounting is on, so it must not allocate.
+//
+// Orders 4 and 8, the orders the registered platforms identify, run
+// straight-line kernels that keep the state in locals; every other order
+// runs the generic loop. All three give the same bits.
 func (p *Predictor) PredictConstInto(dst, tempC, powers []float64, n int) []float64 {
 	m := p.m
 	ns := m.States()
 	if len(dst) != ns || len(tempC) < ns {
 		panic("sysid: PredictConstInto dst/tempC length")
 	}
-	cur, dt, av, bp := p.cur, p.dt, p.av, p.bp
-	copy(cur, tempC[:ns])
 	// B·P is constant over the horizon; compute it once in MulVec order.
-	m.B.MulVecInto(bp, powers)
+	m.B.MulVecInto(p.bp, powers)
+	switch ns {
+	case 4:
+		predict4(dst, tempC, m.A.Data, p.bp, m.Ambient, n)
+	case 8:
+		predict8(dst, tempC, m.A.Data, p.bp, m.Ambient, n)
+	default:
+		p.predictLoop(dst, tempC, n)
+	}
+	return dst
+}
+
+// predictLoop is the order-generic prediction over the scratch vectors.
+func (p *Predictor) predictLoop(dst, tempC []float64, n int) {
+	m := p.m
+	cur, dt, av, bp := p.cur, p.dt, p.av, p.bp
+	copy(cur, tempC)
 	for k := 0; k < n; k++ {
 		for i := range dt {
 			dt[i] = cur[i] - m.Ambient
@@ -209,7 +227,110 @@ func (p *Predictor) PredictConstInto(dst, tempC, powers []float64, n int) []floa
 		}
 	}
 	copy(dst, cur)
-	return dst
+}
+
+// predict4 is predictLoop for a model of order 4 (row-major A, len 16).
+// Each row's sum starts from 0 and adds a[i][j]*d[j] for ascending j, then
+// cur[i] = sum + bp[i] + amb, left to right: exactly MulVecInto's and
+// predictLoop's operations, so the bits match. bp[i]+amb is not hoisted
+// out of the loop, because that would round differently.
+func predict4(dst, tempC, a, bp []float64, amb float64, n int) {
+	a = a[:16:16]
+	bp = bp[:4:4]
+	c0, c1, c2, c3 := tempC[0], tempC[1], tempC[2], tempC[3]
+	for k := 0; k < n; k++ {
+		d0, d1, d2, d3 := c0-amb, c1-amb, c2-amb, c3-amb
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		s0 += a[0] * d0
+		s1 += a[4] * d0
+		s2 += a[8] * d0
+		s3 += a[12] * d0
+		s0 += a[1] * d1
+		s1 += a[5] * d1
+		s2 += a[9] * d1
+		s3 += a[13] * d1
+		s0 += a[2] * d2
+		s1 += a[6] * d2
+		s2 += a[10] * d2
+		s3 += a[14] * d2
+		s0 += a[3] * d3
+		s1 += a[7] * d3
+		s2 += a[11] * d3
+		s3 += a[15] * d3
+		c0 = s0 + bp[0] + amb
+		c1 = s1 + bp[1] + amb
+		c2 = s2 + bp[2] + amb
+		c3 = s3 + bp[3] + amb
+	}
+	dst = dst[:4:4]
+	dst[0], dst[1], dst[2], dst[3] = c0, c1, c2, c3
+}
+
+// predict8 is predict4 for a model of order 8 (row-major A, len 64): the
+// eight states stay in locals and the rows are built in two strips of four
+// (strip8), each adding its column terms in ascending j.
+func predict8(dst, tempC, a, bp []float64, amb float64, n int) {
+	top, bot := (*[32]float64)(a[:32]), (*[32]float64)(a[32:64])
+	bp = bp[:8:8]
+	tempC = tempC[:8:8]
+	c0, c1, c2, c3 := tempC[0], tempC[1], tempC[2], tempC[3]
+	c4, c5, c6, c7 := tempC[4], tempC[5], tempC[6], tempC[7]
+	for k := 0; k < n; k++ {
+		d0, d1, d2, d3 := c0-amb, c1-amb, c2-amb, c3-amb
+		d4, d5, d6, d7 := c4-amb, c5-amb, c6-amb, c7-amb
+		s0, s1, s2, s3 := strip8(top, d0, d1, d2, d3, d4, d5, d6, d7)
+		s4, s5, s6, s7 := strip8(bot, d0, d1, d2, d3, d4, d5, d6, d7)
+		c0 = s0 + bp[0] + amb
+		c1 = s1 + bp[1] + amb
+		c2 = s2 + bp[2] + amb
+		c3 = s3 + bp[3] + amb
+		c4 = s4 + bp[4] + amb
+		c5 = s5 + bp[5] + amb
+		c6 = s6 + bp[6] + amb
+		c7 = s7 + bp[7] + amb
+	}
+	dst = dst[:8:8]
+	dst[0], dst[1], dst[2], dst[3] = c0, c1, c2, c3
+	dst[4], dst[5], dst[6], dst[7] = c4, c5, c6, c7
+}
+
+// strip8 returns four rows of A·d for an order-8 model, given those rows
+// row-major in a: each sum starts from 0 and adds a[i][j]*d[j] for
+// ascending j.
+func strip8(a *[32]float64, d0, d1, d2, d3, d4, d5, d6, d7 float64) (s0, s1, s2, s3 float64) {
+	s0 += a[0] * d0
+	s1 += a[8] * d0
+	s2 += a[16] * d0
+	s3 += a[24] * d0
+	s0 += a[1] * d1
+	s1 += a[9] * d1
+	s2 += a[17] * d1
+	s3 += a[25] * d1
+	s0 += a[2] * d2
+	s1 += a[10] * d2
+	s2 += a[18] * d2
+	s3 += a[26] * d2
+	s0 += a[3] * d3
+	s1 += a[11] * d3
+	s2 += a[19] * d3
+	s3 += a[27] * d3
+	s0 += a[4] * d4
+	s1 += a[12] * d4
+	s2 += a[20] * d4
+	s3 += a[28] * d4
+	s0 += a[5] * d5
+	s1 += a[13] * d5
+	s2 += a[21] * d5
+	s3 += a[29] * d5
+	s0 += a[6] * d6
+	s1 += a[14] * d6
+	s2 += a[22] * d6
+	s3 += a[30] * d6
+	s0 += a[7] * d7
+	s1 += a[15] * d7
+	s2 += a[23] * d7
+	s3 += a[31] * d7
+	return s0, s1, s2, s3
 }
 
 // HorizonGains returns the n-step form of Equation 4.5 under constant power,

@@ -1,7 +1,9 @@
 package sysid
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mat"
@@ -270,29 +272,84 @@ func TestThermalModelStepAndPredict(t *testing.T) {
 // TestPredictConstIntoBitIdentical pins the hot-path contract: the
 // allocation-free prediction must produce exactly the floats of the
 // allocating form, at every horizon (the campaign determinism guarantee
-// leans on this).
+// leans on this). It covers every model order from 1 to 9 with random
+// stable models, so both the order-4/order-8 kernels and the generic loop
+// are checked, and the characterized model of every registered platform.
 func TestPredictConstIntoBitIdentical(t *testing.T) {
-	m := synthModel()
-	temps := []float64{52.3, 49.1, 55.7, 47.2}
-	powers := []float64{3.1, 0.4, 0.9, 0.6}
-	for _, n := range []int{1, 2, 10, 50} {
-		want := m.PredictConst(temps, powers, n)
-		var got [NumStates]float64
-		m.PredictConstInto(got[:], temps, powers, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("n=%d state %d: PredictConstInto %v != PredictConst %v", n, i, got[i], want[i])
+	rng := rand.New(rand.NewSource(7))
+	models := map[string]*ThermalModel{"synth": synthModel()}
+	for order := 1; order <= 9; order++ {
+		models[fmt.Sprintf("random-order%d", order)] = randomStableModel(rng, order)
+	}
+	for _, name := range platform.Names() {
+		d, err := platform.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig := &Rig{Desc: d, GT: power.GroundTruthFor(d), Thermal: d.Thermal,
+			Sensors: sensor.NewBank(sensor.DefaultConfig(), 1), Ts: 0.1}
+		m, _, err := rig.CharacterizeThermal()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		models[name] = m
+	}
+	for name, m := range models {
+		ns := m.States()
+		pr := m.NewPredictor()
+		got := make([]float64, ns)
+		temps := make([]float64, ns)
+		powers := make([]float64, NumInputs)
+		for trial := 0; trial < 500; trial++ {
+			for i := range temps {
+				temps[i] = m.Ambient + 60*rng.Float64()
+			}
+			for j := range powers {
+				powers[j] = 5 * rng.Float64()
+			}
+			for _, n := range []int{1, 2, 10, 50} {
+				want := m.PredictConst(temps, powers, n)
+				pr.PredictConstInto(got, temps, powers, n)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s (order %d) n=%d state %d: PredictConstInto %v != PredictConst %v (temps %v, powers %v)",
+							name, ns, n, i, got[i], want[i], temps, powers)
+					}
+				}
+			}
+		}
+		// The Predictor form is the hot-path contract: zero allocations
+		// at the orders the registered platforms identify.
+		if ns == 4 || ns == 8 {
+			if allocs := testing.AllocsPerRun(100, func() {
+				pr.PredictConstInto(got, temps, powers, 10)
+			}); allocs != 0 {
+				t.Errorf("%s: Predictor.PredictConstInto allocates %.0f times per call, want 0", name, allocs)
 			}
 		}
 	}
-	// The Predictor form is the hot-path contract: zero allocations.
-	pr := m.NewPredictor()
-	out := make([]float64, NumStates)
-	if allocs := testing.AllocsPerRun(100, func() {
-		pr.PredictConstInto(out, temps, powers, 10)
-	}); allocs != 0 {
-		t.Errorf("Predictor.PredictConstInto allocates %.0f times per call, want 0", allocs)
+}
+
+// randomStableModel returns a random model of the given order whose A has
+// every absolute row sum at most 0.95, so it is Schur stable.
+func randomStableModel(rng *rand.Rand, order int) *ThermalModel {
+	a := mat.New(order, order)
+	b := mat.New(order, NumInputs)
+	for i := 0; i < order; i++ {
+		sum := 0.0
+		for j := 0; j < order; j++ {
+			v := rng.Float64() - 0.2
+			a.Set(i, j, v)
+			sum += math.Abs(v)
+		}
+		for j := 0; j < order; j++ {
+			a.Set(i, j, a.At(i, j)*0.95/sum)
+		}
+		for j := 0; j < NumInputs; j++ {
+			b.Set(i, j, rng.Float64())
+		}
 	}
+	return &ThermalModel{A: a, B: b, Ts: 0.1, Ambient: 20 + 20*rng.Float64()}
 }
 
 func TestPredictTrajectoryHolding(t *testing.T) {

@@ -30,6 +30,10 @@ type BatchSim struct {
 	ambient []float64 // [b] per-device ambient (°C)
 	input   []float64 // [b*n] device-major per-core power inputs
 
+	// gcb[i] is core i's conductance to the board, GCoreBoard*coreAsym(p, i),
+	// the product derivative would otherwise form per core per RK4 stage.
+	gcb []float64
+
 	// Shared RK4 scratch: stage state and the four derivative estimates
 	// for the device currently being stepped.
 	stage              []float64
@@ -50,12 +54,16 @@ func NewBatchSim(p Params, b int) *BatchSim {
 		board:   flat[2*b*n : 2*b*n+b : 2*b*n+b],
 		ambient: flat[2*b*n+b:],
 	}
-	scratch := make([]float64, 5*n)
+	scratch := make([]float64, 6*n)
 	s.stage = scratch[0:n:n]
 	s.k1c = scratch[n : 2*n : 2*n]
 	s.k2c = scratch[2*n : 3*n : 3*n]
 	s.k3c = scratch[3*n : 4*n : 4*n]
 	s.k4c = scratch[4*n : 5*n : 5*n]
+	s.gcb = scratch[5*n : 6*n : 6*n]
+	for i := range s.gcb {
+		s.gcb[i] = p.GCoreBoard * coreAsym(p, i)
+	}
 	for i := range s.core {
 		s.core[i] = p.Ambient
 	}
@@ -105,7 +113,7 @@ func (s *BatchSim) CoreInput(d int) []float64 { return s.input[d*s.n : (d+1)*s.n
 // operation for operation, with in.CorePower = the device's input row and
 // p.Ambient = the device's ambient.
 func (s *BatchSim) derivative(d int, core []float64, board float64, boardPower, fanSpeed float64, dCore []float64) (dBoard float64) {
-	p := s.p
+	p := &s.p
 	in := s.CoreInput(d)
 	amb := s.ambient[d]
 	fan := clamp01(fanSpeed)
@@ -114,7 +122,7 @@ func (s *BatchSim) derivative(d int, core []float64, board float64, boardPower, 
 	gFanCore := p.GFanCoreMax * fanEff
 	var toBoard float64
 	for i := range dCore {
-		gcb := p.GCoreBoard * coreAsym(p, i)
+		gcb := s.gcb[i]
 		q := in[i]
 		q -= gcb * (core[i] - board)
 		q -= gFanCore * (core[i] - amb)
