@@ -11,8 +11,12 @@ package repro
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -278,15 +282,85 @@ func BenchmarkFleetWarm(b *testing.B) {
 	b.ReportMetric(float64(spec.N*b.N)/b.Elapsed().Seconds(), "cells/sec")
 }
 
+// warmEntry prefills a temp store with the fleet-cell entry of one real
+// device and returns the store, the entry's key and its payload.
+func warmEntry(b *testing.B) (*store.Store, store.Digest, []byte) {
+	b.Helper()
+	ctx := benchContext(b)
+	dir := b.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := &fleet.Engine{Workers: 1, Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1, Store: st}
+	if _, err := eng.Run(context.Background(), fleet.Spec{N: 1, Policy: "dtpm", ControlPeriodS: 0.5}); err != nil {
+		b.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.entry"))
+	if err != nil || len(paths) != 1 {
+		b.Fatalf("want one fleet-cell entry, found %d (%v)", len(paths), err)
+	}
+	var key store.Digest
+	if _, err := hex.Decode(key[:], []byte(strings.TrimSuffix(filepath.Base(paths[0]), ".entry"))); err != nil {
+		b.Fatal(err)
+	}
+	payload, ok := st.Get(key)
+	if !ok {
+		b.Fatal("prefilled entry missed")
+	}
+	return st, key, payload
+}
+
+// BenchmarkStoreDecode times one warm store hit below the fleet: open,
+// read and close the entry file of a real fleet-cell, verify its header
+// and payload hash, and hand the payload to a callback that keeps nothing.
+func BenchmarkStoreDecode(b *testing.B) {
+	st, key, _ := warmEntry(b)
+	keep := func([]byte) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !st.Decode(key, keep) {
+			b.Fatal("warm entry missed")
+		}
+	}
+}
+
+// BenchmarkStorePut times persisting one real fleet-cell payload: header,
+// temp file, write, rename into its shard. The keys cycle through 64
+// addresses, each written once before the timer, so every timed Put
+// replaces an identical entry.
+func BenchmarkStorePut(b *testing.B) {
+	st, _, payload := warmEntry(b)
+	keys := make([]store.Digest, 64)
+	for i := range keys {
+		keys[i] = sha256.Sum256([]byte{byte(i)})
+		if err := st.Put(keys[i], payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Put(keys[i%len(keys)], payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFleetWorkerScaling measures how fleet throughput scales with
 // the shared scheduler's worker count: the same 256-cell population at
 // 1, 2, 4, ... workers up to GOMAXPROCS, reported as devices/sec per
-// width. Near-linear scaling is the scheduler contract (work is handed
+// width; at GOMAXPROCS 1 there is no curve, and it skips as "unmeasured
+// (1 CPU)". Near-linear scaling is the scheduler contract (work is handed
 // out from a shared counter; the only serialization points are the
 // planner's hand-out lock and the collector's merge lock). Not part of
 // any CI gate — shared-runner parallelism is too noisy to threshold — but
 // the recorded artifacts keep the curve inspectable over time.
 func BenchmarkFleetWorkerScaling(b *testing.B) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		b.Skip("unmeasured (1 CPU): a one-worker curve has no scaling to show")
+	}
 	ctx := benchContext(b)
 	spec := fleet.Spec{
 		N:              256,

@@ -59,9 +59,19 @@ type cellAgg struct {
 // cell's footprint, and the collector returns each one the moment its
 // merge folds it, so a million-cell fleet (computed or served from the
 // store) cycles through a worker-count-sized set of them instead of
-// allocating a million.
+// allocating a million. The pool refills whenever a run holds more
+// aggregators at once than the last collection left it (a worker stalled
+// behind the merge frontier widens the pending window), so a new one is a
+// single allocation: the aggregator, its histogram and the bins together.
 var aggPool = sync.Pool{New: func() any {
-	return &cellAgg{skin: stats.NewHistogram(skinLoC, skinHiC, skinBins)}
+	a := new(struct {
+		agg  cellAgg
+		skin stats.Histogram
+		bins [skinBins]uint64
+	})
+	a.skin = stats.Histogram{Lo: skinLoC, Hi: skinHiC, Bins: a.bins[:]}
+	a.agg.skin = &a.skin
+	return &a.agg
 }}
 
 func newCellAgg(desc *platform.Descriptor, tmax float64) *cellAgg {

@@ -28,11 +28,12 @@ func (e *Engine) batchSize() int {
 }
 
 // runBatchUnit executes one work unit. With a store attached the unit is
-// first split into hits and misses: hits are served as-is and only the
-// misses are computed — then encoded and handed to the async store
-// writer, which persists them off the hot path. The outcomes are returned
-// in unit order (outs[j] belongs to indices[j]).
-func (e *Engine) runBatchUnit(ctx context.Context, spec Spec, pol sim.Policy, indices []int, writer *storeWriter) []cellOutcome {
+// first split into hits and misses, each cell addressed through the run's
+// key templates: hits are served as-is and only the misses are computed —
+// then encoded and handed to the async store writer, which persists them
+// off the hot path. The outcomes are returned in unit order (outs[j]
+// belongs to indices[j]).
+func (e *Engine) runBatchUnit(ctx context.Context, spec Spec, pol sim.Policy, indices []int, keys cellKeys, writer *storeWriter) []cellOutcome {
 	if e.Store == nil {
 		return e.computeUnit(ctx, spec, pol, indices)
 	}
@@ -48,7 +49,7 @@ func (e *Engine) runBatchUnit(ctx context.Context, spec Spec, pol sim.Policy, in
 	var missIdx []int
 	for j, i := range indices {
 		cfg := DeriveCell(spec, e.BaseSeed, i)
-		key, addr := e.cellDigest(spec, cfg, "fleet-cell")
+		key, addr := keys.digest(cfg)
 		if addr {
 			if out, ok := e.lookupCell(key, cfg); ok {
 				outs[j] = out

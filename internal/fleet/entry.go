@@ -157,7 +157,7 @@ func decodeCellEntry(p []byte, a *cellAgg, m *CellMetrics) error {
 			r.fail(errors.New("fleet: fleet-cell bin counts overflow"))
 		default:
 			idx += int(gap)
-			h.Bins[idx] = c
+			h.AddBin(idx, c)
 			sum += c
 		}
 	}
@@ -185,6 +185,5 @@ func decodeCellEntry(p []byte, a *cellAgg, m *CellMetrics) error {
 	case sum != a.n:
 		return fmt.Errorf("fleet: fleet-cell bins sum to %d, want n = %d", sum, a.n)
 	}
-	h.N = sum
 	return nil
 }

@@ -121,9 +121,13 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	// Store writes leave the hot path: a bounded queue (a few units per
 	// worker) feeds one writer goroutine, and workers block only when the
 	// store falls that far behind.
-	var writer *storeWriter
+	var (
+		writer *storeWriter
+		keys   cellKeys
+	)
 	if e.Store != nil {
 		writer = e.startWriter(4 * pool.Size(spec.N) * e.batchSize())
+		keys = e.newCellKeys(spec, "fleet-cell")
 	}
 	// Work units pack same-(platform, scenario) cells for the batched
 	// kernel, derived lazily in (platform, scenario) grouped chunks; every
@@ -144,7 +148,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		coll.gate()
 		return plan.nextUnit()
 	}, func(unit []int) {
-		outs := e.runBatchUnit(ctx, spec, pol, unit, writer)
+		outs := e.runBatchUnit(ctx, spec, pol, unit, keys, writer)
 		for j, out := range outs {
 			coll.add(unit[j], out)
 			if e.OnCellDone != nil {

@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
@@ -379,5 +381,77 @@ func TestFleetStoreWriteErrors(t *testing.T) {
 	}
 	if s := st.Stats(); s.WriteErrors != uint64(spec.N) || s.Writes != 0 {
 		t.Errorf("stats %+v, want %d write errors and no writes", s, spec.N)
+	}
+}
+
+// TestCellKeyTemplateMatchesJSON pins the key templates to the bytes
+// store.KeyBytes marshals for the same cellKey, over every registered
+// platform, every library scenario and both cell kinds, with seeds and
+// ambient shifts at the edges of strconv's and encoding/json's formats:
+// a template digest is a store address only if the bytes agree exactly.
+func TestCellKeyTemplateMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seeds := []int64{0, 1, -1, 42, math.MinInt64, math.MaxInt64}
+	shifts := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 5e-324, 1e21, -1e21, 1e-6, 999999999999999999999.0, 0.1, -4.999999999999999}
+	for i := 0; i < 8; i++ {
+		seeds = append(seeds, int64(rng.Uint64()))
+		shifts = append(shifts, (2*rng.Float64()-1)*5, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	spec := Spec{N: 1, Policy: "without-fan", TMaxC: 58.123456789, ControlPeriodS: 0.25}.normalized()
+	eng := &Engine{BaseSeed: -7}
+	for _, kind := range []string{"fleet-cell", "fleet-trace"} {
+		for _, pname := range platform.Names() {
+			for _, sc := range scenario.Library() {
+				tmpl, ok := eng.newKeyTemplate(spec, kind, pname, sc.Name)
+				if !ok {
+					t.Fatalf("%s %s/%s: no key template", kind, pname, sc.Name)
+				}
+				tag, _ := eng.cache().Tag(pname)
+				for k := 0; k < 12; k++ {
+					cfg := CellConfig{
+						Platform:      pname,
+						Scenario:      sc.Name,
+						Seed:          seeds[rng.Intn(len(seeds))],
+						ScenarioSeed:  seeds[rng.Intn(len(seeds))],
+						AmbientShiftC: shifts[rng.Intn(len(shifts))],
+					}
+					want, err := store.KeyBytes(kind, cellKey{
+						Platform: cfg.Platform, Scenario: cfg.Scenario, ScenarioSpec: sc,
+						Seed: cfg.Seed, ScenarioSeed: cfg.ScenarioSeed, AmbientShiftC: cfg.AmbientShiftC,
+						Policy: spec.Policy, TMaxC: spec.TMaxC, ControlPeriodS: spec.ControlPeriodS, Models: tag,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := tmpl.appendKey(nil, cfg); !bytes.Equal(got, want) {
+						t.Fatalf("%s %+v:\n template %s\n json     %s", kind, cfg, got, want)
+					}
+					if tmpl.digest(cfg) != sha256.Sum256(want) {
+						t.Fatalf("%s %+v: template digest differs from the key's", kind, cfg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCellDigest times the content address of one warm cell through
+// its run's key template: append the three per-cell values to the shared
+// key bytes and hash. The cells are a library-mix population, so the
+// templates cover every scenario.
+func BenchmarkCellDigest(b *testing.B) {
+	spec := Spec{N: 1024, AmbientJitterC: 5}.normalized()
+	eng := &Engine{BaseSeed: 1}
+	keys := eng.newCellKeys(spec, "fleet-cell")
+	cells := make([]CellConfig, spec.N)
+	for i := range cells {
+		cells[i] = DeriveCell(spec, eng.BaseSeed, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := keys.digest(cells[i%len(cells)]); !ok {
+			b.Fatal("cell not addressable")
+		}
 	}
 }

@@ -19,10 +19,21 @@ import (
 // never loses samples and Count is exact. Percentiles are reconstructed by
 // linear interpolation inside the covering bin, so their resolution is the
 // bin width — pick the range/bins for the precision the report needs.
+//
+// The histogram tracks the span of bins that may be non-zero, so Merge,
+// Reset and Quantile touch only that span: a 720-bin fleet histogram whose
+// cell fills a few dozen bins merges in a few dozen additions. Counts go
+// in through Add and AddBin, which widen the span; Bins is exported for
+// reading, and a direct write to it is invisible to the span.
 type Histogram struct {
 	Lo, Hi float64
 	Bins   []uint64
 	N      uint64
+
+	// spanLo, spanHi bound the bins that may be non-zero: every bin
+	// outside [spanLo, spanHi) is zero. spanLo >= spanHi is the empty
+	// span, the zero value included.
+	spanLo, spanHi int
 }
 
 // NewHistogram returns a histogram of `bins` equal-width bins over [lo, hi].
@@ -43,22 +54,42 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 // specific — amd64 truncates to the minimum, arm64 saturates — and the
 // byte-identical-report contract must hold across architectures.
 func (h *Histogram) Add(v float64) {
-	i := 0
-	switch {
-	case math.IsNaN(v) || v <= h.Lo:
-		// lowest bin
-	case v >= h.Hi:
-		i = len(h.Bins) - 1
-	default:
-		// v in (Lo, Hi): the ratio is in (0, 1), so the product is bounded
-		// by the bin count and the conversion cannot overflow.
-		i = int(float64(len(h.Bins)) * (v - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Bins) {
-			i = len(h.Bins) - 1
-		}
-	}
+	i := h.bin(v)
 	h.Bins[i]++
 	h.N++
+	h.widen(i, i+1)
+}
+
+// bin returns the index of the bin sample v falls in.
+func (h *Histogram) bin(v float64) int {
+	switch {
+	case math.IsNaN(v) || v <= h.Lo:
+		return 0 // lowest bin
+	case v >= h.Hi:
+		return len(h.Bins) - 1
+	}
+	// v in (Lo, Hi): the ratio is in (0, 1), so the product is bounded by
+	// the bin count and the conversion cannot overflow.
+	return min(int(float64(len(h.Bins))*(v-h.Lo)/(h.Hi-h.Lo)), len(h.Bins)-1)
+}
+
+// AddBin adds c samples to bin i directly — the decoding hook for a
+// histogram persisted as its bin counts. It panics on an index out of
+// range, like Bins[i].
+func (h *Histogram) AddBin(i int, c uint64) {
+	h.Bins[i] += c
+	h.N += c
+	h.widen(i, i+1)
+}
+
+// widen grows the non-zero span to cover bins [lo, hi).
+func (h *Histogram) widen(lo, hi int) {
+	if h.spanLo >= h.spanHi {
+		h.spanLo, h.spanHi = lo, hi
+		return
+	}
+	h.spanLo = min(h.spanLo, lo)
+	h.spanHi = max(h.spanHi, hi)
 }
 
 // Merge adds o's counts into h. The shapes must match (same range, same bin
@@ -71,10 +102,11 @@ func (h *Histogram) Merge(o *Histogram) {
 	if len(h.Bins) != len(o.Bins) || h.Lo != o.Lo || h.Hi != o.Hi {
 		panic("stats: merging histograms of different shapes")
 	}
-	for i, c := range o.Bins {
-		h.Bins[i] += c
+	for i, c := range o.Bins[o.spanLo:o.spanHi] {
+		h.Bins[o.spanLo+i] += c
 	}
 	h.N += o.N
+	h.widen(o.spanLo, o.spanHi)
 }
 
 // Count returns the number of samples folded in.
@@ -84,8 +116,11 @@ func (h *Histogram) Count() uint64 { return h.N }
 // the recycling hook for aggregator pools. A reset histogram is
 // indistinguishable from a fresh one of the same shape.
 func (h *Histogram) Reset() {
-	clear(h.Bins)
+	if h.spanLo < h.spanHi {
+		clear(h.Bins[h.spanLo:h.spanHi])
+	}
 	h.N = 0
+	h.spanLo, h.spanHi = 0, 0
 }
 
 // Quantile returns the q-th quantile (0..1) reconstructed from the bins:
@@ -105,7 +140,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	rank := q * float64(h.N-1)
 	w := (h.Hi - h.Lo) / float64(len(h.Bins))
 	cum := uint64(0)
-	for i, c := range h.Bins {
+	for i := h.spanLo; i < h.spanHi; i++ {
+		c := h.Bins[i]
 		if c == 0 {
 			continue
 		}

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -85,6 +87,94 @@ func TestHistogramEmptyAndShape(t *testing.T) {
 		}
 	}()
 	h.Merge(&Histogram{Lo: 0, Hi: 2, Bins: make([]uint64, 4), N: 1})
+}
+
+// denseHist is the reference the span-bounded Histogram must match: every
+// operation touches every bin.
+type denseHist struct {
+	bins []uint64
+	n    uint64
+}
+
+func (d *denseHist) quantile(lo, hi, q float64) float64 {
+	if d.n == 0 {
+		return math.NaN()
+	}
+	q = min(max(q, 0), 1)
+	rank := q * float64(d.n-1)
+	w := (hi - lo) / float64(len(d.bins))
+	cum := uint64(0)
+	for i, c := range d.bins {
+		if c == 0 {
+			continue
+		}
+		start := float64(cum)
+		cum += c
+		if rank < float64(cum) {
+			frac := min(max((rank-start+0.5)/float64(c), 0), 1)
+			return lo + w*(float64(i)+frac)
+		}
+	}
+	return hi
+}
+
+// TestHistogramSpanMatchesDense drives random Add / AddBin / Merge / Reset
+// sequences over a few histograms and checks each against a dense
+// reference after every step: the bins, the count and every quantile are
+// identical, so tracking the non-zero span changes no result.
+func TestHistogramSpanMatchesDense(t *testing.T) {
+	const lo, hi, bins = -40.0, 140.0, 720
+	rng := rand.New(rand.NewSource(7))
+	for seq := 0; seq < 50; seq++ {
+		hs := make([]*Histogram, 3)
+		refs := make([]*denseHist, 3)
+		for i := range hs {
+			hs[i] = NewHistogram(lo, hi, bins)
+			refs[i] = &denseHist{bins: make([]uint64, bins)}
+		}
+		for step := 0; step < 200; step++ {
+			i := rng.Intn(len(hs))
+			h, ref := hs[i], refs[i]
+			switch op := rng.Intn(10); {
+			case op < 5: // a sample, often in a narrow band, sometimes off range
+				v := 20 + 10*rng.NormFloat64()
+				switch rng.Intn(20) {
+				case 0:
+					v = math.NaN()
+				case 1:
+					v = 1e9 * rng.NormFloat64()
+				}
+				ref.bins[h.bin(v)]++
+				ref.n++
+				h.Add(v)
+			case op < 7: // a decoded bin
+				b, c := rng.Intn(bins), uint64(1+rng.Intn(50))
+				ref.bins[b] += c
+				ref.n += c
+				h.AddBin(b, c)
+			case op < 9:
+				j := (i + 1 + rng.Intn(len(hs)-1)) % len(hs)
+				for b, c := range refs[j].bins {
+					ref.bins[b] += c
+				}
+				ref.n += refs[j].n
+				h.Merge(hs[j])
+			default:
+				clear(ref.bins)
+				ref.n = 0
+				h.Reset()
+			}
+			if h.N != ref.n || !slices.Equal(h.Bins, ref.bins) {
+				t.Fatalf("sequence %d step %d: histogram %d diverged from the dense reference", seq, step, i)
+			}
+			for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+				got, want := h.Quantile(q), ref.quantile(lo, hi, q)
+				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("sequence %d step %d: q%g = %g, dense %g", seq, step, q, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestMoments(t *testing.T) {

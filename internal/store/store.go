@@ -35,7 +35,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/version"
@@ -132,6 +134,9 @@ func (s Stats) Summary() string {
 // are atomic renames, and the counters are atomics.
 type Store struct {
 	dir string
+	// objects is the shard root with a trailing separator, the prefix of
+	// every entry path.
+	objects string
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -168,7 +173,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, objects: filepath.Join(dir, "objects") + string(filepath.Separator)}
 	s.sweepTemp()
 	return s, nil
 }
@@ -206,33 +211,47 @@ func (s *Store) Stats() Stats {
 }
 
 // entryPath shards entries by the first digest byte, kopia-style, so a
-// million-entry store never puts a million names in one directory.
+// million-entry store never puts a million names in one directory. The
+// path is filepath.Join(dir, "objects", hex[:2], hex+".entry"), built in
+// one allocation: the hex digits need no cleaning.
 func (s *Store) entryPath(key Digest) string {
-	name := key.String()
-	return filepath.Join(s.dir, "objects", name[:2], name+".entry")
+	var name [2 * len(key)]byte
+	hex.Encode(name[:], key[:])
+	var b strings.Builder
+	b.Grow(len(s.objects) + 2 + 1 + len(name) + len(".entry"))
+	b.WriteString(s.objects)
+	b.Write(name[:2])
+	b.WriteByte(filepath.Separator)
+	b.Write(name[:])
+	b.WriteString(".entry")
+	return b.String()
 }
 
-// Get returns the verified payload stored under key, or ok=false on a
-// miss. A miss is indistinguishable by design between "never computed",
-// "corrupt entry", and "stale engine version" — in every case the caller
-// recomputes and Puts, which heals the entry; only the Invalid counter
-// tells the cases apart.
+// Get returns a copy of the verified payload stored under key, or
+// ok=false on a miss. A miss is indistinguishable by design between "never
+// computed", "corrupt entry", and "stale engine version" — in every case
+// the caller recomputes and Puts, which heals the entry; only the Invalid
+// counter tells the cases apart.
 func (s *Store) Get(key Digest) (payload []byte, ok bool) {
 	ok = s.Decode(key, func(p []byte) error {
-		payload = p
+		payload = bytes.Clone(p)
 		return nil
 	})
 	return payload, ok
 }
 
 // Decode hands the verified payload stored under key to decode and
-// reports whether the entry was served. The payload is a fresh buffer the
-// callback may keep. A hit is counted only once decode has succeeded: a
-// missing entry counts as a miss, and an unverifiable entry or a payload
+// reports whether the entry was served. The payload aliases a pooled read
+// buffer: it is valid only until decode returns, so a callback that keeps
+// any of it must copy it. A hit is counted only once decode has succeeded:
+// a missing entry counts as a miss, and an unverifiable entry or a payload
 // decode rejects (schema skew inside one engine version — should not
 // happen, but must not crash) as invalid plus miss, never as a hit.
 func (s *Store) Decode(key Digest, decode func(payload []byte) error) bool {
-	data, err := os.ReadFile(s.entryPath(key))
+	bp := readBufs.Get().(*[]byte)
+	defer putReadBuf(bp)
+	data, err := readEntry(s.entryPath(key), (*bp)[:0])
+	*bp = data
 	if err != nil {
 		s.misses.Add(1)
 		return false
@@ -248,6 +267,56 @@ func (s *Store) Decode(key Digest, decode func(payload []byte) error) bool {
 	}
 	s.hits.Add(1)
 	return true
+}
+
+// readBufs recycles Decode's read buffers. A fleet-cell entry is well
+// under a kilobyte, so a warm fleet reads every entry into a handful of
+// buffers instead of allocating one per hit.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
+
+// maxPooledRead caps the buffers readBufs keeps: an occasional large entry
+// (a replay trace) is read into a buffer that is then dropped, so the pool
+// never pins one.
+const maxPooledRead = 64 << 10
+
+func putReadBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledRead {
+		readBufs.Put(bp)
+	}
+}
+
+// readEntry appends the whole file at path to buf and returns it. It is
+// os.ReadFile at the syscall floor: one open, reads until EOF, one close —
+// no fstat, no os.File, no poller registration. Both syscalls are retried
+// on EINTR. The calls have the same shape on every platform the syscall
+// package serves, so this one path builds for all of them.
+func readEntry(path string, buf []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return buf, err
+	}
+	defer syscall.Close(fd)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return buf, err
+		case n == 0:
+			return buf, nil
+		default:
+			buf = buf[:len(buf)+n]
+		}
+	}
 }
 
 // appendHeader appends the header line that opens every entry file (the
@@ -330,12 +399,12 @@ func (s *Store) put(key Digest, payload []byte) error {
 }
 
 // GetJSON is Decode with a strict JSON decode of the payload into out. A
-// *json.RawMessage receives the payload verbatim: the store is
+// *json.RawMessage receives a copy of the payload verbatim: the store is
 // byte-transparent, and raw bytes need no decoding.
 func (s *Store) GetJSON(key Digest, out any) bool {
 	return s.Decode(key, func(payload []byte) error {
 		if raw, ok := out.(*json.RawMessage); ok {
-			*raw = payload
+			*raw = bytes.Clone(payload)
 			return nil
 		}
 		return json.Unmarshal(payload, out)

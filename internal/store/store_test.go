@@ -105,8 +105,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptionSuite damages a stored entry every way the ISSUE names —
-// truncation, a flipped payload bit, a stale engine version — and checks
+// TestCorruptionSuite damages a stored entry every way it can go bad —
+// truncation, a trailing byte, a flipped payload bit, a stale engine
+// version, another key's entry under this key's name — and checks
 // each is detected by verification, served as a miss (never bad bytes,
 // never a crash), counted as invalid, and healed by the recompute's Put.
 func TestCorruptionSuite(t *testing.T) {
@@ -120,6 +121,29 @@ func TestCorruptionSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"trailing-byte": func(t *testing.T, s *Store) {
+			path := s.EntryPathForTest(key)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(data, '}'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"foreign-key": func(t *testing.T, s *Store) {
+			other := testKey(t, testSpec{Platform: "p", Scenario: "s", Seed: 8})
+			if err := s.Put(other, payload); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(s.EntryPathForTest(other))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.EntryPathForTest(key), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -179,6 +203,55 @@ func TestCorruptionSuite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodePayloadNotRetained pins the copy contract on top of Decode's
+// pooled read buffers: what Get and GetJSON into a *json.RawMessage return
+// belongs to the caller and survives any number of later reads of other
+// entries, concurrent ones included (run it under -race). The payload
+// sizes cover a buffer that grows past its pooled capacity and one too
+// large to go back to the pool.
+func TestDecodePayloadNotRetained(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{0, 1, 300, 5000, maxPooledRead + 1}
+	keys := make([]Digest, len(sizes))
+	payloads := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		keys[i] = testKey(t, testSpec{Scenario: "retained", Seed: int64(i)})
+		payloads[i] = bytes.Repeat([]byte{byte('a' + i)}, n)
+		if err := s.Put(keys[i], payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range keys {
+				got, ok := s.Get(keys[i])
+				var raw json.RawMessage
+				if !ok || !s.GetJSON(keys[i], &raw) {
+					t.Errorf("entry %d missed", i)
+					return
+				}
+				for r := 0; r < 100; r++ {
+					other := (i + 1 + r%(len(keys)-1)) % len(keys)
+					if !s.Decode(keys[other], func([]byte) error { return nil }) {
+						t.Errorf("entry %d missed", other)
+						return
+					}
+				}
+				if !bytes.Equal(got, payloads[i]) || !bytes.Equal(raw, payloads[i]) {
+					t.Errorf("entry %d: Get or GetJSON result changed under later reads", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestGetJSONRejectsSchemaSkew(t *testing.T) {
