@@ -53,11 +53,15 @@ MAX_WARM_BYTES ?= 4100000
 # BenchmarkFleetWarm covers the store-served warm fleet (entry read,
 # verify, decode, merge, report; no simulation);
 # BenchmarkStagePredict covers the DTPM predictor stage at model orders 4
-# and 8 (0 allocs/op, so any allocation fails the gate);
+# and 8, BenchmarkStagePower the fused ground-truth power pass and
+# BenchmarkStageThermalStep one BatchSim step (all 0 allocs/op, so any
+# allocation fails the gate);
 # BenchmarkStoreDecode and BenchmarkStorePut cover one store hit (entry
 # read and verify, 2 allocs/op) and one entry write on a real fleet-cell
-# entry.
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
+# entry. BenchmarkCharacterization covers the §4 characterization rig
+# (furnace sweeps and PRBS runs on a width-1 BatchSim through the fused
+# power pass; ~171k allocs/op, flat across runs).
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStagePower$$|BenchmarkStageThermalStep$$|BenchmarkCharacterization$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
 
 all: build
 

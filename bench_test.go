@@ -24,9 +24,11 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/platform"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sysid"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -448,6 +450,77 @@ func BenchmarkStagePredict(b *testing.B) {
 				pred.PredictConstInto(dst, temps, powers, 10)
 			}
 		})
+	}
+}
+
+// stageInterval is the hot interval the power and thermal stage
+// benchmarks replay on the default platform: the big cluster at its top
+// frequency with every core 90% busy, the hottest core near TMax and the
+// rest trailing by 0.5 °C each.
+type stageInterval struct {
+	runner *sim.Runner
+	chip   *platform.Chip
+	act    power.ChipActivity
+	temps  []float64
+	board  float64
+}
+
+func hotStageInterval() stageInterval {
+	desc := platform.Default()
+	chip := platform.NewChipFor(desc)
+	nodes := chip.BigCluster.NumCores()
+	temps := make([]float64, nodes)
+	for i := range temps {
+		temps[i] = 62 - 0.5*float64(i)
+	}
+	util := make([]float64, desc.MaxClusterCores())
+	for i := 0; i < nodes; i++ {
+		util[i] = 0.9
+	}
+	return stageInterval{
+		runner: sim.NewRunnerFor(desc),
+		chip:   chip,
+		act:    power.ChipActivity{CoreUtil: util, CPUActivity: 1, MemTraffic: 0.5},
+		temps:  temps,
+		board:  50,
+	}
+}
+
+// BenchmarkStagePower times the ground-truth power stage: one fused
+// StepInto pass over a hot interval, the call shape bench/probes.go times
+// as power.step_ns. It must not allocate (allocs/op is gated in HOTBENCH).
+func BenchmarkStagePower(b *testing.B) {
+	hot := hotStageInterval()
+	core := make([]float64, len(hot.temps))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hot.runner.GT.StepInto(core, hot.chip, hot.act, hot.temps, hot.board)
+	}
+}
+
+// BenchmarkStageThermalStep times the thermal stage: one 100 ms RK4 step
+// of one device of a width-16 BatchSim, devices taken round robin from the
+// idle warm start under a hot interval's powers — the call shape
+// bench/probes.go times as thermal.batch_step_ns. It must not allocate
+// (allocs/op is gated in HOTBENCH).
+func BenchmarkStageThermalStep(b *testing.B) {
+	const width = 16
+	hot := hotStageInterval()
+	core := make([]float64, len(hot.temps))
+	_, board := hot.runner.GT.StepInto(core, hot.chip, hot.act, hot.temps, hot.board)
+	bs := thermal.NewBatchSim(hot.runner.Thermal, width)
+	idle := hot.runner.IdleState()
+	for d := 0; d < width; d++ {
+		bs.SetState(d, idle)
+		copy(bs.CoreInput(d), core)
+	}
+	d := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bs.Step(d, 0.1, board, 0)
+		d = (d + 1) % width
 	}
 }
 

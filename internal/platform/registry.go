@@ -91,7 +91,7 @@ func Default() *Descriptor {
 func init() {
 	for _, d := range []*Descriptor{exynos5410(), fanlessPhone(), tablet8Big()} {
 		// Materialize the floorplan adjacency once per profile: every
-		// thermal.NewSim built from the descriptor then reuses it instead
+		// thermal.BatchSim built from the descriptor then reuses it instead
 		// of regenerating the grid per simulation run.
 		if d.Thermal.Neighbors == nil {
 			d.Thermal.Neighbors = thermal.GridNeighbors(d.Thermal.Cores())

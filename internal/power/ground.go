@@ -211,20 +211,13 @@ type ChipActivity struct {
 	FanSpeed float64
 }
 
-// CorePowers returns the per-core power (W) of the big-cluster hotspot
-// nodes and the aggregate board-node power (little + GPU + mem + gated
-// residuals) for the thermal network. When the little cluster is active the
-// big cores dissipate only their gated residual and the little cluster's
-// power heats the board node.
-func (g *GroundTruth) CorePowers(chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (core []float64, board float64) {
-	core = make([]float64, chip.BigCluster.NumCores())
-	board = g.CorePowersInto(core, chip, act, coreTemps, boardTemp)
-	return core, board
-}
-
-// CorePowersInto is the allocation-free form of CorePowers: it writes the
-// per-hotspot powers into core (length = big-cluster core count) and
-// returns the board-node power.
+// CorePowersInto writes the per-core power (W) of the big-cluster hotspot
+// nodes into core (length = big-cluster core count) and returns the
+// aggregate board-node power (little + GPU + mem + gated residuals) for
+// the thermal network. When the little cluster is active the big cores
+// dissipate only their gated residual and the little cluster's power
+// heats the board node. StepInto computes the same outputs in one fused
+// pass; this form and Evaluate are the reference it is checked against.
 func (g *GroundTruth) CorePowersInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (board float64) {
 	b := g.Evaluate(chip, act, coreTemps, boardTemp)
 	nBig := chip.BigCluster.NumCores()

@@ -263,16 +263,8 @@ func (r *Runner) computeIdleState() thermal.State {
 	if err := chip.Active().SetFreq(chip.Active().Domain.MinFreq()); err != nil {
 		panic(err)
 	}
-	sim := thermal.NewSim(r.Thermal)
 	act := power.ChipActivity{CoreUtil: idleCoreUtil(chip.BigCluster.NumCores()), CPUActivity: 1, MemTraffic: 0.05}
-	st := sim.State()
-	core := make([]float64, chip.BigCluster.NumCores())
-	for i := 0; i < 4; i++ {
-		board := r.GT.CorePowersInto(core, chip, act, st.Core, st.Board)
-		st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
-		sim.SetState(st)
-	}
-	return st
+	return sysid.Settle(r.GT, r.Thermal, chip, act, 4)
 }
 
 // Run executes one benchmark (or Options.Script) under one policy: a

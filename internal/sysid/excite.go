@@ -89,6 +89,42 @@ func singleCoreUtil(cores int, u float64) []float64 {
 	return util
 }
 
+// Settle returns the coupled power<->temperature steady state of a device
+// with network p (every node starting at p.Ambient) holding chip and act:
+// leakage depends on temperature and temperature on power (§4.1.1), so
+// the ground-truth powers and the network's steady state are alternated
+// iters times. The furnace sweeps settle 5 times and the idle warm start
+// 4; the committed characterization and kernel digests pin both counts.
+func Settle(gt *power.GroundTruth, p thermal.Params, chip *platform.Chip, act power.ChipActivity, iters int) thermal.State {
+	bs := thermal.NewBatchSim(p, 1)
+	st := thermal.NewState(p.Cores(), p.Ambient)
+	for i := 0; i < iters; i++ {
+		_, board := gt.StepInto(bs.CoreInput(0), chip, act, st.Core, st.Board)
+		st = bs.SteadyState(0, board, 0)
+		bs.SetState(0, st)
+	}
+	return st
+}
+
+// furnace settles the device in the furnace at ambient amb and appends
+// samplesPer sensor readings of (hotspot temperature, big-rail power),
+// tagged with the operating point (volt, freq), to out.
+func (r *Rig) furnace(out []FurnaceSample, chip *platform.Chip, act power.ChipActivity, amb, volt float64, freq platform.KHz, samplesPer int) []FurnaceSample {
+	tp := r.Thermal
+	tp.Ambient = amb
+	st := Settle(r.GT, tp, chip, act, 5)
+	truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
+	for s := 0; s < samplesPer; s++ {
+		out = append(out, FurnaceSample{
+			TempC: r.Sensors.ReadTemp(st.MaxCore()),
+			Power: r.Sensors.ReadPower(truth.Domain[platform.Big]),
+			Volt:  volt,
+			FHz:   freq.Hz(),
+		})
+	}
+	return out
+}
+
 // FurnaceTempSweep reproduces the Figure 4.2 experiment: the platform sits
 // in the furnace at each ambient setpoint running the light workload at the
 // given big-cluster frequency; after settling, samplesPer sensor readings of
@@ -106,26 +142,7 @@ func (r *Rig) FurnaceTempSweep(setpointsC []float64, freq platform.KHz, samplesP
 
 	var out []FurnaceSample
 	for _, amb := range setpointsC {
-		tp := r.Thermal
-		tp.Ambient = amb
-		sim := thermal.NewSim(tp)
-		// Settle: iterate power<->temperature to the coupled steady state
-		// (leakage depends on temperature, temperature on power: §4.1.1).
-		st := sim.State()
-		for i := 0; i < 5; i++ {
-			core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
-			st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
-			sim.SetState(st)
-		}
-		truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
-		for s := 0; s < samplesPer; s++ {
-			out = append(out, FurnaceSample{
-				TempC: r.Sensors.ReadTemp(st.MaxCore()),
-				Power: r.Sensors.ReadPower(truth.Domain[platform.Big]),
-				Volt:  v,
-				FHz:   freq.Hz(),
-			})
-		}
+		out = r.furnace(out, chip, act, amb, v, freq, samplesPer)
 	}
 	return out, nil
 }
@@ -146,24 +163,7 @@ func (r *Rig) FurnaceFreqSweep(setpointC float64, samplesPer int) ([]FurnaceSamp
 		if err := chip.Active().SetFreq(opp.Freq); err != nil {
 			return nil, err
 		}
-		tp := r.Thermal
-		tp.Ambient = setpointC
-		sim := thermal.NewSim(tp)
-		st := sim.State()
-		for i := 0; i < 5; i++ {
-			core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
-			st = sim.SteadyState(thermal.Input{CorePower: core, BoardPower: board})
-			sim.SetState(st)
-		}
-		truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
-		for s := 0; s < samplesPer; s++ {
-			out = append(out, FurnaceSample{
-				TempC: r.Sensors.ReadTemp(st.MaxCore()),
-				Power: r.Sensors.ReadPower(truth.Domain[platform.Big]),
-				Volt:  opp.Volt,
-				FHz:   opp.Freq.Hz(),
-			})
-		}
+		out = r.furnace(out, chip, act, setpointC, opp.Volt, opp.Freq, samplesPer)
 	}
 	return out, nil
 }
@@ -232,7 +232,7 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 	}
 	desc := r.desc()
 	chip := platform.NewChipFor(desc)
-	sim := thermal.NewSim(r.Thermal)
+	sim := thermal.NewBatchSim(r.Thermal, 1)
 	prbs := NewPRBS(cfg.Seed)
 	n := int(cfg.Duration / r.Ts)
 	hold := int(cfg.HoldSec / r.Ts)
@@ -240,6 +240,7 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 
 	nodes := chip.BigCluster.NumCores()
 	ds := &Dataset{Ts: r.Ts, Ambient: r.Thermal.Ambient, States: nodes}
+	var st thermal.State
 
 	// Baseline configuration: everything minimal.
 	if err := chip.Active().SetFreq(chip.Active().Domain.MinFreq()); err != nil {
@@ -287,14 +288,15 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 			return nil, fmt.Errorf("sysid: unknown resource %v", cfg.Resource)
 		}
 
-		st := sim.State()
-		truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
+		// One fused pass yields the breakdown the sensors read and the
+		// node powers the network integrates.
+		sim.StateInto(0, &st)
+		truth, board := r.GT.StepInto(sim.CoreInput(0), chip, act, st.Core, st.Board)
 		temps := r.Sensors.ReadCoreTemps(st.Core)
 		powers := r.Sensors.ReadDomainPowers(truth.Domain)
 		ds.Append(temps, powers[:])
 
-		core, board := r.GT.CorePowers(chip, act, st.Core, st.Board)
-		sim.Step(r.Ts, thermal.Input{CorePower: core, BoardPower: board})
+		sim.Step(0, r.Ts, board, 0)
 	}
 	return ds, nil
 }

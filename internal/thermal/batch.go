@@ -6,19 +6,19 @@ import "math"
 // one parameter set, in a structure-of-arrays layout: all per-device state
 // lives in flat device-major slabs (core temperatures as B contiguous rows
 // of n nodes, boards and ambients as length-B vectors) and the RK4 stage
-// and derivative buffers are shared across the whole batch — a batch costs
-// two allocations instead of 2*B Sims, and stepping device after device
+// and derivative buffers are shared across the whole batch — its buffers
+// are two allocations at any width, and stepping device after device
 // reuses hot scratch instead of touching B separate working sets.
 //
-// Per device the integration is bit-identical to Sim: Step(d, ...) replays
-// Sim.Step's sub-stepping and rk4 tableau with the same floating-point
-// operations in the same order on the same values, only reading them from
-// the device's row. The batched fleet kernel depends on this; the
-// byte-identity property test in batch_test.go enforces it.
+// It is the package's only integrator: the simulation kernel steps whole
+// batches, and the characterization rig and the idle warm start use width
+// 1. A device's trajectory depends only on its own row, inputs and
+// ambient, never on the batch width or on its neighbours; batch_test.go
+// enforces this bit for bit, and testdata/rk4-oracle.json pins the
+// width-1 trajectories.
 //
-// Unlike Sim, whose ambient is the one Sim.P.Ambient, the ambient
-// temperature is per device (SetAmbient): scripts change it over time,
-// and devices of one batch sit in different rooms.
+// The ambient temperature is per device (SetAmbient): scripts change it
+// over time, and devices of one batch sit in different rooms.
 type BatchSim struct {
 	p   Params
 	nbr [][]int
@@ -80,14 +80,14 @@ func (s *BatchSim) Batch() int { return s.b }
 // row returns device d's core-temperature row.
 func (s *BatchSim) row(d int) []float64 { return s.core[d*s.n : (d+1)*s.n : (d+1)*s.n] }
 
-// SetState forces device d's node temperatures (copied, like Sim.SetState).
+// SetState forces device d's node temperatures. The state is copied; the
+// caller keeps ownership of st.Core.
 func (s *BatchSim) SetState(d int, st State) {
 	copy(s.row(d), st.Core)
 	s.board[d] = st.Board
 }
 
-// SetAmbient moves device d's ambient temperature, the per-device
-// equivalent of writing Sim.P.Ambient.
+// SetAmbient moves device d's ambient temperature.
 func (s *BatchSim) SetAmbient(d int, amb float64) { s.ambient[d] = amb }
 
 // Ambient returns device d's current ambient temperature.
@@ -109,13 +109,17 @@ func (s *BatchSim) StateInto(d int, dst *State) *State {
 func (s *BatchSim) CoreInput(d int) []float64 { return s.input[d*s.n : (d+1)*s.n : (d+1)*s.n] }
 
 // derivative evaluates dT/dt for device d at the given core/board state,
-// writing the core derivatives into dCore. It mirrors Sim.derivative
-// operation for operation, with in.CorePower = the device's input row and
-// p.Ambient = the device's ambient.
+// with the device's input row and ambient, writing the core derivatives
+// into dCore.
 func (s *BatchSim) derivative(d int, core []float64, board float64, boardPower, fanSpeed float64, dCore []float64) (dBoard float64) {
 	p := &s.p
 	in := s.CoreInput(d)
 	amb := s.ambient[d]
+	// Convective conductance grows strongly superlinearly with fan duty
+	// (airflow rises with RPM and the boundary layer thins with airflow);
+	// a quartic law makes the stock controller's idle duty nearly neutral
+	// and its upper steps aggressive. The resulting over-cool/re-heat
+	// limit cycle is the wide with-fan oscillation of Figures 6.3-6.4.
 	fan := clamp01(fanSpeed)
 	fanEff := fan * fan * fan * fan
 	gAmb := p.GBoardAmb + p.GFanMax*fanEff
@@ -138,12 +142,14 @@ func (s *BatchSim) derivative(d int, core []float64, board float64, boardPower, 
 }
 
 // Step advances device d by dt seconds with the core powers previously
-// written into CoreInput(d) plus the given board power and fan speed,
-// using the same RK4 sub-stepping as Sim.Step.
+// written into CoreInput(d) plus the given board power and fan speed. It
+// integrates with RK4, sub-stepped to the fastest time constant so the
+// integration stays stable for any caller-supplied dt; dt <= 0 is a no-op.
 func (s *BatchSim) Step(d int, dt float64, boardPower, fanSpeed float64) {
 	if dt <= 0 {
 		return
 	}
+	// Fastest time constant ~ CCore / (GCoreBoard + 2*GCoreCore).
 	tau := s.p.CCore / (s.p.GCoreBoard + 2*s.p.GCoreCore)
 	sub := int(math.Ceil(dt / (tau / 4)))
 	if sub < 1 {
@@ -155,9 +161,9 @@ func (s *BatchSim) Step(d int, dt float64, boardPower, fanSpeed float64) {
 	}
 }
 
-// rk4 advances device d by one internal step, replaying Sim.rk4's tableau
-// arithmetic exactly (stage = state + w*k element-wise, then the 1/6
-// weighted sum) over the device's row.
+// rk4 advances device d by one internal step of the classical tableau
+// (stage = state + w*k element-wise, then the 1/6 weighted sum) over the
+// device's row.
 func (s *BatchSim) rk4(d int, h float64, boardPower, fanSpeed float64) {
 	core := s.row(d)
 	board := s.board[d]
@@ -179,4 +185,29 @@ func (s *BatchSim) rk4(d int, h float64, boardPower, fanSpeed float64) {
 		core[i] += h / 6 * (s.k1c[i] + 2*s.k2c[i] + 2*s.k3c[i] + s.k4c[i])
 	}
 	s.board[d] += h / 6 * (k1b + 2*k2b + 2*k3b + k4b)
+}
+
+// SteadyState returns device d's equilibrium temperatures for constant
+// inputs (the core powers in CoreInput(d) plus the given board power and
+// fan speed), found by stepping 1 s at a time until the largest
+// derivative is negligible. Device d's state is left as it was found.
+func (s *BatchSim) SteadyState(d int, boardPower, fanSpeed float64) State {
+	row := s.row(d)
+	saved := State{Core: append([]float64(nil), row...), Board: s.board[d]}
+	for iter := 0; iter < 200000; iter++ {
+		s.Step(d, 1.0, boardPower, fanSpeed)
+		db := s.derivative(d, row, s.board[d], boardPower, fanSpeed, s.k1c)
+		m := math.Abs(db)
+		for _, dc := range s.k1c {
+			if math.Abs(dc) > m {
+				m = math.Abs(dc)
+			}
+		}
+		if m < 1e-7 {
+			break
+		}
+	}
+	out := State{Core: append([]float64(nil), row...), Board: s.board[d]}
+	s.SetState(d, saved)
+	return out
 }

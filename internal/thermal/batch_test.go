@@ -6,32 +6,30 @@ import (
 	"testing"
 )
 
-// TestBatchSimMatchesSim is the integrator's byte-identity gate: a
-// BatchSim of B devices stepped with per-device inputs must track B
-// independent Sims bit for bit, including per-device ambient moves (which
-// the scalar path models by mutating Sim.P.Ambient mid-run).
-func TestBatchSimMatchesSim(t *testing.T) {
-	for _, p := range []Params{
-		DefaultParams(),
-		{NumCores: 8, CCore: 0.45, CBoard: 7.5, GCoreBoard: 0.075, GCoreCore: 0.28, GBoardAmb: 0.085},
-	} {
+// TestBatchSimDevicesIndependent is the batch's byte-identity gate: device
+// d of a batch of B, stepped with per-device inputs and per-device ambient
+// moves, must track a width-1 BatchSim fed the same sequence bit for bit.
+// The fleet kernel's batch-size invariance rests on this; the width-1
+// trajectories themselves are pinned by TestRK4Oracle.
+func TestBatchSimDevicesIndependent(t *testing.T) {
+	for _, p := range oracleParams {
 		const B = 5
 		bsim := NewBatchSim(p, B)
 		if bsim.Batch() != B {
 			t.Fatalf("Batch() = %d, want %d", bsim.Batch(), B)
 		}
-		scalars := make([]*Sim, B)
+		singles := make([]*BatchSim, B)
 		rngs := make([]*rand.Rand, B)
 		for d := 0; d < B; d++ {
-			scalars[d] = NewSim(p)
+			singles[d] = NewBatchSim(p, 1)
 			rngs[d] = rand.New(rand.NewSource(int64(100 + d)))
 			// Distinct warm starts per device.
-			st := scalars[d].State()
+			st := NewState(p.Cores(), p.Ambient)
 			for i := range st.Core {
 				st.Core[i] += float64(d) + 0.1*float64(i)
 			}
 			st.Board += 0.5 * float64(d)
-			scalars[d].SetState(st)
+			singles[d].SetState(0, st)
 			bsim.SetState(d, st)
 		}
 
@@ -41,7 +39,7 @@ func TestBatchSimMatchesSim(t *testing.T) {
 				rng := rngs[d]
 				if step%17 == d { // occasional per-device ambient move
 					amb := p.Ambient + 10*rng.Float64()
-					scalars[d].P.Ambient = amb
+					singles[d].SetAmbient(0, amb)
 					bsim.SetAmbient(d, amb)
 					if bsim.Ambient(d) != amb {
 						t.Fatalf("device %d: Ambient() = %v, want %v", d, bsim.Ambient(d), amb)
@@ -51,13 +49,14 @@ func TestBatchSimMatchesSim(t *testing.T) {
 				for i := range in {
 					in[i] = 3 * rng.Float64()
 				}
+				copy(singles[d].CoreInput(0), in)
 				boardPow := 2 * rng.Float64()
 				fan := rng.Float64()
 				dt := 0.1
-				scalars[d].Step(dt, Input{CorePower: in, BoardPower: boardPow, FanSpeed: fan})
+				singles[d].Step(0, dt, boardPow, fan)
 				bsim.Step(d, dt, boardPow, fan)
 
-				scalars[d].StateInto(&want)
+				singles[d].StateInto(0, &want)
 				bsim.StateInto(d, &got)
 				if math.Float64bits(got.Board) != math.Float64bits(want.Board) {
 					t.Fatalf("device %d step %d: board %v vs %v", d, step, got.Board, want.Board)

@@ -19,8 +19,8 @@ import (
 // fan and ambient sequence (fan speeds outside [0, 1], dt of 0, -5, 0.1
 // and 500 s, so the no-op and sub-stepping paths are covered), followed by
 // SteadyState at three fan speeds and the state it must leave untouched.
-// The digests were committed from the scalar integrator the batched one
-// replaced; any change that moves a single bit fails here.
+// The digests were committed from the scalar integrator that width-1
+// BatchSim replaced; any change that moves a single bit fails here.
 //
 // Regenerate (only when a physics change is intended) with:
 //
@@ -57,32 +57,33 @@ func rk4Digest(pi, dev int) string {
 	p := oracleParams[pi]
 	n := p.Cores()
 	rng := rand.New(rand.NewSource(int64(1000*pi + dev)))
-	s := NewSim(p)
+	s := NewBatchSim(p, 1)
 	warm := NewState(n, p.Ambient)
 	for i := range warm.Core {
 		warm.Core[i] += float64(dev) + 0.1*float64(i)
 	}
 	warm.Board += 0.5 * float64(dev)
-	s.SetState(warm)
+	s.SetState(0, warm)
 
 	h := sha256.New()
-	core := make([]float64, n)
+	core := s.CoreInput(0)
 	var board, fan float64
+	var st State
 	for step := 0; step < oracleSteps; step++ {
 		if step%17 == dev {
-			s.P.Ambient = p.Ambient + 10*rng.Float64()
+			s.SetAmbient(0, p.Ambient+10*rng.Float64())
 		}
 		for i := range core {
 			core[i] = 3 * rng.Float64()
 		}
 		board = 2 * rng.Float64()
 		fan = 1.2*rng.Float64() - 0.1
-		s.Step(oracleDts[step%len(oracleDts)], Input{CorePower: core, BoardPower: board, FanSpeed: fan})
-		writeState(h, s.State())
+		s.Step(0, oracleDts[step%len(oracleDts)], board, fan)
+		writeState(h, *s.StateInto(0, &st))
 	}
 	for _, f := range []float64{0, fan, 1} {
-		writeState(h, s.SteadyState(Input{CorePower: core, BoardPower: board, FanSpeed: f}))
-		writeState(h, s.State())
+		writeState(h, s.SteadyState(0, board, f))
+		writeState(h, *s.StateInto(0, &st))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -140,13 +140,6 @@ func NewState(n int, t float64) State {
 	return s
 }
 
-// Clone returns a deep copy (State carries a slice; assignment aliases it).
-func (s State) Clone() State {
-	c := State{Core: make([]float64, len(s.Core)), Board: s.Board}
-	copy(c.Core, s.Core)
-	return c
-}
-
 // MaxCore returns the hottest core temperature.
 func (s State) MaxCore() float64 {
 	m := s.Core[0]
@@ -165,186 +158,8 @@ func (s State) HottestCore() int {
 		if t > s.Core[idx] {
 			idx = i
 		}
-		_ = t
 	}
 	return idx
-}
-
-// Input is the power injected into the network during one step.
-type Input struct {
-	// CorePower is the per-core power of the big cluster (W), one entry per
-	// hotspot node. When the little cluster is active these are ~0 and its
-	// power appears in BoardPower.
-	CorePower []float64
-	// BoardPower aggregates little-cluster, GPU, and memory power (W).
-	BoardPower float64
-	// FanSpeed is the fan speed fraction [0, 1].
-	FanSpeed float64
-}
-
-// Sim integrates the network. All per-step scratch is preallocated at
-// construction, so Step performs no heap allocation (the simulation hot
-// loop depends on this).
-type Sim struct {
-	P   Params
-	nbr [][]int
-	s   State
-
-	// RK4 scratch: stage state and the four derivative estimates.
-	stage              State
-	k1c, k2c, k3c, k4c []float64
-}
-
-// NewSim returns a simulator with every node at ambient.
-func NewSim(p Params) *Sim {
-	n := p.Cores()
-	// One flat backing array serves the state, the stage, and the four RK4
-	// derivative buffers: a Sim costs two allocations, not eight (the
-	// campaign engine builds one per simulation cell).
-	flat := make([]float64, 6*n)
-	sim := &Sim{
-		P:     p,
-		nbr:   p.neighbors(),
-		s:     State{Core: flat[0:n:n], Board: p.Ambient},
-		stage: State{Core: flat[n : 2*n : 2*n], Board: p.Ambient},
-		k1c:   flat[2*n : 3*n : 3*n],
-		k2c:   flat[3*n : 4*n : 4*n],
-		k3c:   flat[4*n : 5*n : 5*n],
-		k4c:   flat[5*n : 6*n : 6*n],
-	}
-	sim.Reset()
-	return sim
-}
-
-// Reset returns every node to ambient temperature.
-func (s *Sim) Reset() {
-	for i := range s.s.Core {
-		s.s.Core[i] = s.P.Ambient
-	}
-	s.s.Board = s.P.Ambient
-}
-
-// SetState forces the node temperatures (used by tests and the furnace).
-// The state is copied; the caller keeps ownership of st.Core.
-func (s *Sim) SetState(st State) {
-	copy(s.s.Core, st.Core)
-	s.s.Board = st.Board
-}
-
-// State returns a copy of the current node temperatures.
-func (s *Sim) State() State { return s.s.Clone() }
-
-// StateInto copies the current node temperatures into dst, resizing
-// dst.Core if needed, and returns dst. The allocation-free read for the
-// per-step loop.
-func (s *Sim) StateInto(dst *State) *State {
-	if len(dst.Core) != len(s.s.Core) {
-		dst.Core = make([]float64, len(s.s.Core))
-	}
-	copy(dst.Core, s.s.Core)
-	dst.Board = s.s.Board
-	return dst
-}
-
-// derivative evaluates dT/dt for the given state and input, writing the
-// core derivatives into dCore.
-func (s *Sim) derivative(st State, in Input, dCore []float64) (dBoard float64) {
-	p := s.P
-	// Convective conductance grows strongly superlinearly with fan duty
-	// (airflow rises with RPM and the boundary layer thins with airflow);
-	// a quartic law makes the stock controller's idle duty nearly neutral
-	// and its upper steps aggressive. The resulting over-cool/re-heat
-	// limit cycle is the wide with-fan oscillation of Figures 6.3-6.4.
-	fan := clamp01(in.FanSpeed)
-	fanEff := fan * fan * fan * fan
-	gAmb := p.GBoardAmb + p.GFanMax*fanEff
-	gFanCore := p.GFanCoreMax * fanEff
-	var toBoard float64
-	for i := range dCore {
-		gcb := p.GCoreBoard * coreAsym(p, i)
-		// Entries beyond len(CorePower) are zero (Input{} means no power,
-		// matching the old fixed-array semantics).
-		q := 0.0
-		if i < len(in.CorePower) {
-			q = in.CorePower[i]
-		}
-		q -= gcb * (st.Core[i] - st.Board)
-		q -= gFanCore * (st.Core[i] - p.Ambient)
-		for _, j := range s.nbr[i] {
-			q -= p.GCoreCore * (st.Core[i] - st.Core[j])
-		}
-		dCore[i] = q / p.CCore
-		toBoard += gcb * (st.Core[i] - st.Board)
-	}
-	qb := in.BoardPower + toBoard - gAmb*(st.Board-p.Ambient)
-	dBoard = qb / p.CBoard
-	return dBoard
-}
-
-// Step advances the network by dt seconds with the given input, using RK4
-// with internal sub-stepping sized to the fastest time constant so the
-// integration stays stable for any caller-supplied dt.
-func (s *Sim) Step(dt float64, in Input) State {
-	if dt <= 0 {
-		return s.s
-	}
-	// Fastest time constant ~ CCore / (GCoreBoard + 2*GCoreCore).
-	tau := s.P.CCore / (s.P.GCoreBoard + 2*s.P.GCoreCore)
-	sub := int(math.Ceil(dt / (tau / 4)))
-	if sub < 1 {
-		sub = 1
-	}
-	h := dt / float64(sub)
-	for n := 0; n < sub; n++ {
-		s.rk4(h, in)
-	}
-	return s.s
-}
-
-// rk4 advances one internal step. The stage arithmetic replays the
-// classical tableau exactly as the fixed-size implementation did
-// (stage = state + w*k element-wise, then the 1/6 weighted sum), so the
-// trajectory is bit-identical for the same parameters.
-func (s *Sim) rk4(h float64, in Input) {
-	stage := func(kc []float64, kb, w float64) {
-		for i := range s.stage.Core {
-			s.stage.Core[i] = s.s.Core[i] + w*kc[i]
-		}
-		s.stage.Board = s.s.Board + w*kb
-	}
-	k1b := s.derivative(s.s, in, s.k1c)
-	stage(s.k1c, k1b, h/2)
-	k2b := s.derivative(s.stage, in, s.k2c)
-	stage(s.k2c, k2b, h/2)
-	k3b := s.derivative(s.stage, in, s.k3c)
-	stage(s.k3c, k3b, h)
-	k4b := s.derivative(s.stage, in, s.k4c)
-	for i := range s.s.Core {
-		s.s.Core[i] += h / 6 * (s.k1c[i] + 2*s.k2c[i] + 2*s.k3c[i] + s.k4c[i])
-	}
-	s.s.Board += h / 6 * (k1b + 2*k2b + 2*k3b + k4b)
-}
-
-// SteadyState returns the equilibrium temperatures for a constant input,
-// found by integrating until the largest derivative is negligible.
-func (s *Sim) SteadyState(in Input) State {
-	saved := s.s.Clone()
-	defer func() { s.SetState(saved) }()
-	dc := make([]float64, len(s.s.Core))
-	for iter := 0; iter < 200000; iter++ {
-		s.Step(1.0, in)
-		db := s.derivative(s.s, in, dc)
-		m := math.Abs(db)
-		for _, d := range dc {
-			if math.Abs(d) > m {
-				m = math.Abs(d)
-			}
-		}
-		if m < 1e-7 {
-			break
-		}
-	}
-	return s.s.Clone()
 }
 
 // coreAsym returns the effective asymmetry multiplier for core i,

@@ -7,24 +7,63 @@ import (
 	"testing/quick"
 )
 
-func highLoadInput() Input {
-	// 4 big cores at ~0.7 W each plus ~1.3 W of GPU/mem/board power:
-	// the matrix-multiplication scenario of Figure 1.1.
-	return Input{CorePower: []float64{0.7, 0.7, 0.7, 0.7}, BoardPower: 1.3}
+// load is a constant power input: per-core powers (entries beyond
+// len(core) are zero), board power and fan speed.
+type load struct {
+	core       []float64
+	board, fan float64
 }
 
+func highLoad() load {
+	// 4 big cores at ~0.7 W each plus ~1.3 W of GPU/mem/board power:
+	// the matrix-multiplication scenario of Figure 1.1.
+	return load{core: []float64{0.7, 0.7, 0.7, 0.7}, board: 1.3}
+}
+
+// single is one device: a width-1 BatchSim.
+type single struct{ *BatchSim }
+
+func newSingle(p Params) single { return single{NewBatchSim(p, 1)} }
+
+func (s single) apply(in load) {
+	row := s.CoreInput(0)
+	for i := range row {
+		row[i] = 0
+		if i < len(in.core) {
+			row[i] = in.core[i]
+		}
+	}
+}
+
+func (s single) step(dt float64, in load) {
+	s.apply(in)
+	s.Step(0, dt, in.board, in.fan)
+}
+
+func (s single) steadyState(in load) State {
+	s.apply(in)
+	return s.SteadyState(0, in.board, in.fan)
+}
+
+func (s single) state() State {
+	var st State
+	return *s.StateInto(0, &st)
+}
+
+func (s single) setState(st State) { s.SetState(0, st) }
+
 func TestStartsAtAmbient(t *testing.T) {
-	s := NewSim(DefaultParams())
-	st := s.State()
+	s := newSingle(DefaultParams())
+	st := s.state()
 	if st.Board != 30 || st.Core[0] != 30 {
 		t.Fatalf("initial state = %+v, want ambient", st)
 	}
 }
 
 func TestZeroPowerStaysAtAmbient(t *testing.T) {
-	s := NewSim(DefaultParams())
-	s.Step(100, Input{})
-	st := s.State()
+	s := newSingle(DefaultParams())
+	s.step(100, load{})
+	st := s.state()
 	for i, c := range st.Core {
 		if math.Abs(c-30) > 1e-6 {
 			t.Fatalf("core %d drifted to %v with zero power", i, c)
@@ -36,12 +75,12 @@ func TestZeroPowerStaysAtAmbient(t *testing.T) {
 }
 
 func TestHeatingMonotoneUnderConstantPower(t *testing.T) {
-	s := NewSim(DefaultParams())
-	in := highLoadInput()
-	prev := s.State().MaxCore()
+	s := newSingle(DefaultParams())
+	in := highLoad()
+	prev := s.state().MaxCore()
 	for i := 0; i < 50; i++ {
-		s.Step(1, in)
-		cur := s.State().MaxCore()
+		s.step(1, in)
+		cur := s.state().MaxCore()
 		if cur < prev-1e-9 {
 			t.Fatalf("temperature decreased at step %d under constant power", i)
 		}
@@ -54,8 +93,8 @@ func TestHeatingMonotoneUnderConstantPower(t *testing.T) {
 
 func TestNoFanExceeds85C(t *testing.T) {
 	// Figure 1.1: without a fan, the hotspots blow past 85 °C.
-	s := NewSim(DefaultParams())
-	st := s.SteadyState(highLoadInput())
+	s := newSingle(DefaultParams())
+	st := s.steadyState(highLoad())
 	if st.MaxCore() < 85 {
 		t.Fatalf("no-fan steady state = %.1f C, want > 85 (Figure 1.1)", st.MaxCore())
 	}
@@ -67,11 +106,11 @@ func TestFullFanHoldsBelow70C(t *testing.T) {
 	// the steady state lands well under the 63 °C constraint; the stock
 	// controller only ever reaches 100% above 68 °C, so in closed loop the
 	// trace oscillates below that.
-	s := NewSim(DefaultParams())
-	in := highLoadInput()
-	noFan := s.SteadyState(in).MaxCore()
-	in.FanSpeed = 1
-	st := s.SteadyState(in)
+	s := newSingle(DefaultParams())
+	in := highLoad()
+	noFan := s.steadyState(in).MaxCore()
+	in.fan = 1
+	st := s.steadyState(in)
 	if st.MaxCore() > 63 {
 		t.Fatalf("full-fan steady state = %.1f C, want < 63", st.MaxCore())
 	}
@@ -83,14 +122,14 @@ func TestFullFanHoldsBelow70C(t *testing.T) {
 func TestNoFanCrossesConstraintwithin100s(t *testing.T) {
 	// Figures 6.3/6.4: without the fan the 63 °C constraint is violated
 	// well within the benchmark run.
-	s := NewSim(DefaultParams())
+	s := newSingle(DefaultParams())
 	// Warm start: device idling before the benchmark launches.
-	s.SetState(State{Core: []float64{36, 36, 36, 36}, Board: 35})
-	in := highLoadInput()
+	s.setState(State{Core: []float64{36, 36, 36, 36}, Board: 35})
+	in := highLoad()
 	crossed := -1.0
 	for tm := 0.0; tm < 100; tm += 0.1 {
-		s.Step(0.1, in)
-		if s.State().MaxCore() > 63 {
+		s.step(0.1, in)
+		if s.state().MaxCore() > 63 {
 			crossed = tm
 			break
 		}
@@ -106,10 +145,10 @@ func TestNoFanCrossesConstraintwithin100s(t *testing.T) {
 func TestCoreFasterThanBoard(t *testing.T) {
 	// A power step moves the hotspots in seconds, the board in minutes
 	// (what makes the PRBS swings of Figure 4.8 visible).
-	s := NewSim(DefaultParams())
-	in := highLoadInput()
-	s.Step(5, in)
-	st5 := s.State()
+	s := newSingle(DefaultParams())
+	in := highLoad()
+	s.step(5, in)
+	st5 := s.state()
 	coreRise := st5.MaxCore() - 30
 	boardRise := st5.Board - 30
 	if coreRise < 5 {
@@ -121,10 +160,10 @@ func TestCoreFasterThanBoard(t *testing.T) {
 }
 
 func TestHottestCoreTracksPowerImbalance(t *testing.T) {
-	s := NewSim(DefaultParams())
-	in := Input{CorePower: []float64{0.9, 0.5, 0.5, 0.5}, BoardPower: 1}
-	s.Step(30, in)
-	st := s.State()
+	s := newSingle(DefaultParams())
+	in := load{core: []float64{0.9, 0.5, 0.5, 0.5}, board: 1}
+	s.step(30, in)
+	st := s.state()
 	if st.HottestCore() != 0 {
 		t.Fatalf("hottest core = %d, want 0", st.HottestCore())
 	}
@@ -138,10 +177,10 @@ func TestHottestCoreTracksPowerImbalance(t *testing.T) {
 func TestNeighborCouplingSpreadsHeat(t *testing.T) {
 	// Only core 0 dissipates; its grid neighbours (1, 2) must warm more
 	// than the diagonal core (3).
-	s := NewSim(DefaultParams())
-	in := Input{CorePower: []float64{1, 0, 0, 0}}
-	s.Step(20, in)
-	st := s.State()
+	s := newSingle(DefaultParams())
+	in := load{core: []float64{1, 0, 0, 0}}
+	s.step(20, in)
+	st := s.state()
 	if !(st.Core[1] > st.Core[3] && st.Core[2] > st.Core[3]) {
 		t.Fatalf("coupling shape wrong: %v", st.Core)
 	}
@@ -153,9 +192,9 @@ func TestNeighborCouplingSpreadsHeat(t *testing.T) {
 func TestSymmetricNetworkKeepsCoresEqual(t *testing.T) {
 	p := DefaultParams()
 	p.CoreAsym = []float64{1, 1, 1, 1}
-	s := NewSim(p)
-	s.Step(40, highLoadInput())
-	st := s.State()
+	s := newSingle(p)
+	s.step(40, highLoad())
+	st := s.state()
 	for i := 1; i < 4; i++ {
 		if math.Abs(st.Core[i]-st.Core[0]) > 1e-9 {
 			t.Fatalf("symmetric input produced asymmetric temps: %v", st.Core)
@@ -167,9 +206,9 @@ func TestDefaultAsymmetryBreaksDegeneracy(t *testing.T) {
 	// The default network must NOT be perfectly symmetric: real dies have
 	// floorplan asymmetry, and a symmetric network makes the 4-output
 	// identification problem rank deficient (T0-T1 == T2-T3 exactly).
-	s := NewSim(DefaultParams())
-	s.Step(40, highLoadInput())
-	st := s.State()
+	s := newSingle(DefaultParams())
+	s.step(40, highLoad())
+	st := s.state()
 	spread := stMax(st.Core) - stMin(st.Core)
 	if spread < 0.05 {
 		t.Fatalf("core spread under symmetric load = %.3f C, want visible asymmetry", spread)
@@ -202,43 +241,77 @@ func stMin(c []float64) float64 {
 }
 
 func TestStepZeroOrNegativeDtIsNoop(t *testing.T) {
-	s := NewSim(DefaultParams())
-	before := s.State()
-	s.Step(0, highLoadInput())
-	s.Step(-5, highLoadInput())
-	if !statesEqual(s.State(), before) {
+	s := newSingle(DefaultParams())
+	before := s.state()
+	s.step(0, highLoad())
+	s.step(-5, highLoad())
+	if !statesEqual(s.state(), before) {
 		t.Fatal("zero/negative dt must not change state")
 	}
 }
 
 func TestStepLargeDtStable(t *testing.T) {
 	// A huge dt must not blow up thanks to sub-stepping.
-	s := NewSim(DefaultParams())
-	s.Step(500, highLoadInput())
-	st := s.State()
+	s := newSingle(DefaultParams())
+	s.step(500, highLoad())
+	st := s.state()
 	if math.IsNaN(st.MaxCore()) || st.MaxCore() > 200 {
 		t.Fatalf("integration unstable: %+v", st)
 	}
 }
 
 func TestSteadyStatePreservesSimState(t *testing.T) {
-	s := NewSim(DefaultParams())
-	s.Step(10, highLoadInput())
-	before := s.State()
-	s.SteadyState(highLoadInput())
-	if !statesEqual(s.State(), before) {
+	s := newSingle(DefaultParams())
+	s.step(10, highLoad())
+	before := s.state()
+	s.steadyState(highLoad())
+	if !statesEqual(s.state(), before) {
 		t.Fatal("SteadyState must not mutate the simulator")
+	}
+
+	// In a batch, it must not touch the other devices' rows either:
+	// their temperatures, inputs or ambients.
+	const B = 3
+	bs := NewBatchSim(DefaultParams(), B)
+	for d := 0; d < B; d++ {
+		in := bs.CoreInput(d)
+		for i := range in {
+			in[i] = 0.3 * float64(d+i+1)
+		}
+		bs.SetAmbient(d, 25+float64(d))
+		bs.Step(d, 5+float64(d), 0.5*float64(d), 0.2*float64(d))
+	}
+	rows := make([]State, B)
+	inputs := make([][]float64, B)
+	for d := range rows {
+		bs.StateInto(d, &rows[d])
+		inputs[d] = append([]float64(nil), bs.CoreInput(d)...)
+	}
+	bs.SteadyState(1, 1.3, 0)
+	for d := range rows {
+		var got State
+		if !statesEqual(*bs.StateInto(d, &got), rows[d]) {
+			t.Fatalf("SteadyState(1) changed device %d's state", d)
+		}
+		for i, q := range bs.CoreInput(d) {
+			if q != inputs[d][i] {
+				t.Fatalf("SteadyState(1) changed device %d's core input %d", d, i)
+			}
+		}
+		if bs.Ambient(d) != 25+float64(d) {
+			t.Fatalf("SteadyState(1) changed device %d's ambient", d)
+		}
 	}
 }
 
 func TestEnergyConservationAtEquilibrium(t *testing.T) {
 	// At steady state, power in == power out to ambient.
 	p := DefaultParams()
-	s := NewSim(p)
-	in := highLoadInput()
-	st := s.SteadyState(in)
-	totalIn := in.BoardPower
-	for _, q := range in.CorePower {
+	s := newSingle(p)
+	in := highLoad()
+	st := s.steadyState(in)
+	totalIn := in.board
+	for _, q := range in.core {
 		totalIn += q
 	}
 	out := p.GBoardAmb * (st.Board - p.Ambient)
@@ -311,12 +384,12 @@ func TestParamsValidate(t *testing.T) {
 
 // Property: more fan always means cooler steady state.
 func TestPropertyFanMonotone(t *testing.T) {
-	s := NewSim(DefaultParams())
-	in := highLoadInput()
+	s := newSingle(DefaultParams())
+	in := highLoad()
 	prev := math.Inf(1)
 	for _, speed := range []float64{0, 0.3, 0.5, 1.0} {
-		in.FanSpeed = speed
-		st := s.SteadyState(in)
+		in.fan = speed
+		st := s.steadyState(in)
 		if st.MaxCore() >= prev {
 			t.Fatalf("fan speed %v did not cool below %v", speed, prev)
 		}
@@ -328,12 +401,12 @@ func TestPropertyFanMonotone(t *testing.T) {
 func TestPropertyPowerMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSim(DefaultParams())
+		s := newSingle(DefaultParams())
 		p1 := rng.Float64() * 0.8
 		p2 := p1 + 0.05 + rng.Float64()*0.5
-		in1 := Input{CorePower: []float64{p1, p1, p1, p1}, BoardPower: 1}
-		in2 := Input{CorePower: []float64{p2, p2, p2, p2}, BoardPower: 1}
-		return s.SteadyState(in2).MaxCore() > s.SteadyState(in1).MaxCore()
+		in1 := load{core: []float64{p1, p1, p1, p1}, board: 1}
+		in2 := load{core: []float64{p2, p2, p2, p2}, board: 1}
+		return s.steadyState(in2).MaxCore() > s.steadyState(in1).MaxCore()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -343,13 +416,13 @@ func TestPropertyPowerMonotone(t *testing.T) {
 // Property: the system is linear in the input around ambient —
 // superposition holds for temperature rises.
 func TestPropertySuperposition(t *testing.T) {
-	s := NewSim(DefaultParams())
-	inA := Input{CorePower: []float64{0.5, 0, 0, 0}}
-	inB := Input{CorePower: []float64{0, 0.3, 0, 0}, BoardPower: 0.7}
-	inAB := Input{CorePower: []float64{0.5, 0.3, 0, 0}, BoardPower: 0.7}
-	a := s.SteadyState(inA)
-	b := s.SteadyState(inB)
-	ab := s.SteadyState(inAB)
+	s := newSingle(DefaultParams())
+	inA := load{core: []float64{0.5, 0, 0, 0}}
+	inB := load{core: []float64{0, 0.3, 0, 0}, board: 0.7}
+	inAB := load{core: []float64{0.5, 0.3, 0, 0}, board: 0.7}
+	a := s.steadyState(inA)
+	b := s.steadyState(inB)
+	ab := s.steadyState(inAB)
 	amb := DefaultParams().Ambient
 	for i := 0; i < 4; i++ {
 		sum := (a.Core[i] - amb) + (b.Core[i] - amb)
@@ -408,11 +481,11 @@ func TestStabilityEigenvaluesNegative(t *testing.T) {
 func TestFanlessSpecNoFanEffect(t *testing.T) {
 	p := DefaultParams()
 	p.GFanMax, p.GFanCoreMax = 0, 0
-	s := NewSim(p)
-	in := highLoadInput()
-	noFan := s.SteadyState(in).MaxCore()
-	in.FanSpeed = 1
-	if got := s.SteadyState(in).MaxCore(); got != noFan {
+	s := newSingle(p)
+	in := highLoad()
+	noFan := s.steadyState(in).MaxCore()
+	in.fan = 1
+	if got := s.steadyState(in).MaxCore(); got != noFan {
 		t.Fatalf("fanless network cooled by fan speed: %v vs %v", got, noFan)
 	}
 }
