@@ -192,8 +192,9 @@ func (s *BatchSim) rk4(d int, h float64, boardPower, fanSpeed float64) {
 // fan speed), found by stepping 1 s at a time until the largest
 // derivative is negligible. Device d's state is left as it was found.
 func (s *BatchSim) SteadyState(d int, boardPower, fanSpeed float64) State {
+	var saved, out State
+	s.StateInto(d, &saved)
 	row := s.row(d)
-	saved := State{Core: append([]float64(nil), row...), Board: s.board[d]}
 	for iter := 0; iter < 200000; iter++ {
 		s.Step(d, 1.0, boardPower, fanSpeed)
 		db := s.derivative(d, row, s.board[d], boardPower, fanSpeed, s.k1c)
@@ -207,7 +208,7 @@ func (s *BatchSim) SteadyState(d int, boardPower, fanSpeed float64) State {
 			break
 		}
 	}
-	out := State{Core: append([]float64(nil), row...), Board: s.board[d]}
+	s.StateInto(d, &out)
 	s.SetState(d, saved)
 	return out
 }
