@@ -167,31 +167,37 @@ func BenchmarkStreamingRun(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetCell times one virtual device of a fleet population — the
-// unit of work the fleet engine fans out: derive the cell's configuration,
-// compile its perturbed scenario, run it under DTPM, and fold every
-// control interval into the online aggregators (no trace retained). The
-// per-sample fold must not allocate, so allocs/op is gated like the other
-// hot loops (the count covers per-cell setup: script compilation, the two
-// fixed-bin histograms, and the simulation's preallocated buffers).
+// BenchmarkFleetCell times one virtual device of a fleet population as a
+// one-device fleet run on one worker: the unit of work the fleet engine
+// fans out (derive the cell's configuration, compile its perturbed
+// scenario, run it under DTPM as a width-1 batch, fold every control
+// interval into the online aggregators, no trace retained) plus the run's
+// fixed cost (planner, collector, a one-group report). The per-sample fold
+// must not allocate, so allocs/op is gated like the other hot loops. One
+// untimed run first fills the arena and aggregator pools, so the count is
+// the steady state: per-cell setup and the run's fixed cost, never a
+// per-interval term.
 func BenchmarkFleetCell(b *testing.B) {
 	ctx := benchContext(b)
-	eng := &fleet.Engine{Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1}
+	eng := &fleet.Engine{Workers: 1, Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1}
 	spec := fleet.Spec{
 		N:              1,
 		Policy:         "dtpm",
 		Scenarios:      []fleet.Weight{{Name: "cold-start", Weight: 1}},
 		AmbientJitterC: 5,
 	}
+	if _, err := eng.Run(context.Background(), spec); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := eng.RunCell(context.Background(), spec, 0)
+		rep, err := eng.Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.Samples == 0 {
-			b.Fatal("cell folded no samples")
+		if rep.Completed != 1 {
+			b.Fatal("cell did not complete")
 		}
 	}
 }
@@ -266,6 +272,9 @@ func BenchmarkFleetWarm(b *testing.B) {
 		}
 	}
 	before := st.Stats()
+	if _, err := eng.Run(context.Background(), spec); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

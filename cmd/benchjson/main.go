@@ -7,7 +7,7 @@
 //	go test -run '^$' -bench . -benchtime 1x -benchmem . | benchjson -out BENCH_latest.json
 //	go test -run '^$' -bench . -benchmem . | benchjson -record benchmarks/results
 //	benchjson -check BENCH_baseline.json BENCH_latest.json -max-allocs-regress 0.20
-//	benchjson -min-speedup 'Benchmark/batched,Benchmark/scalar,1.4' BENCH_latest.json
+//	benchjson -min-speedup 'Benchmark/batched,Benchmark/scalar,0.9' BENCH_throughput.json
 //	benchjson -max-bytes 'Benchmark/batched,400000' BENCH_latest.json
 //
 // The check compares allocs/op only: nanoseconds vary with the host, but

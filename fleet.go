@@ -57,19 +57,8 @@ func DeriveFleetCell(spec FleetSpec, baseSeed int64, index int) FleetCellConfig 
 type FleetOption func(*fleetConfig)
 
 type fleetConfig struct {
-	batchSize int
-	storeDir  string
-	useStore  bool
-}
-
-// WithBatchSize caps how many same-(platform, scenario) devices the fleet
-// engine steps in lock-step through the batched structure-of-arrays
-// kernel. 0 (the default) uses the engine's built-in width; 1 runs
-// width-1 batches of the same kernel. Devices produce byte-identical
-// samples and reports at any width, so this is purely a throughput/latency
-// knob.
-func WithBatchSize(n int) FleetOption {
-	return func(c *fleetConfig) { c.batchSize = n }
+	storeDir string
+	useStore bool
 }
 
 // WithStore attaches a content-addressed result store rooted at dir ("" =
@@ -91,7 +80,7 @@ func (d *Device) fleetEngine(models *Models, workers int, baseSeed int64, opts .
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng := &fleet.Engine{Workers: workers, Runner: d.r, BaseSeed: baseSeed, BatchSize: cfg.batchSize}
+	eng := &fleet.Engine{Workers: workers, Runner: d.r, BaseSeed: baseSeed}
 	if models != nil {
 		eng.Models = models.c
 	}

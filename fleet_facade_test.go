@@ -144,8 +144,8 @@ func TestParseFleetSpecFacade(t *testing.T) {
 	}
 }
 
-// TestFleetOptionsFacade: WithBatchSize and WithStore tune execution
-// without changing report bytes, and a warm re-run is served from the store.
+// TestFleetOptionsFacade: WithStore tunes execution without changing
+// report bytes, and a warm re-run is served from the store.
 func TestFleetOptionsFacade(t *testing.T) {
 	dev := NewDevice()
 	spec := facadeFleetSpec()
@@ -154,8 +154,7 @@ func TestFleetOptionsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	tuned, err := dev.RunFleet(context.Background(), spec, nil, 2, 9,
-		WithBatchSize(2), WithStore(dir))
+	tuned, err := dev.RunFleet(context.Background(), spec, nil, 2, 9, WithStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

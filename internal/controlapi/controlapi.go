@@ -151,9 +151,6 @@ type SubmitRequest struct {
 	Seed int64 `json:"seed"`
 	// Workers caps the run's worker pool (0 = the server's default).
 	Workers int `json:"workers,omitempty"`
-	// BatchSize tunes the fleet SoA kernel (fleet runs only; 0 = engine
-	// default, 1 = scalar). Byte output is identical at any value.
-	BatchSize int `json:"batch_size,omitempty"`
 }
 
 // jsonRaw aliases json.RawMessage without importing encoding/json into

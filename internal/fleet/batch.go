@@ -10,9 +10,11 @@ import (
 
 // DefaultBatchSize is the lock-step batch width the engine uses when
 // Engine.BatchSize is 0. Wide enough to amortize the shared per-interval
-// work (script evaluation, RK4 scratch, power-model constants) across
-// devices, small enough that a unit stays cache-resident and the
-// collector's out-of-order window stays modest.
+// work (the script's phase lookup and Sin/Tanh demand shaping, about 10%
+// of CPU at width 1) across devices, small enough that a unit stays
+// cache-resident and the collector's out-of-order window stays modest.
+// On a 2-CPU Xeon it runs a fleet about 1.1x faster than width 1 (see
+// docs/benchmarks.md).
 const DefaultBatchSize = 16
 
 // batchSize resolves the engine's effective batch width.

@@ -61,7 +61,7 @@ func codecOutcomes(tb testing.TB) []cellOutcome {
 		}
 		eng := &Engine{Workers: 1, BaseSeed: codecSeed}
 		for i := 0; i < spec.N; i++ {
-			out := eng.runCell(context.Background(), spec, pol, i, false)
+			out := eng.computeUnit(context.Background(), spec, pol, []int{i})[0]
 			if out.err != "" {
 				codecErr = out.err
 				return

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -52,10 +53,11 @@ type Engine struct {
 	// serially.
 	OnCellDone func(Progress)
 	// BatchSize caps how many same-(platform, scenario) cells Run steps in
-	// lock-step through the batched SoA kernel (0 = DefaultBatchSize, 1 =
-	// width-1 batches of the same kernel). Outputs are byte-identical at
-	// any width, so the knob trades throughput against per-unit latency,
-	// never results.
+	// lock-step through the batched SoA kernel. 0, the setting every
+	// program path uses, means DefaultBatchSize, the fastest measured
+	// width. 1 runs width-1 batches of the same kernel: the reference
+	// side of the throughput ratio benchmark and of the bench harness's
+	// oracle. Outputs are byte-identical at any width.
 	BatchSize int
 	// Store, when set, makes cell execution lookup-or-compute: each
 	// cell's normalized configuration is hashed to a content address,
@@ -67,8 +69,8 @@ type Engine struct {
 
 	// devices resolves every cell's runner, characterization and store
 	// provenance tag (see sched.Cache). It is built from Runner, Models and
-	// BaseSeed at the first run and kept, so repeated Run calls (and
-	// RunCell probes) reuse its characterizations. Characterization is
+	// BaseSeed at the first run and kept, so repeated Run and ReplayCell
+	// calls reuse its characterizations. Characterization is
 	// lazy, so a fully warm store-served run never pays for it.
 	devicesOnce sync.Once
 	devices     *sched.Cache
@@ -168,35 +170,20 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	return rep, nil
 }
 
-// runCell executes one device cell; every failure mode becomes a collected
-// outcome. With record set the full trace is retained (the replay path);
-// the fleet path keeps only the aggregate.
-func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, index int, record bool) cellOutcome {
-	cfg := DeriveCell(spec, e.BaseSeed, index)
-	out := cellOutcome{cfg: cfg}
+// runCell runs device cfg standalone with full trace recording.
+func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, cfg CellConfig) (*sim.Result, error) {
 	if ctx.Err() != nil {
-		out.err = "fleet: cancelled before start"
-		return out
+		return nil, errors.New("fleet: cancelled before start")
 	}
 	runner, models, err := e.cache().Device(ctx, cfg.Platform)
 	if err != nil {
-		out.err = err.Error()
-		return out
+		return nil, err
 	}
-	opt, agg, err := cellOptions(spec, pol, cfg, runner, models, record)
+	opt, _, err := cellOptions(spec, pol, cfg, runner, models, true)
 	if err != nil {
-		out.err = err.Error()
-		return out
+		return nil, err
 	}
-	res, err := sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
-	if err != nil {
-		out.err = err.Error()
-		return out
-	}
-	agg.finish(res)
-	out.agg = agg
-	out.metrics = agg.metrics()
-	return out
+	return sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
 }
 
 // cellOptions compiles one device cell into executable run options plus its
@@ -233,67 +220,37 @@ func cellOptions(spec Spec, pol sim.Policy, cfg CellConfig, runner *sim.Runner, 
 	return opt, agg, nil
 }
 
-// RunCell simulates exactly one device of the population standalone — the
-// cheap spot-check — and returns its fixed-size metrics. The cell runs the
-// very configuration (and RNG streams) it would run inside the full fleet,
-// so its metrics match the fleet's sample for sample.
-func (e *Engine) RunCell(ctx context.Context, spec Spec, index int) (*CellMetrics, CellConfig, error) {
-	out, err := e.cell(ctx, spec, index, false)
-	if err != nil {
-		return nil, out.cfg, err
-	}
-	return out.metrics, out.cfg, nil
-}
-
 // ReplayCell re-runs device `index` standalone with full trace recording:
 // the returned result's recorder holds the complete per-interval series of
 // the device, bit-identical to what the fleet's aggregator observed (both
-// are fed from the same Sample values).
+// are fed from the same Sample values). With a store attached the trace is
+// served from it when present and persisted after a run.
 func (e *Engine) ReplayCell(ctx context.Context, spec Spec, index int) (*sim.Result, CellConfig, error) {
-	out, err := e.cell(ctx, spec, index, true)
-	if err != nil {
-		return nil, out.cfg, err
-	}
-	return out.agg.res, out.cfg, nil
-}
-
-// cell is the shared single-cell path under RunCell and ReplayCell.
-func (e *Engine) cell(ctx context.Context, spec Spec, index int, record bool) (cellOutcome, error) {
 	if err := spec.Validate(); err != nil {
-		return cellOutcome{}, err
+		return nil, CellConfig{}, err
 	}
 	spec = spec.normalized()
 	if index < 0 || index >= spec.N {
-		return cellOutcome{}, fmt.Errorf("fleet: cell index %d out of range [0, %d)", index, spec.N)
+		return nil, CellConfig{}, fmt.Errorf("fleet: cell index %d out of range [0, %d)", index, spec.N)
 	}
 	pol, err := sim.ParsePolicy(spec.Policy)
 	if err != nil {
-		return cellOutcome{}, err
+		return nil, CellConfig{}, err
 	}
+	cfg := DeriveCell(spec, e.BaseSeed, index)
 	if e.Store != nil {
-		cfg := DeriveCell(spec, e.BaseSeed, index)
-		if record {
-			if out, ok := e.lookupTrace(spec, cfg); ok {
-				return out, nil
-			}
-		} else if key, ok := e.cellDigest(spec, cfg, "fleet-cell"); ok {
-			if out, ok := e.lookupCell(key, cfg); ok {
-				return out, nil
-			}
+		if res, ok := e.lookupTrace(spec, cfg); ok {
+			return res, cfg, nil
 		}
 	}
-	out := e.runCell(ctx, spec, pol, index, record)
-	if out.err != "" {
-		return out, fmt.Errorf("fleet: cell %d: %s", index, out.err)
+	res, err := e.runCell(ctx, spec, pol, cfg)
+	if err != nil {
+		return nil, cfg, fmt.Errorf("fleet: cell %d: %w", index, err)
 	}
 	if e.Store != nil {
-		if record {
-			e.putTrace(spec, out)
-		} else {
-			e.putCell(spec, out)
-		}
+		e.putTrace(spec, cfg, res)
 	}
-	return out, nil
+	return res, cfg, nil
 }
 
 // collector assembles the aggregate report incrementally while cells are

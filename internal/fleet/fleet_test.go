@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/platform"
@@ -101,43 +100,10 @@ func TestDeriveCellStableAcrossPopulationSize(t *testing.T) {
 	}
 }
 
-// TestRunCellMatchesFleet: the standalone single-cell path folds exactly
-// the samples the full fleet folded for the same index.
-func TestRunCellMatchesFleet(t *testing.T) {
-	spec := testSpec(6)
-	eng := &Engine{Workers: 4, BaseSeed: 42}
-	var mu sync.Mutex
-	inFleet := map[int]*CellMetrics{}
-	eng.OnCellDone = func(p Progress) {
-		mu.Lock()
-		inFleet[p.Cell.Index] = p.Metrics
-		mu.Unlock()
-	}
-	if _, err := eng.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < spec.N; i++ {
-		m, cfg, err := eng.RunCell(context.Background(), spec, i)
-		if err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
-		if cfg.Index != i {
-			t.Fatalf("cell %d: config index %d", i, cfg.Index)
-		}
-		want := inFleet[i]
-		if want == nil {
-			t.Fatalf("cell %d never reported from the fleet run", i)
-		}
-		if *m != *want {
-			t.Errorf("cell %d standalone metrics differ:\nfleet: %+v\nsolo:  %+v", i, *want, *m)
-		}
-	}
-}
-
 // TestReplayCellReproducesTrace: replaying one device records a trace, the
 // replay is bit-stable, and its per-interval series reproduce the very
-// aggregate the fleet observed (recorder and observer are fed the same
-// samples).
+// aggregate the full fleet reported for that index (recorder and observer
+// are fed the same samples).
 func TestReplayCellReproducesTrace(t *testing.T) {
 	spec := testSpec(6)
 	eng := &Engine{Workers: 2, BaseSeed: 42}
@@ -164,10 +130,18 @@ func TestReplayCellReproducesTrace(t *testing.T) {
 		t.Error("replaying the same cell twice produced different traces")
 	}
 	// Rebuild the fleet's aggregate from the recorded series and compare
-	// with the standalone metrics path.
-	m, _, err := eng.RunCell(context.Background(), spec, k)
-	if err != nil {
+	// with what the full fleet reported for the same index.
+	var m *CellMetrics
+	eng.OnCellDone = func(p Progress) {
+		if p.Cell.Index == k {
+			m = p.Metrics
+		}
+	}
+	if _, err := eng.Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
+	}
+	if m == nil {
+		t.Fatalf("cell %d never reported from the fleet run", k)
 	}
 	desc, err := platform.ByName(cfg.Platform)
 	if err != nil {

@@ -203,55 +203,37 @@ func cellPayload(out cellOutcome) ([]byte, bool) {
 	return appendCellEntry(nil, out.agg, out.metrics), true
 }
 
-// putCell persists one freshly computed outcome synchronously (the
-// single-cell path; fleet runs go through the async store writer). Store
-// write failures are deliberately non-fatal (the store counts them in its
-// WriteErrors): the run still has the result, the next run just
-// recomputes.
-func (e *Engine) putCell(spec Spec, out cellOutcome) {
-	payload, ok := cellPayload(out)
-	if !ok {
-		return
-	}
-	if key, ok := e.cellDigest(spec, out.cfg, "fleet-cell"); ok {
-		_ = e.Store.Put(key, payload)
-	}
-}
-
 // lookupTrace serves one replayed cell (full trace) from the store.
-func (e *Engine) lookupTrace(spec Spec, cfg CellConfig) (cellOutcome, bool) {
+func (e *Engine) lookupTrace(spec Spec, cfg CellConfig) (*sim.Result, bool) {
 	key, ok := e.cellDigest(spec, cfg, "fleet-trace")
 	if !ok {
-		return cellOutcome{}, false
+		return nil, false
 	}
 	var ent traceEntry
 	if !e.Store.GetJSON(key, &ent) {
-		return cellOutcome{}, false
+		return nil, false
 	}
 	rec, err := trace.ReadCSV(strings.NewReader(ent.TraceCSV))
 	if err != nil {
-		return cellOutcome{}, false
+		return nil, false
 	}
 	res := ent.Result
 	res.Rec = rec
-	return cellOutcome{cfg: cfg, agg: &cellAgg{res: &res}, cached: true}, true
+	return &res, true
 }
 
 // putTrace persists one freshly replayed cell: the scalar result plus the
 // recorded trace as lossless CSV.
-func (e *Engine) putTrace(spec Spec, out cellOutcome) {
-	if out.err != "" || out.agg == nil || out.agg.res == nil || out.agg.res.Rec == nil || out.cached {
-		return
-	}
-	key, ok := e.cellDigest(spec, out.cfg, "fleet-trace")
+func (e *Engine) putTrace(spec Spec, cfg CellConfig, res *sim.Result) {
+	key, ok := e.cellDigest(spec, cfg, "fleet-trace")
 	if !ok {
 		return
 	}
 	var buf bytes.Buffer
-	if err := out.agg.res.Rec.WriteCSV(&buf); err != nil {
+	if err := res.Rec.WriteCSV(&buf); err != nil {
 		return
 	}
-	res := *out.agg.res
-	res.Rec = nil // the trace travels as CSV, not as a JSON recorder
-	_ = e.Store.PutJSON(key, traceEntry{Result: res, TraceCSV: buf.String()})
+	ent := traceEntry{Result: *res, TraceCSV: buf.String()}
+	ent.Result.Rec = nil // the trace travels as CSV, not as a JSON recorder
+	_ = e.Store.PutJSON(key, ent)
 }

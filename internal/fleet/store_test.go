@@ -303,37 +303,6 @@ func TestReplayCellStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunCellStoreMatchesFresh is the round-trip property test: for every
-// cell of the mix, the store-served metrics equal a fresh no-store compute
-// exactly (not approximately — the determinism contract is byte-exact).
-func TestRunCellStoreMatchesFresh(t *testing.T) {
-	registerStoreScenario(t, "store-mix-a", 4)
-	registerStoreScenario(t, "store-mix-b", 5)
-	registerStoreScenario(t, "store-mix-c", 6)
-	st := openTestStore(t)
-	spec := storeSpec(6)
-	_, _, _ = runStoreFleet(t, st, spec)
-
-	fresh := &Engine{Workers: 1, BaseSeed: 11}           // no store: always computes
-	warm := &Engine{Workers: 1, BaseSeed: 11, Store: st} // always serves
-	for i := 0; i < spec.N; i++ {
-		want, _, err := fresh.RunCell(context.Background(), spec, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := warm.RunCell(context.Background(), spec, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Errorf("cell %d: store-served metrics %+v != fresh %+v", i, *got, *want)
-		}
-	}
-	if s := warm.Store.Stats(); s.Hits != uint64(spec.N) {
-		t.Errorf("warm RunCell probes hit %d times, want %d", s.Hits, spec.N)
-	}
-}
-
 // TestFleetStoreUnhashableModels: injected models encoding/json cannot hash
 // make their cells unaddressable — computed and never stored — so a second
 // engine with different unhashable models gets no hits.

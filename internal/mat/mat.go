@@ -81,15 +81,6 @@ func (m *Mat) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Mat) Clone() *Mat {
 	c := New(m.Rows, m.Cols)
@@ -215,26 +206,6 @@ func (m *Mat) Pow(n int) *Mat {
 		n >>= 1
 	}
 	return result
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Mat) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// Norm2 returns the Frobenius norm.
-func (m *Mat) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether m and b have the same shape and entries within tol.
@@ -423,18 +394,6 @@ func LeastSquares(a *Mat, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(ErrShape)
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // AddVec returns a + b element-wise.
 func AddVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -447,18 +406,6 @@ func AddVec(a, b []float64) []float64 {
 	return out
 }
 
-// SubVec returns a - b element-wise.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // ScaleVec returns s*a.
 func ScaleVec(s float64, a []float64) []float64 {
 	out := make([]float64, len(a))
@@ -466,49 +413,6 @@ func ScaleVec(s float64, a []float64) []float64 {
 		out[i] = s * a[i]
 	}
 	return out
-}
-
-// MaxVec returns the maximum element of a non-empty vector.
-func MaxVec(a []float64) float64 {
-	max := a[0]
-	for _, v := range a[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// ArgMax returns the index of the maximum element of a non-empty vector.
-func ArgMax(a []float64) int {
-	idx := 0
-	for i, v := range a {
-		if v > a[idx] {
-			idx = i
-		}
-	}
-	_ = a[idx]
-	return idx
-}
-
-// SpectralRadiusUpperBound returns a cheap upper bound on the spectral radius
-// of a square matrix (the max absolute row sum). Useful to sanity-check that
-// an identified thermal state matrix A_s is stable (bound < 1 implies stable).
-func SpectralRadiusUpperBound(m *Mat) float64 {
-	if m.Rows != m.Cols {
-		panic(ErrShape)
-	}
-	max := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for j := 0; j < m.Cols; j++ {
-			s += math.Abs(m.At(i, j))
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
 }
 
 // DominantEigenvalue estimates the dominant eigenvalue magnitude of a square

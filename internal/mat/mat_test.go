@@ -85,15 +85,10 @@ func TestRowColClone(t *testing.T) {
 	if r[0] != 4 || r[2] != 6 {
 		t.Fatalf("Row(1) = %v", r)
 	}
-	c := m.Col(2)
-	if c[0] != 3 || c[1] != 6 {
-		t.Fatalf("Col(2) = %v", c)
-	}
-	// Mutating the copies must not touch m.
+	// Mutating the copy must not touch m.
 	r[0] = 99
-	c[0] = 99
-	if m.At(1, 0) != 4 || m.At(0, 2) != 3 {
-		t.Fatal("Row/Col returned aliased data")
+	if m.At(1, 0) != 4 {
+		t.Fatal("Row returned aliased data")
 	}
 	cl := m.Clone()
 	cl.Set(0, 0, 42)
@@ -290,7 +285,10 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SubVec(b, a.MulVec(x))
+	res := a.MulVec(x)
+	for i := range res {
+		res[i] = b[i] - res[i]
+	}
 	atr := a.T().MulVec(res)
 	for j, v := range atr {
 		if math.Abs(v) > 1e-8 {
@@ -315,43 +313,13 @@ func TestLeastSquaresRankDeficient(t *testing.T) {
 func TestVecOps(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v", Dot(a, b))
-	}
 	s := AddVec(a, b)
 	if s[0] != 5 || s[2] != 9 {
 		t.Fatalf("AddVec = %v", s)
 	}
-	d := SubVec(b, a)
-	if d[0] != 3 || d[2] != 3 {
-		t.Fatalf("SubVec = %v", d)
-	}
 	sc := ScaleVec(2, a)
 	if sc[1] != 4 {
 		t.Fatalf("ScaleVec = %v", sc)
-	}
-	if MaxVec([]float64{3, 9, 2}) != 9 {
-		t.Fatal("MaxVec wrong")
-	}
-	if ArgMax([]float64{3, 9, 2}) != 1 {
-		t.Fatal("ArgMax wrong")
-	}
-}
-
-func TestMaxAbsNorm(t *testing.T) {
-	m := FromRows([][]float64{{-3, 4}})
-	if m.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-	if !almostEq(m.Norm2(), 5, 1e-12) {
-		t.Fatalf("Norm2 = %v", m.Norm2())
-	}
-}
-
-func TestSpectralRadiusUpperBound(t *testing.T) {
-	m := FromRows([][]float64{{0.5, 0.1}, {0.2, 0.6}})
-	if b := SpectralRadiusUpperBound(m); !almostEq(b, 0.8, 1e-12) {
-		t.Fatalf("bound = %v, want 0.8", b)
 	}
 }
 

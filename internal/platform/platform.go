@@ -328,15 +328,6 @@ func (c *Chip) Active() *Cluster {
 	return c.LittleCluster
 }
 
-// Inactive returns the cluster that is powered down, or nil on
-// single-cluster platforms.
-func (c *Chip) Inactive() *Cluster {
-	if c.active == BigCluster {
-		return c.LittleCluster
-	}
-	return c.BigCluster
-}
-
 // SwitchCluster migrates execution to the other cluster kind. The newly
 // active cluster comes up with all cores online at its minimum frequency
 // (the conservative post-migration state); the old cluster powers down.

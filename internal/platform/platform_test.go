@@ -178,8 +178,8 @@ func TestClusterExclusivity(t *testing.T) {
 	if c.ActiveKind() != LittleCluster {
 		t.Fatal("switch failed")
 	}
-	if c.Active().Kind != LittleCluster || c.Inactive().Kind != BigCluster {
-		t.Fatal("active/inactive mixed up")
+	if c.Active() != c.LittleCluster {
+		t.Fatal("the little cluster is not the active one")
 	}
 	// Migration brings the target up at min frequency, all cores online.
 	if c.Active().Freq() != LittleDomain().MinFreq() {

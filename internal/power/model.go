@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/platform"
 )
@@ -165,23 +164,4 @@ func (m *Model) SplitMeasured(r platform.Resource, measuredPower, tC, v float64)
 		dyn = 0
 	}
 	return dyn, leak
-}
-
-// ValidateAgainst compares the model's total-power prediction with a
-// ground-truth breakdown across a temperature sweep at fixed activity; it
-// returns the maximum relative error. Used to regenerate Figure 4.7.
-func (m *Model) ValidateAgainst(measured, predicted []float64) float64 {
-	if len(measured) != len(predicted) {
-		panic("power: length mismatch")
-	}
-	worst := 0.0
-	for i := range measured {
-		if measured[i] == 0 {
-			continue
-		}
-		if e := math.Abs(predicted[i]-measured[i]) / measured[i]; e > worst {
-			worst = e
-		}
-	}
-	return worst
 }

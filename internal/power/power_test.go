@@ -364,13 +364,6 @@ func TestSplitMeasured(t *testing.T) {
 	}
 }
 
-func TestValidateAgainst(t *testing.T) {
-	m := defaultModel()
-	if e := m.ValidateAgainst([]float64{1, 2}, []float64{1.1, 2}); math.Abs(e-0.1) > 1e-9 {
-		t.Fatalf("worst error = %v", e)
-	}
-}
-
 // Property: leakage power is monotonically increasing in both T and V.
 func TestPropertyLeakageMonotone(t *testing.T) {
 	g := DefaultGroundTruth()

@@ -47,35 +47,19 @@ func (p Pool) Size(n int) int {
 // shared state it touches. A pool of one worker runs inline — no goroutine
 // is spawned for sequential work.
 func (p Pool) ForEach(n int, fn func(i int)) {
-	workers := p.Size(n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	Drain(Pool{Workers: max(p.Size(n), 1)}, counter(n), fn)
+}
+
+// counter hands out 0..n-1 in order as a Drain work source.
+func counter(n int) func() (int, bool) {
+	next := 0
+	return func() (int, bool) {
+		if next >= n {
+			return 0, false
 		}
-		return
+		next++
+		return next - 1, true
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Drain feeds fn from a lazily planned work source until next reports
@@ -130,7 +114,7 @@ func Drain[T any](p Pool, next func() (T, bool), fn func(T)) {
 // always drains cleanly — no goroutine outlives the iterator. Breaking out
 // of the iteration early behaves like cancellation.
 func Stream[T any](ctx context.Context, p Pool, n int, run func(ctx context.Context, i int) T) iter.Seq[T] {
-	workers := p.Size(n)
+	pool := Pool{Workers: max(p.Size(n), 1)}
 	return func(yield func(T) bool) {
 		ictx, cancel := context.WithCancel(ctx)
 		defer cancel()
@@ -143,33 +127,19 @@ func Stream[T any](ctx context.Context, p Pool, n int, run func(ctx context.Cont
 		// delivered (dropping it would mislabel a completed item as
 		// never-started in a collected report).
 		abandoned := make(chan struct{})
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next int
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= n || ictx.Err() != nil {
-						return
-					}
-					select {
-					case out <- run(ictx, i):
-					case <-abandoned:
-						return
-					}
-				}
-			}()
-		}
+		next := counter(n)
 		go func() {
-			wg.Wait()
+			Drain(pool, func() (int, bool) {
+				if ictx.Err() != nil {
+					return 0, false
+				}
+				return next()
+			}, func(i int) {
+				select {
+				case out <- run(ictx, i):
+				case <-abandoned:
+				}
+			})
 			close(out)
 		}()
 		for r := range out {

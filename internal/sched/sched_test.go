@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +134,30 @@ func TestStreamCancellationDrains(t *testing.T) {
 	cancel()
 	if seen == 0 || seen > n {
 		t.Fatalf("streamed %d results after cancellation, want 1..%d", seen, n)
+	}
+}
+
+// Once the context is cancelled or the consumer breaks out, workers start
+// no new items: only the few already in flight run, never the rest of
+// the index space.
+func TestStreamStopsStartingItems(t *testing.T) {
+	const n, workers = 1000, 4
+	for _, brk := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int64
+		for range Stream(ctx, Pool{Workers: workers}, n, func(_ context.Context, i int) int {
+			started.Add(1)
+			return i
+		}) {
+			cancel()
+			if brk {
+				break
+			}
+		}
+		cancel()
+		if got := started.Load(); got > 4*workers {
+			t.Errorf("break=%v: %d items started after cancelling at the first result, want at most %d", brk, got, 4*workers)
+		}
 	}
 }
 

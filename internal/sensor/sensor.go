@@ -119,16 +119,3 @@ func (b *Bank) ReadDomainPowers(trueW [platform.NumResources]float64) [platform.
 	}
 	return out
 }
-
-// ReadPlatformPower reads the external power meter (total platform power).
-// The bench meter is more accurate than the on-board rails.
-func (b *Bank) ReadPlatformPower(trueW float64) float64 {
-	v := trueW
-	if b.cfg.PowerNoiseStd > 0 {
-		v *= 1 + b.rng.NormFloat64()*b.cfg.PowerNoiseStd/2
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
-}

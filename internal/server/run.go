@@ -29,7 +29,6 @@ type run struct {
 	tenant  string
 	seed    int64
 	workers int
-	batch   int
 	cells   int
 
 	// Exactly one of these carries the parsed spec, per kind.
@@ -72,7 +71,6 @@ func newRun(kind, tenant string, req controlapi.SubmitRequest) *run {
 		tenant:  tenant,
 		seed:    req.Seed,
 		workers: req.Workers,
-		batch:   req.BatchSize,
 		state:   controlapi.StateQueued,
 		pulse:   make(chan struct{}),
 	}
@@ -227,7 +225,6 @@ func (s *Server) execute(r *run) {
 			slot.fleet = &fleet.Engine{BaseSeed: r.seed, Store: s.cfg.Store}
 		}
 		slot.fleet.Workers = s.runWorkers(r)
-		slot.fleet.BatchSize = r.batch
 		out, err = ExecuteFleet(r.ctx, slot.fleet, r.fleetSpec, r.appendProgress)
 	} else {
 		if slot.camp == nil {

@@ -199,6 +199,25 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("undecodable envelope got %d, want 400", resp.StatusCode)
 	}
 
+	// The batch width is not part of the wire contract: the strict
+	// envelope decoder rejects a body that still carries it.
+	body, err := json.Marshal(map[string]any{"spec": specJSON(t, testSpec(1)), "seed": 1, "batch_size": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = ts.Client().Post(ts.URL+"/v1/fleets", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env controlapi.ErrorEnvelope
+	decErr := json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || decErr != nil || env.Error == nil ||
+		env.Error.Code != controlapi.CodeBadRequest || !strings.Contains(env.Error.Message, "batch_size") {
+		t.Errorf("batch_size submit got %d %+v (decode %v), want 400 %s naming the field",
+			resp.StatusCode, env.Error, decErr, controlapi.CodeBadRequest)
+	}
+
 	if _, err := cl.Run(ctx, "r999"); !errors.Is(err, controlapi.ErrNotFound) {
 		t.Errorf("unknown run: %v, want ErrNotFound", err)
 	}

@@ -85,35 +85,6 @@ func RMSE(a, b []float64) float64 {
 	return math.Sqrt(s / float64(len(a)))
 }
 
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a))
-}
-
-// MaxAbsError returns the largest absolute difference between two series.
-func MaxAbsError(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: length mismatch")
-	}
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // PercentError returns the mean absolute percentage error of predicted vs
 // measured, matching the paper's temperature-prediction-error metric:
 // mean(|pred - meas| / meas) * 100. Samples with |meas| < eps are skipped.

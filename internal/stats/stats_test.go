@@ -46,22 +46,16 @@ func TestMinMaxSpread(t *testing.T) {
 	}
 }
 
-func TestRMSEAndMAE(t *testing.T) {
+func TestRMSE(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{1, 2, 3}
-	if RMSE(a, b) != 0 || MAE(a, b) != 0 {
+	if RMSE(a, b) != 0 {
 		t.Fatal("identical series must have zero error")
 	}
 	c := []float64{2, 2, 3}
 	want := math.Sqrt(1.0 / 3.0)
 	if math.Abs(RMSE(a, c)-want) > 1e-12 {
 		t.Fatalf("RMSE = %v, want %v", RMSE(a, c), want)
-	}
-	if math.Abs(MAE(a, c)-1.0/3.0) > 1e-12 {
-		t.Fatalf("MAE = %v", MAE(a, c))
-	}
-	if MaxAbsError(a, c) != 1 {
-		t.Fatalf("MaxAbsError = %v", MaxAbsError(a, c))
 	}
 }
 
@@ -144,24 +138,6 @@ func TestPropertyOrdering(t *testing.T) {
 		}
 		m := Mean(xs)
 		return Min(xs) <= m+1e-12 && m <= Max(xs)+1e-12 && Spread(xs) >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: RMSE >= MAE (by Jensen), and both are >= 0.
-func TestPropertyRMSEDominatesMAE(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			b[i] = rng.NormFloat64()
-		}
-		return RMSE(a, b) >= MAE(a, b)-1e-12 && MAE(a, b) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

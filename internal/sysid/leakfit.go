@@ -245,19 +245,3 @@ func FitPowerModelJoint(samples []FurnaceSample, vNom float64, init power.Leakag
 		C1: theta[1] * sC1, C2: theta[2] * sC2, IGate: theta[3] * sIG, VNom: vNom,
 	}, nil
 }
-
-// LeakageFitError reports the worst relative error of a fitted leakage law
-// against samples, given the known dynamic power (validation for Fig. 4.7).
-func LeakageFitError(p power.LeakageParams, samples []FurnaceSample, pDyn float64) float64 {
-	worst := 0.0
-	for _, s := range samples {
-		pred := pDyn + p.Power(s.TempC, s.Volt)
-		if s.Power == 0 {
-			continue
-		}
-		if e := math.Abs(pred-s.Power) / s.Power; e > worst {
-			worst = e
-		}
-	}
-	return worst
-}

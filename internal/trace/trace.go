@@ -217,15 +217,3 @@ func (r *Recorder) Materialize() *Recorder {
 	}
 	return out
 }
-
-// Downsample returns a copy of s keeping every k-th sample (k >= 1).
-func Downsample(s *Series, k int) *Series {
-	if k < 1 {
-		k = 1
-	}
-	out := &Series{Name: s.Name}
-	for i := 0; i < s.Len(); i += k {
-		out.Append(s.Times[i], s.Vals[i])
-	}
-	return out
-}

@@ -105,20 +105,3 @@ func TestAsciiChartConstantSeries(t *testing.T) {
 		t.Fatalf("constant series should still be drawn:\n%s", out)
 	}
 }
-
-func TestDownsample(t *testing.T) {
-	s := &Series{Name: "x"}
-	for i := 0; i < 10; i++ {
-		s.Append(float64(i), float64(i*i))
-	}
-	d := Downsample(s, 3)
-	if d.Len() != 4 {
-		t.Fatalf("downsampled len = %d, want 4", d.Len())
-	}
-	if d.Times[1] != 3 || d.Vals[1] != 9 {
-		t.Fatalf("downsample picked wrong samples: %v %v", d.Times, d.Vals)
-	}
-	if Downsample(s, 0).Len() != 10 {
-		t.Fatal("k<1 should keep everything")
-	}
-}
