@@ -42,7 +42,7 @@ MAX_BATCH_BYTES ?= 400000
 # marshalling, catches smaller per-hit garbage.
 MAX_WARM_BYTES ?= 4100000
 
-.PHONY: all build cross test race bench-harness bench bench-json bench-baseline bench-ratio bench-record lint fmt fuzz cover api-check api-surface daemon-smoke soak soak-smoke ci clean
+.PHONY: all build cross test race bench-harness bench-digests bench bench-json bench-baseline bench-ratio bench-record lint fmt fuzz cover api-check api-surface daemon-smoke soak soak-smoke ci clean
 
 # The hot-loop benchmarks whose allocs/op are engineered to be flat and
 # machine-independent; bench-json gates them against BENCH_baseline.json.
@@ -56,15 +56,16 @@ MAX_WARM_BYTES ?= 4100000
 # BenchmarkFleetWarm covers the store-served warm fleet (entry read,
 # verify, decode, merge, report; no simulation);
 # BenchmarkStagePredict covers the DTPM predictor stage at model orders 4
-# and 8, BenchmarkStagePower the fused ground-truth power pass and
-# BenchmarkStageThermalStep one BatchSim step (all 0 allocs/op, so any
-# allocation fails the gate);
+# and 8, BenchmarkStagePower the fused ground-truth power pass,
+# BenchmarkStageThermalStep one BatchSim step, BenchmarkStageTick one
+# scheduler tick and BenchmarkStageReseed the per-cell sensor and
+# background reseeding (all 0 allocs/op, so any allocation fails the gate);
 # BenchmarkStoreDecode and BenchmarkStorePut cover one store hit (entry
 # read and verify, 2 allocs/op) and one entry write on a real fleet-cell
 # entry. BenchmarkCharacterization covers the §4 characterization rig
 # (furnace sweeps and PRBS runs on a width-1 BatchSim through the fused
 # power pass; ~171k allocs/op, flat across runs).
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStagePower$$|BenchmarkStageThermalStep$$|BenchmarkCharacterization$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStagePower$$|BenchmarkStageThermalStep$$|BenchmarkStageTick$$|BenchmarkStageReseed$$|BenchmarkCharacterization$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
 
 all: build
 
@@ -90,6 +91,17 @@ race:
 bench-harness:
 	cd bench && $(GO) test ./...
 
+# The harness's own tests pin digests they compute from a miniature; the
+# committed full-size digests (bench/expected_digests.json, seed 1) are
+# checked only by a real run at that seed. This runs every workload there,
+# 15 s each — long enough for each repeating stream to cover its 15 inputs
+# on a 2-CPU host (fleet-cold, the slowest, fits 40–80 ops) — and fails
+# unless each run ends "committed digests match".
+bench-digests:
+	for w in fleet-cold fleet-warm daemon-mixed campaign-grid; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 >/dev/null || exit 1; \
+	done
+
 # One iteration of every benchmark with allocation stats — the same
 # trajectory snapshot the CI bench job archives.
 bench:
@@ -97,15 +109,24 @@ bench:
 
 # Machine-readable allocation snapshot of the simulation hot loops plus the
 # regression gate: fails when allocs/op grew >20% over the committed
-# baseline, or when B/op of the batched kernel or the warm fleet passes its
-# absolute ceiling. ns/op rides along in the artifact for trend diffing but
-# is never gated (it depends on the host).
+# baseline, or when B/op of the batched kernel, the warm fleet or the
+# accounting-on cell passes its absolute ceiling. ns/op rides along in the
+# artifact for trend diffing but is never gated (it depends on the host).
+#
+# The accounting-on cell is BenchmarkSimCellDTPM: dijkstra, 2,561
+# intervals, with the §6.3.1 prediction accounting folding each interval
+# as its measurement arrives and keeping only a ring of horizon+1
+# predicted maxima. Over 17 runs on a 2-CPU host its B/op read
+# 42.8-44.1 kB; the 64 kB ceiling leaves ~45% headroom over the worst. A
+# steps x nodes prediction buffer (82 kB on this cell; 127.6 kB/op before
+# the ring) fails it on any host.
 bench-json:
 	$(GO) test -run '^$$' -bench '$(HOTBENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_latest.json
 	$(GO) run ./cmd/benchjson -check -max-allocs-regress 0.20 BENCH_baseline.json BENCH_latest.json
 	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetThroughput/batched,$(MAX_BATCH_BYTES)' BENCH_latest.json
 	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetWarm,$(MAX_WARM_BYTES)' BENCH_latest.json
+	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkSimCellDTPM,64000' BENCH_latest.json
 
 # Regenerate the committed baseline after an INTENTIONAL allocation-profile
 # change; say why in the commit message.
@@ -213,7 +234,7 @@ soak:
 		SOAK_RESULT_DIR=$(SOAK_RESULT_DIR) SOAK_PPROF=$(SOAK_PPROF) \
 		$(GO) test -race -run '^TestSoakSmoke$$' -count=1 -timeout 12h -v ./internal/soak
 
-ci: build cross lint api-check race bench-harness bench bench-json bench-ratio fuzz daemon-smoke soak-smoke cover
+ci: build cross lint api-check race bench-harness bench-digests bench bench-json bench-ratio fuzz daemon-smoke soak-smoke cover
 
 clean:
 	rm -f bench.txt coverage.out BENCH_latest.json BENCH_throughput.json .api-surface.latest

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -23,8 +24,10 @@ import (
 	"repro/internal/dtpm"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/kernel"
 	"repro/internal/platform"
 	"repro/internal/power"
+	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sysid"
@@ -506,6 +509,63 @@ func BenchmarkStagePower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hot.runner.GT.StepInto(core, hot.chip, hot.act, hot.temps, hot.board)
 	}
+}
+
+// BenchmarkStageTick times the scheduler stage: one 100 ms TickWith of
+// four foreground workers and one background task per hotspot node on the
+// default platform's active cluster, the call shape bench/probes.go times
+// as kernel.tick_ns. It must not allocate (allocs/op is gated in HOTBENCH).
+func BenchmarkStageTick(b *testing.B) {
+	const workers = 4
+	hot := hotStageInterval()
+	nodes := len(hot.temps)
+	sch := kernel.NewSched()
+	tasks := make([]kernel.Task, workers+nodes)
+	sch.Reserve(len(tasks), platform.Default().MaxClusterCores())
+	demands := make([]float64, len(tasks))
+	for i := range tasks {
+		tasks[i] = kernel.Task{Name: "stage", MemBound: 0.3, WorkLeft: math.Inf(1)}
+		sch.Add(&tasks[i])
+		demands[i] = 0.04
+		if i < workers {
+			demands[i] = 0.9
+		}
+	}
+	// The first tick places every task on a core (a sort that allocates);
+	// the timed ticks are the steady state the kernel loop runs in.
+	active := hot.chip.Active()
+	sch.TickWith(0.1, active, demands)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sch.TickWith(0.1, active, demands)
+	}
+}
+
+// BenchmarkStageReseed times the per-cell RNG seeding stage: rewinding a
+// device's sensor bank (sensor.reseed_ns in bench/probes.go) and its
+// background load generator (workload.reseed_ns) to a new seed, as the
+// kernel does for every device it takes from a pooled arena. Neither may
+// allocate (allocs/op is gated in HOTBENCH).
+func BenchmarkStageReseed(b *testing.B) {
+	runner := sim.NewRunner()
+	nodes := platform.Default().Big.Cores
+	b.Run("sensor", func(b *testing.B) {
+		bank := sensor.NewBank(runner.Sensors, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bank.Reseed(runner.Sensors, int64(i+2))
+		}
+	})
+	b.Run("workload", func(b *testing.B) {
+		bg := workload.NewBackgroundN(1, nodes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bg.Reseed(int64(i + 2))
+		}
+	})
 }
 
 // BenchmarkStageThermalStep times the thermal stage: one 100 ms RK4 step

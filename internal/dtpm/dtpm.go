@@ -245,15 +245,15 @@ func maxAt(v []float64) (float64, int) {
 // run-time model), other domains at their current measured draw (Fig. 3.1:
 // "the proposed power model uses the choice made by the default
 // configuration to predict the power consumption before taking any
-// action").
-func (c *Controller) predictedPowers(chip *platform.Chip, in Inputs, f platform.KHz) []float64 {
+// action"). pm is the active cluster's power model at the hottest sensed
+// temperature.
+func (c *Controller) predictedPowers(chip *platform.Chip, in Inputs, f platform.KHz, pm power.ModelAt) []float64 {
 	p := c.pvec[:]
 	copy(p, in.Powers[:])
 	if chip.ActiveKind() == platform.BigCluster {
 		v, err := chip.BigCluster.Domain.VoltAt(f)
 		if err == nil {
-			tmax, _ := maxAt(in.Temps)
-			p[platform.Big] = c.Power.PredictTotal(platform.Big, tmax, v, f)
+			p[platform.Big] = pm.PredictTotal(v, f)
 		}
 	}
 	return p
@@ -270,18 +270,24 @@ func (c *Controller) Update(chip *platform.Chip, in Inputs) Decision {
 	dec.Limits.OfflineCore = -1
 	c.limits.OfflineCore = -1
 
-	// Run-time power model update (Figure 4.4) for the active cluster.
+	// Every power-model question of this interval is about the active
+	// cluster at the hottest sensed temperature, so its leakage law is
+	// evaluated there once (the observation, the prediction vector, the
+	// budget's leakage share and every DVFS step the ladder probes).
 	tmax, _ := maxAt(in.Temps)
-	if chip.ActiveKind() == platform.BigCluster {
-		c.Power.Observe(platform.Big, in.Powers[platform.Big], tmax, chip.BigCluster.Volt(), chip.BigCluster.Freq())
-	} else {
-		c.Power.Observe(platform.Little, in.Powers[platform.Little], tmax, chip.LittleCluster.Volt(), chip.LittleCluster.Freq())
+	res, cl := platform.Big, chip.BigCluster
+	if chip.ActiveKind() != platform.BigCluster {
+		res, cl = platform.Little, chip.LittleCluster
 	}
+	pm := c.Power.At(res, tmax)
+
+	// Run-time power model update (Figure 4.4) for the active cluster.
+	pm.Observe(in.Powers[res], cl.Volt(), cl.Freq())
 
 	// Predict under the governor's intended configuration, with the
 	// asymmetry margin compensating the aggregate power attribution.
 	intended := in.GovernorFreq
-	pvec := c.predictedPowers(chip, in, intended)
+	pvec := c.predictedPowers(chip, in, intended, pm)
 	pred := c.predictor.PredictConstInto(c.pred, in.Temps, pvec, c.Cfg.HorizonIntervals)
 	dec.PredictedMax, dec.HottestCore = maxAt(pred)
 	dec.PredictedMax += c.asymMargin(in.Temps)
@@ -297,8 +303,8 @@ func (c *Controller) Update(chip *platform.Chip, in Inputs) Decision {
 		// "only as much as needed" (§6.3.2) — without this the cap would
 		// freeze below the budget until the relax path crawls it back up.
 		if c.limits.BigFreqCap != 0 || c.limits.LittleFreqCap != 0 {
-			c.computeBudget(chip, in, pred, &dec)
-			c.trackBudgetUp(chip, in, &dec)
+			c.computeBudget(chip, in, pred, &dec, pm)
+			c.trackBudgetUp(chip, &dec, pm)
 		}
 		c.relax(chip, dec.PredictedMax)
 		dec.Limits = c.limits
@@ -308,8 +314,8 @@ func (c *Controller) Update(chip *platform.Chip, in Inputs) Decision {
 	// Thermal violation predicted: compute the power budget (§5.1).
 	dec.Violation = true
 	c.safeCount = 0
-	c.computeBudget(chip, in, pred, &dec)
-	c.applyLadder(chip, in, &dec)
+	c.computeBudget(chip, in, pred, &dec, pm)
+	c.applyLadder(chip, in, &dec, pm)
 	dec.Limits = c.limits
 	return dec
 }
@@ -324,8 +330,9 @@ func (c *Controller) Update(chip *platform.Chip, in Inputs) Decision {
 // the prediction horizon rather than one sample ahead: holding the budgeted
 // power for the whole horizon lands exactly on the constraint, so the cap
 // tightens smoothly as headroom shrinks instead of swinging between a
-// too-generous one-step budget and zero.
-func (c *Controller) computeBudget(chip *platform.Chip, in Inputs, pred []float64, dec *Decision) {
+// too-generous one-step budget and zero. pm is the active cluster's power
+// model at the hottest sensed temperature.
+func (c *Controller) computeBudget(chip *platform.Chip, in Inputs, pred []float64, dec *Decision, pm power.ModelAt) {
 	_, row := maxAt(pred)
 	active := int(platform.Big)
 	if chip.ActiveKind() == platform.LittleCluster {
@@ -378,8 +385,7 @@ func (c *Controller) computeBudget(chip *platform.Chip, in Inputs, pred []float6
 	} else {
 		volt = chip.LittleCluster.Volt()
 	}
-	tmax, _ := maxAt(in.Temps)
-	leak := c.Power.LeakagePower(res, tmax, volt)
+	leak := pm.LeakagePower(volt)
 	dyn := budget - leak
 	if dyn < 0 {
 		dyn = 0
@@ -397,12 +403,12 @@ const maxPlausibleBudget = 50
 
 // trackBudgetUp raises the active cluster's frequency cap toward the
 // current budget (never above it), removing the cap once the budget admits
-// the maximum frequency.
-func (c *Controller) trackBudgetUp(chip *platform.Chip, in Inputs, dec *Decision) {
-	tmaxNow, _ := maxAt(in.Temps)
+// the maximum frequency. pm is the active cluster's power model at the
+// hottest sensed temperature.
+func (c *Controller) trackBudgetUp(chip *platform.Chip, dec *Decision, pm power.ModelAt) {
 	if chip.ActiveKind() == platform.BigCluster && c.limits.BigFreqCap != 0 {
 		d := chip.BigCluster.Domain
-		f, ok := c.Power.QuantizeBudgetFreq(platform.Big, d, tmaxNow, dec.TotalBudget)
+		f, ok := pm.QuantizeBudgetFreq(d, dec.TotalBudget)
 		if ok && f > c.limits.BigFreqCap {
 			if f >= d.MaxFreq() {
 				c.limits.BigFreqCap = 0
@@ -413,7 +419,7 @@ func (c *Controller) trackBudgetUp(chip *platform.Chip, in Inputs, dec *Decision
 	}
 	if chip.ActiveKind() == platform.LittleCluster && c.limits.LittleFreqCap != 0 {
 		d := chip.LittleCluster.Domain
-		f, ok := c.Power.QuantizeBudgetFreq(platform.Little, d, tmaxNow, dec.TotalBudget)
+		f, ok := pm.QuantizeBudgetFreq(d, dec.TotalBudget)
 		if ok && f > c.limits.LittleFreqCap {
 			if f >= d.MaxFreq() {
 				c.limits.LittleFreqCap = 0
@@ -426,11 +432,12 @@ func (c *Controller) trackBudgetUp(chip *platform.Chip, in Inputs, dec *Decision
 
 // applyLadder updates the limits to satisfy the budget: frequency first,
 // then hottest-core shutdown, then cluster migration, then GPU throttling.
-func (c *Controller) applyLadder(chip *platform.Chip, in Inputs, dec *Decision) {
+// pm is the active cluster's power model at the hottest sensed temperature.
+func (c *Controller) applyLadder(chip *platform.Chip, in Inputs, dec *Decision, pm power.ModelAt) {
 	tmaxNow, hotNow := maxAt(in.Temps)
 	if chip.ActiveKind() == platform.BigCluster {
 		d := chip.BigCluster.Domain
-		f, ok := c.Power.QuantizeBudgetFreq(platform.Big, d, tmaxNow, dec.TotalBudget)
+		f, ok := pm.QuantizeBudgetFreq(d, dec.TotalBudget)
 		if ok {
 			// Eq. 5.8 satisfied: cap the big cluster at the budget step.
 			// The cap tracks the budget in both directions so the cluster
@@ -484,7 +491,7 @@ func (c *Controller) applyLadder(chip *platform.Chip, in Inputs, dec *Decision) 
 	} else {
 		// Already on little: cap its frequency against the budget.
 		d := chip.LittleCluster.Domain
-		f, _ := c.Power.QuantizeBudgetFreq(platform.Little, d, tmaxNow, dec.TotalBudget)
+		f, _ := pm.QuantizeBudgetFreq(d, dec.TotalBudget)
 		c.limits.LittleFreqCap = f
 	}
 	// GPU throttling, only when the GPU is in use (§5.2, §7).

@@ -44,8 +44,8 @@ func testPowerModel() *power.Model {
 	pm := power.NewModel(leak)
 	// Seed the alphaC estimators with a plausible observation at max freq.
 	chip := platform.NewChip()
-	pm.Observe(platform.Big, 3.5, 55, chip.BigCluster.Volt(), chip.BigCluster.Freq())
-	pm.Observe(platform.Little, 0.6, 45, 1.15, platform.MHzToKHz(1200))
+	pm.At(platform.Big, 55).Observe(3.5, chip.BigCluster.Volt(), chip.BigCluster.Freq())
+	pm.At(platform.Little, 45).Observe(0.6, 1.15, platform.MHzToKHz(1200))
 	return pm
 }
 

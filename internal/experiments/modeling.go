@@ -261,12 +261,12 @@ func runFig4_7(c *Context) (*Report, error) {
 	// prediction on the second half.
 	half := len(samples) / 2
 	for _, s := range samples[:half] {
-		c.Char.Power.Observe(platform.Big, s.Power, s.TempC, v, freq)
+		c.Char.Power.At(platform.Big, s.TempC).Observe(s.Power, v, freq)
 	}
 	var measured, predicted []float64
 	for _, s := range samples[half:] {
 		measured = append(measured, s.Power)
-		predicted = append(predicted, c.Char.Power.PredictTotal(platform.Big, s.TempC, v, freq))
+		predicted = append(predicted, c.Char.Power.At(platform.Big, s.TempC).PredictTotal(v, freq))
 	}
 	rep := &Report{ID: "fig4.7", Title: "Power model validation"}
 	t := Table{Columns: []string{"metric", "value"}}

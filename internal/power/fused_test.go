@@ -75,10 +75,30 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 				}
 				_ = chip.BigCluster.SetCoreOnline(nBig-1, true)
 			}
-			// Little cluster active (thermal emergency migration).
+			// Little cluster active (thermal emergency migration). Its
+			// cores share the board temperature, so StepInto evaluates
+			// the little leakage law once for all of them: the hotspot
+			// temperatures (random, far from the board's) must not leak
+			// in, and a hotplugged little core must contribute nothing.
 			chip.SwitchCluster(platform.LittleCluster)
 			for i := 0; i < 10; i++ {
 				randomCase("little-active")
+			}
+			if little := chip.LittleCluster; little != nil {
+				if err := little.SetFreq(little.Domain.MaxFreq()); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 10; i++ {
+					randomCase("little-active-max-freq")
+				}
+				if little.NumCores() > 1 {
+					_ = little.SetCoreOnline(0, false)
+					for i := 0; i < 10; i++ {
+						randomCase("little-hotplugged")
+					}
+					_ = little.SetCoreOnline(0, true)
+				}
+				check("little-idle", ChipActivity{CoreUtil: make([]float64, nBig), CPUActivity: 1}, make([]float64, nBig), 22)
 			}
 			chip.SwitchCluster(platform.BigCluster)
 			// Degenerate activities: all idle, clamped traffic.

@@ -39,20 +39,40 @@ type LeakageParams struct {
 
 // Current returns the leakage current in amperes at temperature tC (°C) and
 // supply voltage v.
-func (p LeakageParams) Current(tC, v float64) float64 {
-	tk := CelsiusToKelvin(tC)
-	sub := p.C1 * tk * tk * math.Exp(p.C2/tk)
-	scale := 1.0
-	if p.VNom > 0 {
-		scale = v / p.VNom
-	}
-	return (sub + p.IGate) * scale
-}
+func (p LeakageParams) Current(tC, v float64) float64 { return p.At(tC).Current(v) }
 
 // Power returns the leakage power in watts: V * I_leak(T, V).
-func (p LeakageParams) Power(tC, v float64) float64 {
-	return v * p.Current(tC, v)
+func (p LeakageParams) Power(tC, v float64) float64 { return p.At(tC).Power(v) }
+
+// At evaluates the temperature term of the leakage law once, so a caller
+// that needs the law at one temperature for several voltages (a DVFS table
+// walk, the cores of a cluster sharing one node) pays for one exponential.
+func (p LeakageParams) At(tC float64) Leakage {
+	tk := CelsiusToKelvin(tC)
+	sub := p.C1 * tk * tk * math.Exp(p.C2/tk)
+	return Leakage{cur: sub + p.IGate, vNom: p.VNom}
 }
+
+// Leakage is a leakage law evaluated at one temperature: what
+// LeakageParams.At returns. Its Current and Power are the law's, bit for
+// bit, at that temperature. (Two scalar fields, so it stays in registers
+// across the hot loops that carry it.)
+type Leakage struct {
+	cur  float64 // C1 * T^2 * exp(C2 / T) + IGate: the current at VNom
+	vNom float64
+}
+
+// Current returns the leakage current in amperes at supply voltage v.
+func (l Leakage) Current(v float64) float64 {
+	scale := 1.0
+	if l.vNom > 0 {
+		scale = v / l.vNom
+	}
+	return l.cur * scale
+}
+
+// Power returns the leakage power in watts at supply voltage v.
+func (l Leakage) Power(v float64) float64 { return v * l.Current(v) }
 
 // ResourceParams hold the ground-truth per-resource constants.
 type ResourceParams struct {

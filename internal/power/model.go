@@ -96,28 +96,60 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
-// Observe updates the alphaC estimate of resource r from a sensor reading
-// taken at temperature tC, voltage v, and frequency f.
-func (m *Model) Observe(r platform.Resource, measuredPower, tC, v float64, f platform.KHz) {
-	leak := m.Leak[r].Power(tC, v)
-	m.AlphaC[r].Update(measuredPower, leak, v, f)
+// At binds resource r of the model to temperature tC: the run-time
+// model's temperature-dependent questions (observing a reading, predicting
+// the total power at a candidate operating point, walking the DVFS table
+// against a budget) are asked through the returned view. It evaluates r's
+// fitted leakage law at tC once and reuses it for every voltage it is
+// asked about. The view is call-local — the model itself keeps no memo, so
+// a shared model stays safe to read concurrently — and its estimator
+// updates land in m.
+func (m *Model) At(r platform.Resource, tC float64) ModelAt {
+	return ModelAt{m: m, r: r, leak: m.Leak[r].At(tC)}
 }
 
-// LeakagePower returns the fitted leakage power of resource r.
-func (m *Model) LeakagePower(r platform.Resource, tC, v float64) float64 {
-	return m.Leak[r].Power(tC, v)
+// ModelAt is one resource of a Model at one temperature (see Model.At).
+type ModelAt struct {
+	m    *Model
+	r    platform.Resource
+	leak Leakage
+}
+
+// Observe updates the alphaC estimate from a sensor reading taken at
+// voltage v and frequency f.
+func (a ModelAt) Observe(measuredPower, v float64, f platform.KHz) {
+	a.m.AlphaC[a.r].Update(measuredPower, a.leak.Power(v), v, f)
+}
+
+// LeakagePower returns the fitted leakage power at voltage v.
+func (a ModelAt) LeakagePower(v float64) float64 { return a.leak.Power(v) }
+
+// PredictTotal predicts the total power at a candidate operating point:
+// dynamic (Eq. 4.1) plus fitted leakage (Eq. 4.2).
+func (a ModelAt) PredictTotal(v float64, f platform.KHz) float64 {
+	return a.m.PredictDynamic(a.r, v, f) + a.leak.Power(v)
+}
+
+// QuantizeBudgetFreq walks the DVFS table of a domain downward and returns
+// the highest frequency whose predicted TOTAL power fits totalBudget. This
+// refines Eq. 5.7 by accounting for the voltage change at each step (the
+// paper computes f_budget at the current Vdd; the table walk is the
+// discrete equivalent, see DESIGN.md §5). The boolean reports whether even
+// the minimum step fits the budget.
+func (a ModelAt) QuantizeBudgetFreq(d *platform.Domain, totalBudget float64) (platform.KHz, bool) {
+	for i := d.NumOPPs() - 1; i >= 0; i-- {
+		opp := d.OPPs[i]
+		if a.PredictTotal(opp.Volt, opp.Freq) <= totalBudget {
+			return opp.Freq, true
+		}
+	}
+	return d.MinFreq(), false
 }
 
 // PredictDynamic predicts the dynamic power of resource r at a candidate
 // voltage/frequency, assuming the current activity persists.
 func (m *Model) PredictDynamic(r platform.Resource, v float64, f platform.KHz) float64 {
 	return m.AlphaC[r].Value() * v * v * f.Hz()
-}
-
-// PredictTotal predicts total power of resource r at a candidate operating
-// point and temperature: dynamic (Eq. 4.1) plus fitted leakage (Eq. 4.2).
-func (m *Model) PredictTotal(r platform.Resource, tC, v float64, f platform.KHz) float64 {
-	return m.PredictDynamic(r, v, f) + m.LeakagePower(r, tC, v)
 }
 
 // FBudget solves Equation 5.7 for the frequency corresponding to a dynamic
@@ -136,22 +168,6 @@ func (m *Model) FBudget(r platform.Resource, dynBudget, v float64) (platform.KHz
 	}
 	fHz := dynBudget / (ac * v * v)
 	return platform.KHz(fHz / 1e3), nil
-}
-
-// QuantizeBudgetFreq walks the DVFS table of a domain downward and returns
-// the highest frequency whose predicted TOTAL power fits totalBudget at
-// temperature tC. This refines Eq. 5.7 by accounting for the voltage change
-// at each step (the paper computes f_budget at the current Vdd; the table
-// walk is the discrete equivalent, see DESIGN.md §5). The boolean reports
-// whether even the minimum step fits the budget.
-func (m *Model) QuantizeBudgetFreq(r platform.Resource, d *platform.Domain, tC, totalBudget float64) (platform.KHz, bool) {
-	for i := d.NumOPPs() - 1; i >= 0; i-- {
-		opp := d.OPPs[i]
-		if m.PredictTotal(r, tC, opp.Volt, opp.Freq) <= totalBudget {
-			return opp.Freq, true
-		}
-	}
-	return d.MinFreq(), false
 }
 
 // SplitMeasured splits a measured total power into (dynamic, leakage) using

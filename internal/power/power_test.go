@@ -278,11 +278,11 @@ func TestModelPredictTotalMatchesGroundTruth(t *testing.T) {
 	// Observe at 1.2 GHz.
 	obsOPP := d.OPPs[4]
 	truth := 4*g.Dynamic(platform.Big, obsOPP.Volt, obsOPP.Freq, util, act) + g.Leakage(platform.Big, tc, obsOPP.Volt)
-	m.Observe(platform.Big, truth, tc, obsOPP.Volt, obsOPP.Freq)
+	m.At(platform.Big, tc).Observe(truth, obsOPP.Volt, obsOPP.Freq)
 
 	for _, opp := range d.OPPs {
 		want := 4*g.Dynamic(platform.Big, opp.Volt, opp.Freq, util, act) + g.Leakage(platform.Big, tc, opp.Volt)
-		got := m.PredictTotal(platform.Big, tc, opp.Volt, opp.Freq)
+		got := m.At(platform.Big, tc).PredictTotal(opp.Volt, opp.Freq)
 		if math.Abs(got-want)/want > 0.01 {
 			t.Fatalf("prediction at %v MHz: got %.4f want %.4f", opp.Freq.MHz(), got, want)
 		}
@@ -292,7 +292,7 @@ func TestModelPredictTotalMatchesGroundTruth(t *testing.T) {
 func TestFBudgetInvertsDynamicPower(t *testing.T) {
 	m := defaultModel()
 	v, f := 1.25, platform.KHz(1600000)
-	m.Observe(platform.Big, 2.6+m.LeakagePower(platform.Big, 60, v), 60, v, f)
+	m.At(platform.Big, 60).Observe(2.6+m.Leak[platform.Big].Power(60, v), v, f)
 	// Budget equal to current dynamic power should give back ~current f.
 	fb, err := m.FBudget(platform.Big, 2.6, v)
 	if err != nil {
@@ -316,7 +316,7 @@ func TestFBudgetErrors(t *testing.T) {
 	if _, err := m.FBudget(platform.Big, 1.0, 1.0); err == nil {
 		t.Fatal("expected error before any observation")
 	}
-	m.Observe(platform.Big, 2.0, 60, 1.25, 1600000)
+	m.At(platform.Big, 60).Observe(2.0, 1.25, 1600000)
 	fb, err := m.FBudget(platform.Big, -1, 1.25)
 	if err != nil || fb != 0 {
 		t.Fatalf("non-positive budget should give f=0, got %v, %v", fb, err)
@@ -331,21 +331,21 @@ func TestQuantizeBudgetFreq(t *testing.T) {
 	// Converge alphaC at max freq, full load.
 	opp := d.OPPs[len(d.OPPs)-1]
 	truth := 4*g.Dynamic(platform.Big, opp.Volt, opp.Freq, 1, 1) + g.Leakage(platform.Big, tc, opp.Volt)
-	m.Observe(platform.Big, truth, tc, opp.Volt, opp.Freq)
+	m.At(platform.Big, tc).Observe(truth, opp.Volt, opp.Freq)
 
 	// A generous budget admits the max frequency.
-	f, ok := m.QuantizeBudgetFreq(platform.Big, d, tc, truth+1)
+	f, ok := m.At(platform.Big, tc).QuantizeBudgetFreq(d, truth+1)
 	if !ok || f != d.MaxFreq() {
 		t.Fatalf("generous budget: f=%v ok=%v", f, ok)
 	}
 	// A tiny budget fails even at the min step.
-	f, ok = m.QuantizeBudgetFreq(platform.Big, d, tc, 0.01)
+	f, ok = m.At(platform.Big, tc).QuantizeBudgetFreq(d, 0.01)
 	if ok || f != d.MinFreq() {
 		t.Fatalf("tiny budget: f=%v ok=%v", f, ok)
 	}
 	// A mid budget returns an interior step whose predicted power fits.
-	mid := m.PredictTotal(platform.Big, tc, d.OPPs[4].Volt, d.OPPs[4].Freq)
-	f, ok = m.QuantizeBudgetFreq(platform.Big, d, tc, mid)
+	mid := m.At(platform.Big, tc).PredictTotal(d.OPPs[4].Volt, d.OPPs[4].Freq)
+	f, ok = m.At(platform.Big, tc).QuantizeBudgetFreq(d, mid)
 	if !ok || f != d.OPPs[4].Freq {
 		t.Fatalf("mid budget: f=%v ok=%v, want %v", f, ok, d.OPPs[4].Freq)
 	}
@@ -353,7 +353,7 @@ func TestQuantizeBudgetFreq(t *testing.T) {
 
 func TestSplitMeasured(t *testing.T) {
 	m := defaultModel()
-	leak := m.LeakagePower(platform.Big, 60, 1.25)
+	leak := m.Leak[platform.Big].Power(60, 1.25)
 	dyn, l := m.SplitMeasured(platform.Big, leak+1.5, 60, 1.25)
 	if math.Abs(dyn-1.5) > 1e-12 || math.Abs(l-leak) > 1e-12 {
 		t.Fatalf("split = %v, %v", dyn, l)
@@ -394,5 +394,106 @@ func TestPropertyPowerMonotoneOnLadder(t *testing.T) {
 			t.Fatalf("power not decreasing down the ladder at %v MHz", opp.Freq.MHz())
 		}
 		prev = p
+	}
+}
+
+// TestLeakageAtMatchesLaw referees the hoisted temperature term: a law
+// evaluated once at a temperature (LeakageParams.At, and Model.At built on
+// it) must give, bit for bit, what Eq. 4.2 evaluated in full gives at every
+// voltage — the closed form below and LeakageParams.Power/Current — over
+// random temperatures and voltages on every domain of every platform, and
+// with no nominal voltage.
+func TestLeakageAtMatchesLaw(t *testing.T) {
+	closed := func(p LeakageParams, tC, v float64) (cur, pow float64) {
+		tk := tC + 273.15
+		scale := 1.0
+		if p.VNom > 0 {
+			scale = v / p.VNom
+		}
+		cur = (p.C1*tk*tk*math.Exp(p.C2/tk) + p.IGate) * scale
+		return cur, v * cur
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(11))
+	for _, name := range platform.Names() {
+		desc, err := platform.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := GroundTruthFor(desc)
+		for r := range g.Res {
+			params := []LeakageParams{g.Res[r].Leak}
+			noNom := g.Res[r].Leak
+			noNom.VNom = 0
+			params = append(params, noNom)
+			for _, p := range params {
+				for i := 0; i < 200; i++ {
+					tC := -20 + 130*rng.Float64()
+					law := p.At(tC)
+					for j := 0; j < 4; j++ {
+						v := 0.6 + 0.8*rng.Float64()
+						wantCur, wantPow := closed(p, tC, v)
+						if got := law.Current(v); !same(got, wantCur) || !same(p.Current(tC, v), wantCur) {
+							t.Fatalf("%s/%v: current at %v °C, %v V: At %v, Current %v, closed form %v", name, platform.Resource(r), tC, v, got, p.Current(tC, v), wantCur)
+						}
+						if got := law.Power(v); !same(got, wantPow) || !same(p.Power(tC, v), wantPow) {
+							t.Fatalf("%s/%v: power at %v °C, %v V: At %v, Power %v, closed form %v", name, platform.Resource(r), tC, v, got, p.Power(tC, v), wantPow)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestModelAtMatchesLaw checks that the temperature-bound view of the
+// run-time model answers exactly as the full leakage law evaluated per
+// call does: the alphaC it observes, the total and leakage power it
+// predicts, and the DVFS step it picks.
+func TestModelAtMatchesLaw(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	d := platform.BigDomain()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		tC := 30 + 60*rng.Float64()
+		opp := d.OPPs[rng.Intn(d.NumOPPs())]
+		measured := 1 + 3*rng.Float64()
+		m := defaultModel()
+		law := m.Leak[platform.Big]
+		ref := NewAlphaCEstimator(0.5)
+		ref.Update(measured, law.Power(tC, opp.Volt), opp.Volt, opp.Freq)
+
+		at := m.At(platform.Big, tC)
+		at.Observe(measured, opp.Volt, opp.Freq)
+		if got := m.AlphaC[platform.Big].Value(); !same(got, ref.Value()) {
+			t.Fatalf("Observe at %v °C: alphaC %v, want %v", tC, got, ref.Value())
+		}
+		total := func(o platform.OPP) float64 {
+			return ref.Value()*o.Volt*o.Volt*o.Freq.Hz() + law.Power(tC, o.Volt)
+		}
+		for _, o := range d.OPPs {
+			want := total(o)
+			if got := at.PredictTotal(o.Volt, o.Freq); !same(got, want) {
+				t.Fatalf("PredictTotal at %v °C, %v kHz: %v, want %v", tC, o.Freq, got, want)
+			}
+			if a := at.LeakagePower(o.Volt); !same(a, law.Power(tC, o.Volt)) {
+				t.Fatalf("LeakagePower at %v °C, %v V: %v, want %v", tC, o.Volt, a, law.Power(tC, o.Volt))
+			}
+		}
+		// Budgets on and between the table's predicted totals, so the walk
+		// is decided by exact comparisons.
+		o := d.OPPs[rng.Intn(d.NumOPPs())]
+		for _, budget := range []float64{total(o), math.Nextafter(total(o), 0), 4 * rng.Float64()} {
+			want, wantOK := d.MinFreq(), false
+			for j := d.NumOPPs() - 1; j >= 0; j-- {
+				if total(d.OPPs[j]) <= budget {
+					want, wantOK = d.OPPs[j].Freq, true
+					break
+				}
+			}
+			if f, ok := at.QuantizeBudgetFreq(d, budget); f != want || ok != wantOK {
+				t.Fatalf("QuantizeBudgetFreq at %v °C, %v W: %v/%v, want %v/%v", tC, budget, f, ok, want, wantOK)
+			}
+		}
 	}
 }

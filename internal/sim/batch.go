@@ -105,11 +105,17 @@ type batchDev struct {
 	maxTempSeries []float64
 
 	// §6.3.1 prediction-accuracy accounting (Run only): one model-order
-	// prediction per interval, compared with the measured series at close.
+	// prediction per interval, whose hottest core is kept in predMax (a
+	// ring of the last horizon+1 intervals, at most steps) until the
+	// measurement horizon intervals later folds it into the running sums.
 	predictor *sysid.Predictor
 	horizon   int
 	predStep  []float64
-	predRing  []float64
+	predMax   []float64
+	predN     int
+	predSum   float64
+	predWorst float64
+	predAbs   float64
 
 	demandNames []string // recorded "demand_w<i>" series names
 }
@@ -126,8 +132,9 @@ type batchDev struct {
 type batchArena struct {
 	devs []batchDev
 	// floats backs, in order: the per-device vector buffers (zeroed on
-	// acquire), the B x steps maxTempSeries, and — with accounting — the
-	// B x steps x nodes prediction rings (both append-only).
+	// acquire), the B x steps maxTempSeries (append-only), and — with
+	// accounting — each device's ring of predicted maxima (every slot
+	// written before it is read).
 	floats    []float64
 	tasks     []kernel.Task // B x nTasks task slab, fully rewritten per use
 	wNames    []string      // cached worker task names for wNamesFor
@@ -228,7 +235,6 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 
 	// Normalize every option set, then insist the batch agrees on
 	// everything that is shared in lock-step.
-	predicting := false
 	for i := range opts {
 		opt := &opts[i]
 		dev := &devs[i]
@@ -253,7 +259,6 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 		if opt.MaxDuration == 0 {
 			opt.MaxDuration = dev.script.Duration()
 		}
-		predicting = predicting || (account && opt.Model != nil)
 	}
 	ref := &opts[0]
 	lead := devs[0].script // the shared-step source
@@ -291,20 +296,23 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 	bsim := thermal.NewBatchSim(r.Thermal, B)
 	idle := r.IdleState()
 
+	ringN := 0
+	for i := range opts {
+		ringN += ringLen(&opts[i], account, steps)
+	}
+
 	// Allocation-reuse invariant: everything the per-step loop touches is
 	// either a fixed-size value or preallocated here at full capacity —
 	// sized from the platform descriptor, not from constants — so the loop
 	// itself performs no heap allocation (BenchmarkSimCell* in the repo
 	// root tracks this with -benchmem). Keep it that way when adding
 	// per-step state. One flat backing array holds every per-device
-	// vector buffer, the temperature series, and the prediction rings; the
+	// vector buffer, the temperature series, and the accounting rings; the
 	// arena backing carries stale values, so zero the vector buffers —
-	// fresh-make semantics (the series and rings are append-only).
+	// fresh-make semantics (the series is append-only and every ring slot
+	// is written before it is read).
 	perDev := maxCores + 3*nodes + nTasks
-	vecN, seriesN, ringN := B*perDev, B*steps, 0
-	if predicting {
-		ringN = B * steps * nodes
-	}
+	vecN, seriesN := B*perDev, B*steps
 	arena.floats = scratch(arena.floats, vecN+seriesN+ringN)
 	flat := arena.floats[:vecN]
 	clear(flat)
@@ -438,14 +446,11 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 		dev.corePow = bsim.CoreInput(d)
 		dev.maxTempSeries = series[d*steps : d*steps : (d+1)*steps]
 
-		if account && opt.Model != nil {
+		if n := ringLen(&opt, account, steps); n > 0 {
 			dev.predictor = opt.Model.NewPredictor()
-			dev.horizon = opt.PredHorizon
-			if dev.horizon <= 0 {
-				dev.horizon = 10 // 1 s at 100 ms
-			}
-			ring := steps * nodes
-			dev.predRing = rings[d*ring : d*ring : (d+1)*ring]
+			dev.horizon = predHorizon(&opt)
+			dev.predMax = rings[:n:n]
+			rings = rings[n:]
 		}
 
 		dev.res = &Result{Bench: dev.script.Name(), Policy: opt.Policy}
@@ -625,7 +630,8 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			// power.
 			if dev.predictor != nil {
 				pred := dev.predictor.PredictConstInto(dev.predStep, dev.sensedTemps, sensedPowers[:], dev.horizon)
-				dev.predRing = append(dev.predRing, pred...)
+				predMax := stats.Max(pred)
+				dev.predMax[k%len(dev.predMax)] = predMax
 				if rec := dev.res.Rec; rec != nil {
 					// Timestamp at the instant the prediction refers to, so
 					// the series overlays the measured trace (Figure 4.9).
@@ -638,7 +644,7 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 					if dev.gen != nil {
 						predT += float64(dev.horizon) * dt
 					}
-					rec.Record("predmax_c", predT, stats.Max(pred))
+					rec.Record("predmax_c", predT, predMax)
 				}
 			}
 
@@ -689,6 +695,9 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			// Metrics.
 			trueMax := dev.st.MaxCore()
 			dev.maxTempSeries = append(dev.maxTempSeries, trueMax)
+			if dev.predictor != nil && k >= dev.horizon {
+				dev.foldPrediction(dev.predMax[(k-dev.horizon)%len(dev.predMax)], trueMax)
+			}
 			platPower := breakdown.Platform()
 			dev.energy += platPower * dt
 			if trueMax > dev.opt.TMax {
@@ -766,8 +775,10 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			res.SSTempVar = stats.Variance(ss)
 			res.SSSpread = stats.Spread(ss)
 		}
-		if dev.predictor != nil {
-			dev.closePredictions(nodes)
+		if dev.predN > 0 {
+			res.PredMeanPct = dev.predSum / float64(dev.predN)
+			res.PredMaxPct = dev.predWorst
+			res.PredMaxAbsC = dev.predAbs
 		}
 		results[d] = res
 	}
@@ -777,32 +788,43 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 	return nil
 }
 
-// closePredictions finishes the §6.3.1 accounting: each interval's
-// predicted hottest core against the true maximum measured `horizon`
-// intervals later.
-func (dev *batchDev) closePredictions(nodes int) {
-	var sum, worst, worstAbs float64
-	n := 0
-	for k := 0; k+dev.horizon < len(dev.maxTempSeries) && k < len(dev.predRing)/nodes; k++ {
-		predMax := stats.Max(dev.predRing[k*nodes : (k+1)*nodes])
-		meas := dev.maxTempSeries[k+dev.horizon]
-		if meas <= 0 {
-			continue
-		}
-		abs := math.Abs(predMax - meas)
-		pct := 100 * abs / meas
-		sum += pct
-		n++
-		if pct > worst {
-			worst = pct
-		}
-		if abs > worstAbs {
-			worstAbs = abs
-		}
+// predHorizon is the §6.3.1 accounting horizon of a run in intervals.
+func predHorizon(opt *Options) int {
+	if opt.PredHorizon <= 0 {
+		return 10 // 1 s at 100 ms
 	}
-	if n > 0 {
-		dev.res.PredMeanPct = sum / float64(n)
-		dev.res.PredMaxPct = worst
-		dev.res.PredMaxAbsC = worstAbs
+	return opt.PredHorizon
+}
+
+// ringLen is the length of a run's accounting ring: the predicted maxima
+// still waiting for their measurement, horizon+1 intervals but never more
+// than the run's steps (0 without accounting).
+func ringLen(opt *Options, account bool, steps int) int {
+	if !account || opt.Model == nil {
+		return 0
+	}
+	if h := predHorizon(opt); h < steps {
+		return h + 1
+	}
+	return steps
+}
+
+// foldPrediction adds one interval to the §6.3.1 accounting: its predicted
+// hottest core against the true maximum measured `horizon` intervals
+// later. Intervals fold in order as their measurements arrive, so the
+// sums are the ones a pass over the whole run would make.
+func (dev *batchDev) foldPrediction(predMax, meas float64) {
+	if meas <= 0 {
+		return
+	}
+	abs := math.Abs(predMax - meas)
+	pct := 100 * abs / meas
+	dev.predSum += pct
+	dev.predN++
+	if pct > dev.predWorst {
+		dev.predWorst = pct
+	}
+	if abs > dev.predAbs {
+		dev.predAbs = abs
 	}
 }

@@ -107,8 +107,11 @@ type Options struct {
 	PredHorizon int
 	// Model is the identified thermal model (required for PolicyDTPM).
 	// When set, Run also uses it for the §6.3.1 prediction-accuracy
-	// accounting in any policy (Result.Pred*); RunBatch skips that
-	// accounting.
+	// accounting in any policy (Result.Pred*): every interval predicts the
+	// hottest core PredHorizon intervals ahead, and the prediction is
+	// scored against the true maximum as soon as that interval is
+	// measured, so Run holds the last PredHorizon+1 predicted maxima, not
+	// the run's predictions. RunBatch skips that accounting.
 	Model *sysid.ThermalModel
 	// PowerModel supplies fitted leakage parameters for DTPM (nil = fit
 	// omitted: ground-truth parameters are copied, representing a perfect
@@ -293,7 +296,7 @@ func (r *Runner) Run(ctx context.Context, opt Options) (*Result, error) {
 }
 
 // steadyWindow returns the slice of the series after the cold-start ramp:
-// from the first sample within 8 °C of tMax, or from 30% of the run when the
+// from the first sample within 3 °C of tMax, or from 30% of the run when the
 // trace never gets that hot.
 func steadyWindow(series []float64, tMax float64) []float64 {
 	if len(series) == 0 {

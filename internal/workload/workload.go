@@ -196,6 +196,14 @@ type Generator struct {
 	rng *rand.Rand
 	// jitter state: smoothed random walk so demand is not white noise.
 	jitter float64
+
+	// The phase factor of the last DemandAt call and the inputs it was
+	// computed from. The scheduler asks for every worker's demand several
+	// times per tick at one t, and B is exported, so the key covers both
+	// phase parameters as well as t.
+	phaseOK                bool
+	phaseT, phaseP, phaseA float64
+	phase                  float64
 }
 
 // NewGenerator returns a deterministic demand generator for b.
@@ -205,14 +213,12 @@ func NewGenerator(b Benchmark) *Generator {
 
 // DemandAt returns the demanded fraction of RefCapacity for one worker
 // thread at time t (seconds since launch). The waveform combines the phase
-// modulation with a smoothed +-5% jitter.
+// modulation with a smoothed +-5% jitter. Every call advances the jitter,
+// including repeated calls at one t; only the phase factor is reused.
 func (g *Generator) DemandAt(t float64) float64 {
 	d := g.B.Demand
 	if g.B.PhasePeriod > 0 && g.B.PhaseAmp > 0 {
-		// Square-ish phases: compute/IO alternation typical of MiBench.
-		phase := math.Sin(2 * math.Pi * t / g.B.PhasePeriod)
-		sq := math.Tanh(3 * phase) // soft square wave
-		d *= 1 + g.B.PhaseAmp*sq
+		d *= g.phaseFactor(t)
 	}
 	g.jitter = 0.9*g.jitter + 0.1*(g.rng.Float64()*2-1)
 	d *= 1 + 0.05*g.jitter
@@ -223,6 +229,21 @@ func (g *Generator) DemandAt(t float64) float64 {
 		d = 1
 	}
 	return d
+}
+
+// phaseFactor returns the phase modulation 1 + PhaseAmp*sq at t, where sq
+// is a soft square wave of period PhasePeriod, evaluating the waveform
+// only when t or a phase parameter differs from the previous call.
+func (g *Generator) phaseFactor(t float64) float64 {
+	p, a := g.B.PhasePeriod, g.B.PhaseAmp
+	if !g.phaseOK || t != g.phaseT || p != g.phaseP || a != g.phaseA {
+		// Square-ish phases: compute/IO alternation typical of MiBench.
+		phase := math.Sin(2 * math.Pi * t / p)
+		sq := math.Tanh(3 * phase) // soft square wave
+		g.phase = 1 + a*sq
+		g.phaseOK, g.phaseT, g.phaseP, g.phaseA = true, t, p, a
+	}
+	return g.phase
 }
 
 // GPUUtilAt returns the demanded GPU utilization at time t.

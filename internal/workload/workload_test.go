@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -247,4 +249,48 @@ func TestClassString(t *testing.T) {
 	if Class(9).String() != "class(9)" {
 		t.Fatal("unknown class string wrong")
 	}
+}
+
+// TestDemandAtClosedForm referees the phase-factor reuse in DemandAt: every
+// call must return, bit for bit, the closed-form waveform evaluated afresh
+// with a jitter stream that advances once per call — for a repeated t, a
+// new t, a t that goes backwards, and after the exported phase parameters
+// (or the demand) change between calls at the same t.
+func TestDemandAtClosedForm(t *testing.T) {
+	b, _ := ByName("templerun")
+	g := NewGenerator(b)
+	rng := rand.New(rand.NewSource(b.Seed))
+	jitter := 0.0
+	want := func(b Benchmark, tm float64) float64 {
+		d := b.Demand
+		if b.PhasePeriod > 0 && b.PhaseAmp > 0 {
+			d *= 1 + b.PhaseAmp*math.Tanh(3*math.Sin(2*math.Pi*tm/b.PhasePeriod))
+		}
+		jitter = 0.9*jitter + 0.1*(rng.Float64()*2-1)
+		d *= 1 + 0.05*jitter
+		return math.Max(0, math.Min(1, d))
+	}
+	check := func(label string, tm float64) {
+		t.Helper()
+		w := want(g.B, tm)
+		if got := g.DemandAt(tm); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("%s: DemandAt(%v) = %v, closed form %v", label, tm, got, w)
+		}
+	}
+	for i, tm := range []float64{0, 0, 0.1, 0.1, 0.1, 0.2, 3.7, 3.7, 0.1, 0.1, 2.5} {
+		check(fmt.Sprintf("call %d", i), tm)
+	}
+	check("before period change", 4.2)
+	g.B.PhasePeriod = 5
+	check("period changed", 4.2)
+	check("period changed, repeated", 4.2)
+	g.B.PhaseAmp = 0.5
+	check("amplitude changed", 4.2)
+	g.B.Demand = 0.6
+	check("demand changed", 4.2)
+	g.B.PhaseAmp = 0
+	check("phases off", 4.2)
+	g.B.PhaseAmp = 0.5
+	check("phases back on", 4.2)
+	check("phases back on, new t", 6.1)
 }
