@@ -93,13 +93,17 @@ bench-harness:
 
 # The harness's own tests pin digests they compute from a miniature; the
 # committed full-size digests (bench/expected_digests.json, seed 1) are
-# checked only by a real run at that seed. This runs every workload there,
-# 15 s each — long enough for each repeating stream to cover its 15 inputs
-# on a 2-CPU host (fleet-cold, the slowest, fits 40–80 ops) — and fails
-# unless each run ends "committed digests match".
+# checked only by a real run at that seed. This runs every workload there
+# for 15 s and fails unless each run ends "committed digests match" (exit
+# 0) and every stream ran at least 15 ops, so each repeating stream
+# covered its 15 inputs. The harness checks only the ops that ran; on a
+# 2-CPU host the slowest stream, fleet-cold's, runs 40–80.
 bench-digests:
+	mkdir -p .bench_build
 	for w in fleet-cold fleet-warm daemon-mixed campaign-grid; do \
-		bash bench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 >/dev/null || exit 1; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 >/dev/null 2>.bench_build/digests.txt; \
+		s=$$?; cat .bench_build/digests.txt; test $$s -eq 0 || exit 1; \
+		awk -v w=$$w '$$1 == "stream" && $$3 < 15 { print "bench-digests: " w "/" $$2 " ran " $$3 " ops, fewer than its 15 inputs"; bad = 1 } END { exit bad }' .bench_build/digests.txt || exit 1; \
 	done
 
 # One iteration of every benchmark with allocation stats — the same

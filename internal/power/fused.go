@@ -8,8 +8,7 @@ import "repro/internal/platform"
 // power (what CorePowersInto returns). Calling Evaluate and then
 // CorePowersInto, which internally re-runs Evaluate, takes three passes
 // over the exponential leakage law per interval where one suffices. With
-// four big cores that is 20 Exp evaluations reduced to 7; on the little
-// cluster, whose cores share one temperature, 4.
+// four big cores that is 20 Exp evaluations reduced to 7.
 //
 // The contract is bit-identity with the two-call sequence: every Dynamic
 // and Leakage term is computed by the same expressions on the same
@@ -37,13 +36,7 @@ func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActi
 	// Active cluster: per-core dynamic power plus per-core leakage share.
 	// When the big cluster is active each core's dyn and leak terms also
 	// form its hotspot power, so both outputs come from one evaluation.
-	// Little cores all sit at the board temperature, so their leakage law
-	// is evaluated once; each big core has a hotspot of its own.
 	var dyn, leak float64
-	var law Leakage
-	if res == platform.Little {
-		law = g.Res[res].Leak.At(boardTemp)
-	}
 	for i := 0; i < nc; i++ {
 		if !active.CoreOnline(i) {
 			if bigActive {
@@ -52,10 +45,11 @@ func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActi
 			continue
 		}
 		di := g.Dynamic(res, v, f, act.CoreUtil[i], act.CPUActivity)
+		t := boardTemp
 		if res == platform.Big {
-			law = g.Res[res].Leak.At(coreTemps[i])
+			t = coreTemps[i]
 		}
-		li := law.Power(v)
+		li := g.Leakage(res, t, v)
 		dyn += di
 		leak += li / float64(nc)
 		if bigActive {

@@ -76,8 +76,7 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 				_ = chip.BigCluster.SetCoreOnline(nBig-1, true)
 			}
 			// Little cluster active (thermal emergency migration). Its
-			// cores share the board temperature, so StepInto evaluates
-			// the little leakage law once for all of them: the hotspot
+			// cores sit at the board temperature: the hotspot
 			// temperatures (random, far from the board's) must not leak
 			// in, and a hotplugged little core must contribute nothing.
 			chip.SwitchCluster(platform.LittleCluster)

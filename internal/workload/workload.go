@@ -201,7 +201,6 @@ type Generator struct {
 	// computed from. The scheduler asks for every worker's demand several
 	// times per tick at one t, and B is exported, so the key covers both
 	// phase parameters as well as t.
-	phaseOK                bool
 	phaseT, phaseP, phaseA float64
 	phase                  float64
 }
@@ -233,15 +232,17 @@ func (g *Generator) DemandAt(t float64) float64 {
 
 // phaseFactor returns the phase modulation 1 + PhaseAmp*sq at t, where sq
 // is a soft square wave of period PhasePeriod, evaluating the waveform
-// only when t or a phase parameter differs from the previous call.
+// only when t or a phase parameter differs from the previous call. It is
+// only called with PhasePeriod > 0, so the zero memo of a new Generator
+// never matches.
 func (g *Generator) phaseFactor(t float64) float64 {
 	p, a := g.B.PhasePeriod, g.B.PhaseAmp
-	if !g.phaseOK || t != g.phaseT || p != g.phaseP || a != g.phaseA {
+	if t != g.phaseT || p != g.phaseP || a != g.phaseA {
 		// Square-ish phases: compute/IO alternation typical of MiBench.
 		phase := math.Sin(2 * math.Pi * t / p)
 		sq := math.Tanh(3 * phase) // soft square wave
 		g.phase = 1 + a*sq
-		g.phaseOK, g.phaseT, g.phaseP, g.phaseA = true, t, p, a
+		g.phaseT, g.phaseP, g.phaseA = t, p, a
 	}
 	return g.phase
 }
