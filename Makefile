@@ -64,7 +64,7 @@ MAX_WARM_BYTES ?= 4100000
 # read and verify, 2 allocs/op) and one entry write on a real fleet-cell
 # entry. BenchmarkCharacterization covers the §4 characterization rig
 # (furnace sweeps and PRBS runs on a width-1 BatchSim through the fused
-# power pass; ~171k allocs/op, flat across runs).
+# power pass; ~129k allocs/op, flat across runs).
 HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStagePower$$|BenchmarkStageThermalStep$$|BenchmarkStageTick$$|BenchmarkStageReseed$$|BenchmarkCharacterization$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
 
 all: build
@@ -163,8 +163,12 @@ bench-record:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... \
 		| $(GO) run ./cmd/benchjson -record benchmarks/results
 
+# lint also runs the dead-surface check: an exported name under internal/
+# that only tests use fails it (deadsurface_test.go, whose allowlist is
+# internal/deadsurface.allow).
 lint:
 	$(GO) vet ./...
+	$(GO) test -count=1 -run '^TestDeadSurface' .
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -10,6 +10,7 @@ package repro
 // reports. EXPERIMENTS.md records the paper-vs-measured comparison.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -318,8 +319,8 @@ func warmEntry(b *testing.B) (*store.Store, store.Digest, []byte) {
 	if _, err := hex.Decode(key[:], []byte(strings.TrimSuffix(filepath.Base(paths[0]), ".entry"))); err != nil {
 		b.Fatal(err)
 	}
-	payload, ok := st.Get(key)
-	if !ok {
+	var payload []byte
+	if !st.Decode(key, func(p []byte) error { payload = bytes.Clone(p); return nil }) {
 		b.Fatal("prefilled entry missed")
 	}
 	return st, key, payload

@@ -176,7 +176,7 @@ func buildGrid(policies, benches, scenarios, platforms, governors, seeds, tmax s
 	// in milliseconds, not after the expensive characterization as a wall
 	// of identical per-cell errors.
 	for _, name := range splitList(governors) {
-		if _, err := governor.ByName(name); err != nil {
+		if _, err := governor.ByNameN(name, 1); err != nil {
 			return g, err
 		}
 		g.Governors = append(g.Governors, name)

@@ -90,7 +90,7 @@ func TestDeriveSeedStableAndDistinct(t *testing.T) {
 func exportBytes(t *testing.T, workers int, grid Grid, ch *sim.Characterization) (string, string) {
 	t.Helper()
 	eng := &Engine{Workers: workers, Models: ch, BaseSeed: 42}
-	rep, err := eng.Run(grid)
+	rep, err := eng.RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -150,7 +150,7 @@ func TestNilModelsSelfCharacterize(t *testing.T) {
 	if selfJSON != injJSON || selfCSV != injCSV {
 		t.Fatalf("nil-models exports differ from Characterize(BaseSeed) exports:\nnil:\n%s\ninjected:\n%s", selfCSV, injCSV)
 	}
-	rep, err := (&Engine{Workers: 2, BaseSeed: 42}).Run(grid)
+	rep, err := (&Engine{Workers: 2, BaseSeed: 42}).RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestFailuresCollected(t *testing.T) {
 		Governors:  []string{"", "no-such-governor"},
 	}
 	eng := &Engine{Workers: 4, BaseSeed: 1}
-	rep, err := eng.Run(grid)
+	rep, err := eng.RunContext(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestProgressCallbackSerialAndComplete(t *testing.T) {
 			calls = append(calls, done)
 		},
 	}
-	if _, err := eng.Run(grid); err != nil {
+	if _, err := eng.RunContext(context.Background(), grid); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 4 {
@@ -246,7 +246,7 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -156,7 +157,7 @@ func TestScenarioAxisGrid(t *testing.T) {
 	}
 	// A cell with both coordinates is a collected error, not a run.
 	eng := &Engine{Workers: 1, BaseSeed: 1}
-	rep, err := eng.Run(Grid{
+	rep, err := eng.RunContext(context.Background(), Grid{
 		Policies:   []sim.Policy{sim.PolicyNoFan},
 		Benchmarks: []string{"dijkstra"},
 		Scenarios:  []string{"cold-start"},
@@ -168,7 +169,7 @@ func TestScenarioAxisGrid(t *testing.T) {
 		t.Errorf("both-axes cell not collected as error: %+v", rep.Cells[0])
 	}
 	// Unknown scenario names are collected too.
-	rep, err = eng.Run(Grid{Policies: []sim.Policy{sim.PolicyNoFan}, Scenarios: []string{"no-such"}})
+	rep, err = eng.RunContext(context.Background(), Grid{Policies: []sim.Policy{sim.PolicyNoFan}, Scenarios: []string{"no-such"}})
 	if err != nil {
 		t.Fatal(err)
 	}

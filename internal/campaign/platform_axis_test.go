@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func TestPlatformAxisSweepDeterministic(t *testing.T) {
 	var exports [][]byte
 	for _, workers := range []int{1, 4} {
 		eng := &Engine{Workers: workers, BaseSeed: 7}
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestPlatformAxisDefaultStreamPreserved(t *testing.T) {
 // per-cell error, never a sweep abort.
 func TestPlatformAxisUnknownPlatformCollected(t *testing.T) {
 	eng := &Engine{Workers: 1, BaseSeed: 1}
-	rep, err := eng.Run(Grid{
+	rep, err := eng.RunContext(context.Background(), Grid{
 		Policies:   []sim.Policy{sim.PolicyNoFan},
 		Benchmarks: []string{"dijkstra"},
 		Platforms:  []string{"no-such-soc"},
@@ -121,7 +122,7 @@ func TestEngineDeviceIsTheImplicitPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &Engine{Workers: 1, Runner: sim.NewRunnerFor(desc), BaseSeed: 1}
-	rep, err := eng.Run(Grid{
+	rep, err := eng.RunContext(context.Background(), Grid{
 		Policies:   []sim.Policy{sim.PolicyNoFan},
 		Benchmarks: []string{"dijkstra"},
 	})
@@ -138,7 +139,7 @@ func TestEngineDeviceIsTheImplicitPlatform(t *testing.T) {
 	// Cross-check the physics: the default board draws ~1.5 W of base
 	// platform power, the phone 0.9 W; a silent exynos fallback would show
 	// up here.
-	def, err := (&Engine{Workers: 1, BaseSeed: 1}).Run(Grid{
+	def, err := (&Engine{Workers: 1, BaseSeed: 1}).RunContext(context.Background(), Grid{
 		Policies:   []sim.Policy{sim.PolicyNoFan},
 		Benchmarks: []string{"dijkstra"},
 	})

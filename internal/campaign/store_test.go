@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -31,7 +32,7 @@ func TestCampaignStoreWarmRun(t *testing.T) {
 	}
 	run := func() ([]byte, []byte) {
 		eng := &Engine{Workers: 4, BaseSeed: 1, Store: st}
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestCampaignCharseedKeyIsAnchorIndependent(t *testing.T) {
 	}
 	export := func(eng *Engine) []byte {
 		t.Helper()
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestCampaignStoreUnhashableModels(t *testing.T) {
 		// Leakage is not read by the simulation; NaN only breaks hashing.
 		m := *testModels(t)
 		m.Leakage.C1, m.Leakage.C2 = math.NaN(), c2
-		rep, err := (&Engine{Workers: 2, Models: &m, BaseSeed: 1, Store: st}).Run(grid)
+		rep, err := (&Engine{Workers: 2, Models: &m, BaseSeed: 1, Store: st}).RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestCampaignStoreScenarioEdit(t *testing.T) {
 	run := func() {
 		t.Helper()
 		eng := &Engine{Workers: 2, BaseSeed: 1, Store: st}
-		rep, err := eng.Run(grid)
+		rep, err := eng.RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestCampaignStoreWriteErrors(t *testing.T) {
 	}
 	export := func(s *store.Store) []byte {
 		t.Helper()
-		rep, err := (&Engine{Workers: 2, BaseSeed: 1, Store: s}).Run(grid)
+		rep, err := (&Engine{Workers: 2, BaseSeed: 1, Store: s}).RunContext(context.Background(), grid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,6 @@ func NewReactiveHeuristic() *ReactiveHeuristic {
 	return &ReactiveHeuristic{MidTemp: 63, HighTemp: 68, MidCut: 0.18, HighCut: 0.25, Hyst: 3}
 }
 
-// Level returns the current throttle level (0, 1, or 2).
-func (r *ReactiveHeuristic) Level() int { return r.level }
-
 // Cap returns the frequency cap for the active cluster given the measured
 // maximum core temperature: the governor's choice is clamped against it.
 // A zero return means no cap.

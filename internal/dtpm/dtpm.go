@@ -106,12 +106,6 @@ type Limits struct {
 	OfflineCore int
 }
 
-// Unlimited returns limits that impose nothing on a chip with bigCores
-// big-cluster cores.
-func Unlimited(bigCores int) Limits {
-	return Limits{MaxBigCores: bigCores, OfflineCore: -1}
-}
-
 // Inputs are the sensor observations for one control interval.
 type Inputs struct {
 	// Temps are the sensed big-core hotspot temperatures (°C), one per
@@ -196,9 +190,6 @@ func NewController(cfg Config, tm *sysid.ThermalModel, pm *power.Model) (*Contro
 		predictor: tm.NewPredictor(),
 	}, nil
 }
-
-// Limits returns the caps currently in force.
-func (c *Controller) Limits() Limits { return c.limits }
 
 // asymMargin returns the asymmetry compensation in °C: AsymGain times the
 // current hottest-core excursion above the core mean.

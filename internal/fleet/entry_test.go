@@ -151,7 +151,7 @@ func TestCellEntryRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("cell %d not addressable", i)
 		}
-		got, ok := st.Get(key)
+		got, ok := getEntry(st, key)
 		if !ok || !bytes.Equal(got, payloads[i]) {
 			t.Fatalf("cell %d: stored entry differs from its encoding (ok=%v)", i, ok)
 		}

@@ -48,6 +48,16 @@ func storeSpec(n int) Spec {
 	}
 }
 
+// getEntry returns a copy of the raw entry payload stored under key, or
+// ok=false on a miss.
+func getEntry(st *store.Store, key store.Digest) (payload []byte, ok bool) {
+	ok = st.Decode(key, func(p []byte) error {
+		payload = bytes.Clone(p)
+		return nil
+	})
+	return payload, ok
+}
+
 func openTestStore(t *testing.T) *store.Store {
 	t.Helper()
 	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
@@ -221,7 +231,7 @@ func TestFleetStoreJSONPayloadFallback(t *testing.T) {
 	if !ok {
 		t.Fatal("cell 3 not addressable")
 	}
-	binary, ok := st.Get(key)
+	binary, ok := getEntry(st, key)
 	if !ok {
 		t.Fatal("cell 3 not stored")
 	}
@@ -254,7 +264,7 @@ func TestFleetStoreJSONPayloadFallback(t *testing.T) {
 	if !bytes.Equal(coldJSON, warmJSON) || !bytes.Equal(coldCSV, warmCSV) {
 		t.Error("report diverged after the JSON payload fallback")
 	}
-	if healed, ok := st.Get(key); !ok || !bytes.Equal(healed, binary) {
+	if healed, ok := getEntry(st, key); !ok || !bytes.Equal(healed, binary) {
 		t.Error("recompute did not rewrite the binary entry")
 	}
 	_, _, _ = runStoreFleet(t, st, spec)

@@ -1,9 +1,9 @@
 // Package governor implements the default cpufreq governors the DTPM
 // framework cooperates with (Figure 3.1): ondemand (the paper's default
 // configuration, [36]), interactive (the other stock Android governor),
-// performance, powersave, and userspace, plus a utilization-based GPU
-// governor. "Existing frequency and idle state governors ... remain intact
-// and feed their outputs to the proposed framework" (§3).
+// performance and powersave, plus a utilization-based GPU governor.
+// "Existing frequency and idle state governors ... remain intact and feed
+// their outputs to the proposed framework" (§3).
 package governor
 
 import (
@@ -154,21 +154,7 @@ func (Powersave) Decide(_ []float64, _ platform.KHz, d *platform.Domain) platfor
 	return d.MinFreq()
 }
 
-// Userspace holds a fixed frequency chosen by the caller.
-type Userspace struct{ Fixed platform.KHz }
-
-// Name implements CPUGovernor.
-func (g *Userspace) Name() string { return "userspace" }
-
-// Reset implements CPUGovernor.
-func (g *Userspace) Reset() {}
-
-// Decide implements CPUGovernor.
-func (g *Userspace) Decide(_ []float64, _ platform.KHz, d *platform.Domain) platform.KHz {
-	return d.FloorFreq(g.Fixed)
-}
-
-// Names returns the cpufreq governor names ByName accepts, in a stable
+// Names returns the cpufreq governor names ByNameN accepts, in a stable
 // order. The position of a name in this list is its wire identifier in
 // recorded traces (the "gov_id" series), so the order must never change.
 func Names() []string {
@@ -185,27 +171,12 @@ func Index(name string) int {
 	return -1
 }
 
-// ByName constructs a governor by its cpufreq name.
-func ByName(name string) (CPUGovernor, error) {
-	switch name {
-	case "ondemand":
-		return NewOndemand(), nil
-	case "interactive":
-		return NewInteractive(), nil
-	case "performance":
-		return Performance{}, nil
-	case "powersave":
-		return Powersave{}, nil
-	default:
-		return nil, fmt.Errorf("governor: unknown governor %q", name)
-	}
-}
-
-// ByNameN constructs n independent instances of the named governor in one
-// allocation. The batched fleet kernel gives every device of a batch its
-// own governor (Ondemand and Interactive carry per-device holdoff state)
-// but builds them together, so the slab avoids n small heap objects on the
-// stateful kinds; the stateless value kinds cost nothing either way.
+// ByNameN constructs n independent instances of the named cpufreq
+// governor in one allocation. The batched fleet kernel gives every device
+// of a batch its own governor (Ondemand and Interactive carry per-device
+// holdoff state) but builds them together, so the slab avoids n small heap
+// objects on the stateful kinds; the stateless value kinds cost nothing
+// either way.
 func ByNameN(name string, n int) ([]CPUGovernor, error) {
 	govs := make([]CPUGovernor, n)
 	switch name {

@@ -93,28 +93,21 @@ func TestPerformanceAndPowersave(t *testing.T) {
 	}
 }
 
-func TestUserspace(t *testing.T) {
-	g := &Userspace{Fixed: 1250000}
-	if f := g.Decide(u(1), 800000, bigD()); f != 1200000 {
-		t.Fatalf("userspace should floor to table, got %v", f)
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"ondemand", "interactive", "performance", "powersave"} {
-		g, err := ByName(name)
-		if err != nil || g.Name() != name {
-			t.Fatalf("ByName(%s) = %v, %v", name, g, err)
+		govs, err := ByNameN(name, 1)
+		if err != nil || len(govs) != 1 || govs[0].Name() != name {
+			t.Fatalf("ByNameN(%s, 1) = %v, %v", name, govs, err)
 		}
 	}
-	if _, err := ByName("warp"); err == nil {
+	if _, err := ByNameN("warp", 1); err == nil {
 		t.Fatal("unknown governor should error")
 	}
 }
 
 func TestGovernorsAlwaysReturnTableFrequencies(t *testing.T) {
 	d := bigD()
-	govs := []CPUGovernor{NewOndemand(), NewInteractive(), Performance{}, Powersave{}, &Userspace{Fixed: 999999}}
+	govs := []CPUGovernor{NewOndemand(), NewInteractive(), Performance{}, Powersave{}}
 	loads := [][]float64{u(0), u(0.2), u(0.5), u(0.85), u(1.0)}
 	for _, g := range govs {
 		cur := d.MinFreq()

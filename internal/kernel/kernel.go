@@ -43,9 +43,6 @@ type Task struct {
 	demand float64 // cached demand for the current TickWith interval
 }
 
-// Core returns the task's current core assignment.
-func (t *Task) Core() int { return t.core }
-
 // Foreground reports whether the task is work-bound (finite work).
 func (t *Task) Foreground() bool { return !math.IsInf(t.WorkLeft, 1) }
 
@@ -139,12 +136,6 @@ func (s *Sched) Add(t *Task) {
 	t.core = -1
 	s.tasks = append(s.tasks, t)
 }
-
-// Tasks returns all tasks (including finished ones).
-func (s *Sched) Tasks() []*Task { return s.tasks }
-
-// Now returns the scheduler clock (seconds).
-func (s *Sched) Now() float64 { return s.now }
 
 // AllForegroundDone reports whether every work-bound task has finished.
 func (s *Sched) AllForegroundDone() bool {
@@ -329,10 +320,10 @@ func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
 // device-independent part of scripted demand once per batch.
 //
 // The contract is byte-identity with Tick: the caller guarantees
-// demands[j] == tasks[j].Demand(s.Now()) bitwise for this interval. That
-// holds only for pure demand functions (scripted scenarios, background
-// levels frozen for the tick); benchmark generators advance RNG state on
-// every call and MUST keep using Tick.
+// demands[j] == tasks[j].Demand(now) bitwise for this interval, now being
+// the scheduler clock. That holds only for pure demand functions (scripted
+// scenarios, background levels frozen for the tick); benchmark generators
+// advance RNG state on every call and MUST keep using Tick.
 func (s *Sched) TickWith(dt float64, cluster *platform.Cluster, demands []float64) TickResult {
 	var res TickResult
 	if dt <= 0 {

@@ -13,7 +13,7 @@ func constDemand(d float64) func(float64) float64 {
 }
 
 func bigCluster() *platform.Cluster {
-	c := platform.NewCluster(platform.BigCluster, platform.BigDomain(), 1.0, platform.CoresPerCluster)
+	c := platform.NewChip().BigCluster
 	if err := c.SetFreq(1600000); err != nil {
 		panic(err)
 	}
@@ -154,8 +154,8 @@ func TestHotplugMigration(t *testing.T) {
 	if math.Abs(online-2.0) > 1e-9 {
 		t.Fatalf("total util after migration = %v, want 2.0", online)
 	}
-	for _, task := range s.Tasks() {
-		if task.Core() == 3 {
+	for _, task := range s.tasks {
+		if task.core == 3 {
 			t.Fatal("task still assigned to offline core")
 		}
 	}
@@ -192,17 +192,17 @@ func TestMigrateAllReassigns(t *testing.T) {
 	task := &Task{Name: "t", Demand: constDemand(0.5), WorkLeft: math.Inf(1)}
 	s.Add(task)
 	s.Tick(0.1, bigCluster())
-	before := task.Core()
+	before := task.core
 	if before < 0 {
 		t.Fatal("task should be placed after a tick")
 	}
 	s.MigrateAll()
-	if task.Core() != -1 {
+	if task.core != -1 {
 		t.Fatal("MigrateAll should unassign tasks")
 	}
-	little := platform.NewCluster(platform.LittleCluster, platform.LittleDomain(), 0.4, platform.CoresPerCluster)
+	little := platform.NewChip().LittleCluster
 	s.Tick(0.1, little)
-	if task.Core() < 0 {
+	if task.core < 0 {
 		t.Fatal("task not re-placed after migration")
 	}
 }
@@ -210,7 +210,7 @@ func TestMigrateAllReassigns(t *testing.T) {
 func TestLittleClusterLowerCapacity(t *testing.T) {
 	s := NewSched()
 	s.Add(&Task{Name: "t", Demand: constDemand(0.3), WorkLeft: math.Inf(1)})
-	little := platform.NewCluster(platform.LittleCluster, platform.LittleDomain(), 0.4, platform.CoresPerCluster)
+	little := platform.NewChip().LittleCluster
 	if err := little.SetFreq(1200000); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestZeroDtNoop(t *testing.T) {
 	s := NewSched()
 	s.Add(&Task{Name: "t", Demand: constDemand(1), WorkLeft: 100})
 	res := s.Tick(0, bigCluster())
-	if res.WorkDone != 0 || s.Now() != 0 {
+	if res.WorkDone != 0 || s.now != 0 {
 		t.Fatal("zero dt should be a no-op")
 	}
 }

@@ -137,8 +137,8 @@ func TestSaturationHalvesEqualTasks(t *testing.T) {
 	if !res.Saturated {
 		t.Fatal("two 0.9-demand tasks on one core should saturate it")
 	}
-	left0 := s.Tasks()[0].WorkLeft
-	left1 := s.Tasks()[1].WorkLeft
+	left0 := s.tasks[0].WorkLeft
+	left1 := s.tasks[1].WorkLeft
 	if math.Abs(left0-left1) > 1e-6 {
 		t.Errorf("unequal progress under saturation: %.0f vs %.0f", left0, left1)
 	}

@@ -74,13 +74,6 @@ func (m *Mat) Set(i, j int, v float64) {
 	m.Data[i*m.Cols+j] = v
 }
 
-// Row returns a copy of row i.
-func (m *Mat) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Mat) Clone() *Mat {
 	c := New(m.Rows, m.Cols)
@@ -107,27 +100,6 @@ func (m *Mat) Add(b *Mat) *Mat {
 	c := m.Clone()
 	for i := range c.Data {
 		c.Data[i] += b.Data[i]
-	}
-	return c
-}
-
-// Sub returns m - b.
-func (m *Mat) Sub(b *Mat) *Mat {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] -= b.Data[i]
-	}
-	return c
-}
-
-// Scale returns s*m.
-func (m *Mat) Scale(s float64) *Mat {
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] *= s
 	}
 	return c
 }
@@ -186,39 +158,6 @@ func (m *Mat) MulVecInto(dst, v []float64) []float64 {
 		dst[i] = s
 	}
 	return dst
-}
-
-// Pow returns m^n for square m and n >= 0 using binary exponentiation.
-func (m *Mat) Pow(n int) *Mat {
-	if m.Rows != m.Cols {
-		panic(ErrShape)
-	}
-	if n < 0 {
-		panic("mat: negative matrix power")
-	}
-	result := Identity(m.Rows)
-	base := m.Clone()
-	for n > 0 {
-		if n&1 == 1 {
-			result = result.Mul(base)
-		}
-		base = base.Mul(base)
-		n >>= 1
-	}
-	return result
-}
-
-// Equal reports whether m and b have the same shape and entries within tol.
-func (m *Mat) Equal(b *Mat, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.
@@ -295,30 +234,6 @@ func SolveLU(a *Mat, b []float64) ([]float64, error) {
 		x[i] = s / m.At(i, i)
 	}
 	return x, nil
-}
-
-// Inverse returns A^-1 via column-wise LU solves.
-func Inverse(a *Mat) (*Mat, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, ErrShape
-	}
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := SolveLU(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }
 
 // LeastSquares solves min_x ||A x - b||_2 for a tall (or square) matrix A

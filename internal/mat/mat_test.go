@@ -9,6 +9,19 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// equal reports whether m and b have the same shape and entries within tol.
+func equal(m, b *Mat, tol float64) bool {
+	if m.Rows != b.Rows || m.Cols != b.Cols {
+		return false
+	}
+	for i := range m.Data {
+		if math.Abs(m.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewZeroed(t *testing.T) {
 	m := New(3, 4)
 	if m.Rows != 3 || m.Cols != 4 {
@@ -81,15 +94,6 @@ func TestIdentity(t *testing.T) {
 
 func TestRowColClone(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	r := m.Row(1)
-	if r[0] != 4 || r[2] != 6 {
-		t.Fatalf("Row(1) = %v", r)
-	}
-	// Mutating the copy must not touch m.
-	r[0] = 99
-	if m.At(1, 0) != 4 {
-		t.Fatal("Row returned aliased data")
-	}
 	cl := m.Clone()
 	cl.Set(0, 0, 42)
 	if m.At(0, 0) != 1 {
@@ -115,17 +119,9 @@ func TestAddSubScale(t *testing.T) {
 	if sum.At(0, 0) != 6 || sum.At(1, 1) != 12 {
 		t.Fatalf("Add wrong: %v", sum.Data)
 	}
-	diff := b.Sub(a)
-	if diff.At(0, 0) != 4 || diff.At(1, 1) != 4 {
-		t.Fatalf("Sub wrong: %v", diff.Data)
-	}
-	sc := a.Scale(2)
-	if sc.At(1, 0) != 6 {
-		t.Fatalf("Scale wrong: %v", sc.Data)
-	}
 	// Originals untouched.
 	if a.At(0, 0) != 1 || b.At(0, 0) != 5 {
-		t.Fatal("Add/Sub/Scale mutated operands")
+		t.Fatal("Add mutated its operands")
 	}
 }
 
@@ -134,14 +130,14 @@ func TestMul(t *testing.T) {
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	c := a.Mul(b)
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if !c.Equal(want, 1e-12) {
+	if !equal(c, want, 1e-12) {
 		t.Fatalf("Mul = %v, want %v", c.Data, want.Data)
 	}
 }
 
 func TestMulIdentity(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	if !a.Mul(Identity(2)).Equal(a, 0) || !Identity(2).Mul(a).Equal(a, 0) {
+	if !equal(a.Mul(Identity(2)), a, 0) || !equal(Identity(2).Mul(a), a, 0) {
 		t.Fatal("identity product changed matrix")
 	}
 }
@@ -161,35 +157,6 @@ func TestMulShapePanics(t *testing.T) {
 		}
 	}()
 	New(2, 3).Mul(New(2, 3))
-}
-
-func TestPow(t *testing.T) {
-	a := FromRows([][]float64{{1, 1}, {0, 1}})
-	p := a.Pow(5)
-	if p.At(0, 1) != 5 || p.At(0, 0) != 1 || p.At(1, 1) != 1 {
-		t.Fatalf("Pow(5) = %v", p.Data)
-	}
-	if !a.Pow(0).Equal(Identity(2), 0) {
-		t.Fatal("Pow(0) != identity")
-	}
-	if !a.Pow(1).Equal(a, 0) {
-		t.Fatal("Pow(1) != a")
-	}
-}
-
-func TestPowMatchesRepeatedMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := New(3, 3)
-	for i := range a.Data {
-		a.Data[i] = rng.Float64() - 0.5
-	}
-	byMul := Identity(3)
-	for i := 0; i < 7; i++ {
-		byMul = byMul.Mul(a)
-	}
-	if !a.Pow(7).Equal(byMul, 1e-9) {
-		t.Fatal("Pow(7) disagrees with repeated multiplication")
-	}
 }
 
 func TestSolveLU(t *testing.T) {
@@ -224,19 +191,8 @@ func TestSolveLUDoesNotMutate(t *testing.T) {
 	if _, err := SolveLU(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equal(orig, 0) || b[0] != 1 || b[1] != 2 {
+	if !equal(a, orig, 0) || b[0] != 1 || b[1] != 2 {
 		t.Fatal("SolveLU mutated its inputs")
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Mul(inv).Equal(Identity(2), 1e-10) {
-		t.Fatalf("a*inv != I:\n%v", a.Mul(inv))
 	}
 }
 
@@ -380,26 +336,9 @@ func TestPropertyTransposeProduct(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = rng.NormFloat64()
 		}
-		return a.Mul(b).T().Equal(b.T().Mul(a.T()), 1e-9)
+		return equal(a.Mul(b).T(), b.T().Mul(a.T()), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Pow(n) commutes with the matrix: A * A^n == A^n * A.
-func TestPropertyPowCommutes(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(3)
-		a := New(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.Float64() - 0.5
-		}
-		p := 1 + rng.Intn(5)
-		return a.Mul(a.Pow(p)).Equal(a.Pow(p).Mul(a), 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -191,14 +191,6 @@ type Cluster struct {
 	online []bool
 }
 
-// NewCluster returns a cluster of `cores` cores, all online, running at the
-// minimum frequency.
-func NewCluster(kind ClusterKind, domain *Domain, ipc float64, cores int) *Cluster {
-	c := &Cluster{}
-	c.init(kind, domain, ipc, make([]bool, cores))
-	return c
-}
-
 // init fills a cluster in place (online is the caller-provided hotplug
 // backing, one entry per core, set all-online here).
 func (c *Cluster) init(kind ClusterKind, domain *Domain, ipc float64, online []bool) {
@@ -367,31 +359,6 @@ func (c *Chip) GPUVolt() float64 {
 		panic(err)
 	}
 	return v
-}
-
-// Snapshot captures the chip configuration at an instant; the simulator logs
-// one per control interval.
-type Snapshot struct {
-	Active      ClusterKind
-	BigFreq     KHz
-	LittleFreq  KHz
-	GPUFreq     KHz
-	OnlineCores int
-}
-
-// Snapshot returns the current configuration. LittleFreq is zero on
-// single-cluster platforms.
-func (c *Chip) Snapshot() Snapshot {
-	s := Snapshot{
-		Active:      c.active,
-		BigFreq:     c.BigCluster.Freq(),
-		GPUFreq:     c.gpuFreq,
-		OnlineCores: c.Active().OnlineCount(),
-	}
-	if c.LittleCluster != nil {
-		s.LittleFreq = c.LittleCluster.Freq()
-	}
-	return s
 }
 
 // BigDomain returns the big (A15) cluster DVFS table: the nine steps of

@@ -111,7 +111,7 @@ func TestFloorCeilStep(t *testing.T) {
 }
 
 func TestClusterFreqControl(t *testing.T) {
-	c := NewCluster(BigCluster, BigDomain(), 1.0, CoresPerCluster)
+	c := NewChip().BigCluster
 	if err := c.SetFreq(1400000); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestClusterFreqControl(t *testing.T) {
 }
 
 func TestHotplug(t *testing.T) {
-	c := NewCluster(BigCluster, BigDomain(), 1.0, CoresPerCluster)
+	c := NewChip().BigCluster
 	if c.OnlineCount() != 4 {
 		t.Fatal("all cores should boot online")
 	}
@@ -166,9 +166,8 @@ func TestChipBootState(t *testing.T) {
 	if c.GPUFreq() != 177000 {
 		t.Fatalf("boot GPU freq = %v", c.GPUFreq())
 	}
-	snap := c.Snapshot()
-	if snap.OnlineCores != 4 || snap.Active != BigCluster {
-		t.Fatalf("snapshot = %+v", snap)
+	if n := c.Active().OnlineCount(); n != 4 {
+		t.Fatalf("%d cores online at boot, want 4", n)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestStepIntoMatchesEvaluatePair pins the fused evaluation's contract:
-// StepInto returns exactly what the Evaluate + CorePowersInto pair
+// StepInto returns exactly what the Evaluate + corePowersInto pair
 // returns — same bits, not same values — across active clusters, offline
 // cores, fan speeds, and activity mixes on every registered platform.
 func TestStepIntoMatchesEvaluatePair(t *testing.T) {
@@ -29,7 +29,7 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 				wantCore := make([]float64, nBig)
 				gotCore := make([]float64, nBig)
 				wantB := g.Evaluate(chip, act, coreTemps, boardTemp)
-				wantBoard := g.CorePowersInto(wantCore, chip, act, coreTemps, boardTemp)
+				wantBoard := g.corePowersInto(wantCore, chip, act, coreTemps, boardTemp)
 				gotB, gotBoard := g.StepInto(gotCore, chip, act, coreTemps, boardTemp)
 				if gotB != wantB {
 					t.Fatalf("%s: breakdown diverges:\nfused %+v\npair  %+v", label, gotB, wantB)
@@ -105,4 +105,36 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 			check("neg-traffic", ChipActivity{CoreUtil: make([]float64, nBig), CPUActivity: 1, MemTraffic: -3}, make([]float64, nBig), 22)
 		})
 	}
+}
+
+// corePowersInto writes the per-core power (W) of the big-cluster hotspot
+// nodes into core (length = big-cluster core count) and returns the
+// aggregate board-node power (little + GPU + mem + gated residuals) for
+// the thermal network. When the little cluster is active the big cores
+// dissipate only their gated residual and the little cluster's power
+// heats the board node. It is the two-pass reference, built on Evaluate,
+// that StepInto's fused pass is checked against.
+func (g *GroundTruth) corePowersInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (board float64) {
+	b := g.Evaluate(chip, act, coreTemps, boardTemp)
+	nBig := chip.BigCluster.NumCores()
+	if chip.ActiveKind() == platform.BigCluster {
+		active := chip.Active()
+		v := active.Volt()
+		f := active.Freq()
+		for i := 0; i < nBig; i++ {
+			if !active.CoreOnline(i) {
+				core[i] = 0
+				continue
+			}
+			core[i] = g.Dynamic(platform.Big, v, f, act.CoreUtil[i], act.CPUActivity) +
+				g.Leakage(platform.Big, coreTemps[i], v)/float64(nBig)
+		}
+	} else {
+		// Big cores gated: split the residual evenly across the hotspots.
+		for i := 0; i < nBig; i++ {
+			core[i] = b.Domain[platform.Big] / float64(nBig)
+		}
+	}
+	board = b.Domain[platform.Little] + b.Domain[platform.GPU] + b.Domain[platform.Mem] + g.BaseBoardHeat
+	return board
 }

@@ -37,10 +37,6 @@ type LeakageParams struct {
 	VNom  float64 // volts, nominal voltage the parameters were extracted at
 }
 
-// Current returns the leakage current in amperes at temperature tC (°C) and
-// supply voltage v.
-func (p LeakageParams) Current(tC, v float64) float64 { return p.At(tC).Current(v) }
-
 // Power returns the leakage power in watts: V * I_leak(T, V).
 func (p LeakageParams) Power(tC, v float64) float64 { return p.At(tC).Power(v) }
 
@@ -229,38 +225,6 @@ type ChipActivity struct {
 	MemTraffic float64
 	// FanSpeed is the current fan speed fraction [0,1].
 	FanSpeed float64
-}
-
-// CorePowersInto writes the per-core power (W) of the big-cluster hotspot
-// nodes into core (length = big-cluster core count) and returns the
-// aggregate board-node power (little + GPU + mem + gated residuals) for
-// the thermal network. When the little cluster is active the big cores
-// dissipate only their gated residual and the little cluster's power
-// heats the board node. StepInto computes the same outputs in one fused
-// pass; this form and Evaluate are the reference it is checked against.
-func (g *GroundTruth) CorePowersInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (board float64) {
-	b := g.Evaluate(chip, act, coreTemps, boardTemp)
-	nBig := chip.BigCluster.NumCores()
-	if chip.ActiveKind() == platform.BigCluster {
-		active := chip.Active()
-		v := active.Volt()
-		f := active.Freq()
-		for i := 0; i < nBig; i++ {
-			if !active.CoreOnline(i) {
-				core[i] = 0
-				continue
-			}
-			core[i] = g.Dynamic(platform.Big, v, f, act.CoreUtil[i], act.CPUActivity) +
-				g.Leakage(platform.Big, coreTemps[i], v)/float64(nBig)
-		}
-	} else {
-		// Big cores gated: split the residual evenly across the hotspots.
-		for i := 0; i < nBig; i++ {
-			core[i] = b.Domain[platform.Big] / float64(nBig)
-		}
-	}
-	board = b.Domain[platform.Little] + b.Domain[platform.GPU] + b.Domain[platform.Mem] + g.BaseBoardHeat
-	return board
 }
 
 // Evaluate computes the ground-truth power breakdown for the given chip

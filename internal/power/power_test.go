@@ -433,8 +433,8 @@ func TestLeakageAtMatchesLaw(t *testing.T) {
 					for j := 0; j < 4; j++ {
 						v := 0.6 + 0.8*rng.Float64()
 						wantCur, wantPow := closed(p, tC, v)
-						if got := law.Current(v); !same(got, wantCur) || !same(p.Current(tC, v), wantCur) {
-							t.Fatalf("%s/%v: current at %v °C, %v V: At %v, Current %v, closed form %v", name, platform.Resource(r), tC, v, got, p.Current(tC, v), wantCur)
+						if got := law.Current(v); !same(got, wantCur) {
+							t.Fatalf("%s/%v: current at %v °C, %v V: At %v, closed form %v", name, platform.Resource(r), tC, v, got, wantCur)
 						}
 						if got := law.Power(v); !same(got, wantPow) || !same(p.Power(tC, v), wantPow) {
 							t.Fatalf("%s/%v: power at %v °C, %v V: At %v, Power %v, closed form %v", name, platform.Resource(r), tC, v, got, p.Power(tC, v), wantPow)

@@ -14,13 +14,13 @@ var (
 	registered map[string]Spec
 )
 
-// Register adds or replaces a named scenario in the process-wide library:
-// the hook through which a custom spec (a -spec file, a service-registered
-// scenario) participates in everything that resolves scenarios by name —
-// fleet mixes, campaign axes, and the result store's content addressing.
-// ByName returns the registered content, so re-registering a changed spec
-// under the same name changes the store keys of exactly that scenario's
-// cells. The spec must validate.
+// Register adds or replaces a named scenario in the process-wide library,
+// so everything that resolves scenarios by name sees it — fleet mixes,
+// campaign axes, and the result store's content addressing. ByName returns
+// the registered content, so re-registering a changed spec under the same
+// name changes the store keys of exactly that scenario's cells. The spec
+// must validate. No command registers scenarios; tests use it to add short
+// custom ones.
 func Register(s Spec) error {
 	if err := s.Validate(); err != nil {
 		return err

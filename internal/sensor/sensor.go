@@ -15,7 +15,8 @@ import (
 	"repro/internal/platform"
 )
 
-// Config describes sensor imperfections.
+// Config describes sensor imperfections. The zero Config is ideal:
+// noiseless, unquantized readings.
 type Config struct {
 	// TempNoiseStd is the standard deviation of temperature readings (°C).
 	TempNoiseStd float64
@@ -39,9 +40,6 @@ func DefaultConfig() Config {
 		PowerQuantum:  0.005,
 	}
 }
-
-// IdealConfig returns noiseless, unquantized sensors (useful in tests).
-func IdealConfig() Config { return Config{} }
 
 // Bank is a set of sensors sharing one noise source.
 type Bank struct {
@@ -79,15 +77,9 @@ func (b *Bank) ReadTemp(trueC float64) float64 {
 	return quantize(v, b.cfg.TempQuantum)
 }
 
-// ReadCoreTemps reads the big-cluster hotspot sensors, one per core node.
-func (b *Bank) ReadCoreTemps(trueC []float64) []float64 {
-	out := make([]float64, len(trueC))
-	return b.ReadCoreTempsInto(out, trueC)
-}
-
-// ReadCoreTempsInto is the allocation-free form of ReadCoreTemps: it reads
-// len(trueC) sensors into dst (which must be at least that long) and
-// returns dst[:len(trueC)]. The per-step simulation loop uses this.
+// ReadCoreTempsInto reads the big-cluster hotspot sensors, one per core
+// node: len(trueC) readings into dst (which must be at least that long),
+// returning dst[:len(trueC)].
 func (b *Bank) ReadCoreTempsInto(dst, trueC []float64) []float64 {
 	dst = dst[:len(trueC)]
 	for i, t := range trueC {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestIdealSensorsExact(t *testing.T) {
-	b := NewBank(IdealConfig(), 1)
+	b := NewBank(Config{}, 1)
 	if b.ReadTemp(55.37) != 55.37 {
 		t.Fatal("ideal temp sensor should be exact")
 	}
@@ -45,7 +45,7 @@ func TestNoiseIsUnbiasedAndBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		vals = append(vals, b.ReadTemp(60))
 	}
-	sd := stats.StdDev(vals)
+	sd := math.Sqrt(stats.Variance(vals))
 	if sd < 0.1 || sd > 0.4 {
 		t.Fatalf("noise std = %v, want ~0.2", sd)
 	}
@@ -81,8 +81,12 @@ func TestPowerNeverNegative(t *testing.T) {
 }
 
 func TestReadCoreTemps(t *testing.T) {
-	b := NewBank(IdealConfig(), 1)
-	got := b.ReadCoreTemps([]float64{50, 51, 52, 53})
+	b := NewBank(Config{}, 1)
+	dst := make([]float64, 6)
+	got := b.ReadCoreTempsInto(dst, []float64{50, 51, 52, 53})
+	if len(got) != 4 || &got[0] != &dst[0] {
+		t.Fatalf("read %d temps into a fresh slice, want dst[:4]", len(got))
+	}
 	for i, want := range []float64{50, 51, 52, 53} {
 		if got[i] != want {
 			t.Fatalf("core %d = %v, want %v", i, got[i], want)
@@ -91,7 +95,7 @@ func TestReadCoreTemps(t *testing.T) {
 }
 
 func TestReadDomainPowers(t *testing.T) {
-	b := NewBank(IdealConfig(), 1)
+	b := NewBank(Config{}, 1)
 	in := [platform.NumResources]float64{2.8, 0.1, 0.4, 0.3}
 	got := b.ReadDomainPowers(in)
 	if got != in {

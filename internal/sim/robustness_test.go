@@ -44,7 +44,7 @@ func TestDTPMWithDegradedSensors(t *testing.T) {
 func TestDTPMWithIdealSensors(t *testing.T) {
 	ch := characterize(t)
 	r := NewRunner()
-	r.Sensors = sensor.IdealConfig()
+	r.Sensors = sensor.Config{}
 	b, err := workload.ByName("matrixmult")
 	if err != nil {
 		t.Fatal(err)

@@ -109,9 +109,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.widen(o.spanLo, o.spanHi)
 }
 
-// Count returns the number of samples folded in.
-func (h *Histogram) Count() uint64 { return h.N }
-
 // Reset zeroes the counts in place, keeping the shape and the bin backing —
 // the recycling hook for aggregator pools. A reset histogram is
 // indistinguishable from a fresh one of the same shape.
@@ -208,14 +205,6 @@ func (m *Moments) Mean() float64 {
 		return 0
 	}
 	return m.Sum / float64(m.N)
-}
-
-// Min returns the smallest sample, or +Inf when empty (as stats.Min).
-func (m *Moments) Min() float64 {
-	if m.N == 0 {
-		return math.Inf(1)
-	}
-	return m.MinV
 }
 
 // Max returns the largest sample, or -Inf when empty (as stats.Max).

@@ -35,9 +35,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of a non-empty slice, or +Inf for an empty one.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)

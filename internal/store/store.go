@@ -17,7 +17,7 @@
 // orphaned temp file, which a later Open removes.
 //
 // Every entry self-verifies: a header line records the engine version,
-// the key digest, and the SHA-256 of the payload, and Get re-hashes the
+// the key digest, and the SHA-256 of the payload, and a read re-hashes the
 // payload before serving it. A truncated entry, a bit-flipped payload, or
 // an entry written by a different engine version all fail verification and
 // are reported as a miss — the caller recomputes and the fresh Put heals
@@ -97,7 +97,7 @@ func KeyDigest(kind string, spec any) (Digest, error) {
 }
 
 // Stats are the store's monotone counters since Open. Hits+Misses counts
-// finished Decode calls (Get and GetJSON are Decodes); Invalid counts the
+// finished Decode calls (GetJSON is a Decode); Invalid counts the
 // subset of misses caused by an entry that exists but failed verification
 // (corruption or a stale engine version) or the caller's decode.
 // WriteErrors counts failed Puts (a full disk, an unwritable directory):
@@ -111,7 +111,7 @@ type Stats struct {
 	WriteErrors uint64
 }
 
-// HitRate returns hits/(hits+misses) in [0, 1], or 0 before any Get.
+// HitRate returns hits/(hits+misses) in [0, 1], or 0 before any read.
 func (s Stats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0
@@ -227,26 +227,17 @@ func (s *Store) entryPath(key Digest) string {
 	return b.String()
 }
 
-// Get returns a copy of the verified payload stored under key, or
-// ok=false on a miss. A miss is indistinguishable by design between "never
-// computed", "corrupt entry", and "stale engine version" — in every case
-// the caller recomputes and Puts, which heals the entry; only the Invalid
-// counter tells the cases apart.
-func (s *Store) Get(key Digest) (payload []byte, ok bool) {
-	ok = s.Decode(key, func(p []byte) error {
-		payload = bytes.Clone(p)
-		return nil
-	})
-	return payload, ok
-}
-
 // Decode hands the verified payload stored under key to decode and
 // reports whether the entry was served. The payload aliases a pooled read
 // buffer: it is valid only until decode returns, so a callback that keeps
 // any of it must copy it. A hit is counted only once decode has succeeded:
 // a missing entry counts as a miss, and an unverifiable entry or a payload
 // decode rejects (schema skew inside one engine version — should not
-// happen, but must not crash) as invalid plus miss, never as a hit.
+// happen, but must not crash) as invalid plus miss, never as a hit. A miss
+// is indistinguishable by design between "never computed", "corrupt
+// entry", and "stale engine version" — in every case the caller recomputes
+// and Puts, which heals the entry; only the Invalid counter tells the
+// cases apart.
 func (s *Store) Decode(key Digest, decode func(payload []byte) error) bool {
 	bp := readBufs.Get().(*[]byte)
 	defer putReadBuf(bp)

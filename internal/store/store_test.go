@@ -22,6 +22,16 @@ type testSpec struct {
 	Shift    float64 `json:"shift"`
 }
 
+// get returns a copy of the verified payload stored under key, or ok=false
+// on a miss.
+func get(s *Store, key Digest) (payload []byte, ok bool) {
+	ok = s.Decode(key, func(p []byte) error {
+		payload = bytes.Clone(p)
+		return nil
+	})
+	return payload, ok
+}
+
 func testKey(t *testing.T, spec testSpec) Digest {
 	t.Helper()
 	d, err := KeyDigest("test-cell", spec)
@@ -75,13 +85,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	key := testKey(t, testSpec{Platform: "p", Scenario: "s", Seed: 1})
 	payload := []byte(`{"metrics":{"energy_j":123.456789012345}}`)
-	if _, ok := s.Get(key); ok {
+	if _, ok := get(s, key); ok {
 		t.Fatal("empty store served an entry")
 	}
 	if err := s.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(key)
+	got, ok := get(s, key)
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
@@ -100,7 +110,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.Get(key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := get(s2, key); !ok || !bytes.Equal(got, payload) {
 		t.Fatal("entry lost across reopen")
 	}
 }
@@ -187,7 +197,7 @@ func TestCorruptionSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			corrupt(t, s)
-			if got, ok := s.Get(key); ok {
+			if got, ok := get(s, key); ok {
 				t.Fatalf("corrupt entry served: %q", got)
 			}
 			st := s.Stats()
@@ -198,7 +208,7 @@ func TestCorruptionSuite(t *testing.T) {
 			if err := s.Put(key, payload); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+			if got, ok := get(s, key); !ok || !bytes.Equal(got, payload) {
 				t.Fatalf("healed entry not served: %q ok=%v", got, ok)
 			}
 		})
@@ -232,9 +242,8 @@ func TestDecodePayloadNotRetained(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range keys {
-				got, ok := s.Get(keys[i])
 				var raw json.RawMessage
-				if !ok || !s.GetJSON(keys[i], &raw) {
+				if !s.GetJSON(keys[i], &raw) {
 					t.Errorf("entry %d missed", i)
 					return
 				}
@@ -245,8 +254,8 @@ func TestDecodePayloadNotRetained(t *testing.T) {
 						return
 					}
 				}
-				if !bytes.Equal(got, payloads[i]) || !bytes.Equal(raw, payloads[i]) {
-					t.Errorf("entry %d: Get or GetJSON result changed under later reads", i)
+				if !bytes.Equal(raw, payloads[i]) {
+					t.Errorf("entry %d: GetJSON result changed under later reads", i)
 				}
 			}
 		}()
@@ -439,7 +448,7 @@ func TestConcurrentPutGet(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got, ok := s.Get(key); ok && !bytes.Equal(got, payload) {
+				if got, ok := get(s, key); ok && !bytes.Equal(got, payload) {
 					t.Errorf("entry %d: wrong bytes %q", i, got)
 					return
 				}
@@ -449,7 +458,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		key := testKey(t, testSpec{Seed: int64(i)})
-		got, ok := s.Get(key)
+		got, ok := get(s, key)
 		if !ok || !strings.Contains(string(got), fmt.Sprintf(`"seed":%d`, i)) {
 			t.Fatalf("entry %d lost after the race: %q ok=%v", i, got, ok)
 		}
@@ -495,7 +504,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	if _, err := os.Stat(fresh); err != nil {
 		t.Errorf("fresh temp file removed: %v", err)
 	}
-	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := get(s, key); !ok || !bytes.Equal(got, payload) {
 		t.Errorf("entry after sweep: %q, %v", got, ok)
 	}
 	// Writes still fail loudly once the objects tree is unusable, and a

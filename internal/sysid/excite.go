@@ -241,6 +241,7 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 	nodes := chip.BigCluster.NumCores()
 	ds := &Dataset{Ts: r.Ts, Ambient: r.Thermal.Ambient, States: nodes}
 	var st thermal.State
+	temps := make([]float64, nodes) // reused: Append copies each sample
 
 	// Baseline configuration: everything minimal.
 	if err := chip.Active().SetFreq(chip.Active().Domain.MinFreq()); err != nil {
@@ -292,7 +293,7 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 		// node powers the network integrates.
 		sim.StateInto(0, &st)
 		truth, board := r.GT.StepInto(sim.CoreInput(0), chip, act, st.Core, st.Board)
-		temps := r.Sensors.ReadCoreTemps(st.Core)
+		r.Sensors.ReadCoreTempsInto(temps, st.Core)
 		powers := r.Sensors.ReadDomainPowers(truth.Domain)
 		ds.Append(temps, powers[:])
 

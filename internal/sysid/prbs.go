@@ -41,15 +41,6 @@ func (p *PRBS) Next() bool {
 	return bit == 1
 }
 
-// Sequence returns the next n output bits.
-func (p *PRBS) Sequence(n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = p.Next()
-	}
-	return out
-}
-
 // HoldSequence returns a bit waveform of length n where each PRBS bit is
 // held for `hold` consecutive samples — the chip-rate shaping that sets the
 // excitation bandwidth relative to the 100 ms sampling period.

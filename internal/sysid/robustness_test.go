@@ -46,7 +46,7 @@ func TestIdentificationWithIdealSensors(t *testing.T) {
 	rig := &Rig{
 		GT:      power.DefaultGroundTruth(),
 		Thermal: thermal.DefaultParams(),
-		Sensors: sensor.NewBank(sensor.IdealConfig(), 1),
+		Sensors: sensor.NewBank(sensor.Config{}, 1),
 		Ts:      0.1,
 	}
 	model, datasets, err := rig.CharacterizeThermal()
@@ -107,8 +107,8 @@ func TestDatasetConstantInput(t *testing.T) {
 // TestPRBSSeedsDiffer: different LFSR seeds must give different sequences
 // (sanity for the per-resource experiments).
 func TestPRBSSeedsDiffer(t *testing.T) {
-	a := NewPRBS(0x2F3).Sequence(64)
-	b := NewPRBS(0x11).Sequence(64)
+	a := NewPRBS(0x2F3).HoldSequence(64, 1)
+	b := NewPRBS(0x11).HoldSequence(64, 1)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

@@ -74,9 +74,6 @@ func NewBatchSim(p Params, b int) *BatchSim {
 	return s
 }
 
-// Batch returns the batch size.
-func (s *BatchSim) Batch() int { return s.b }
-
 // row returns device d's core-temperature row.
 func (s *BatchSim) row(d int) []float64 { return s.core[d*s.n : (d+1)*s.n : (d+1)*s.n] }
 

@@ -15,8 +15,8 @@ func TestBatchSimDevicesIndependent(t *testing.T) {
 	for _, p := range oracleParams {
 		const B = 5
 		bsim := NewBatchSim(p, B)
-		if bsim.Batch() != B {
-			t.Fatalf("Batch() = %d, want %d", bsim.Batch(), B)
+		if bsim.b != B {
+			t.Fatalf("batch size %d, want %d", bsim.b, B)
 		}
 		singles := make([]*BatchSim, B)
 		rngs := make([]*rand.Rand, B)

@@ -151,17 +151,6 @@ func (s State) MaxCore() float64 {
 	return m
 }
 
-// HottestCore returns the index of the hottest core.
-func (s State) HottestCore() int {
-	idx := 0
-	for i, t := range s.Core {
-		if t > s.Core[idx] {
-			idx = i
-		}
-	}
-	return idx
-}
-
 // coreAsym returns the effective asymmetry multiplier for core i,
 // treating a zero (or absent) entry as 1.
 func coreAsym(p Params, i int) float64 {
@@ -216,11 +205,6 @@ type FanController struct {
 	speed float64
 }
 
-// NewFanController returns the stock Odroid thresholds: 57/63/68 °C.
-func NewFanController() *FanController {
-	return NewFanControllerFor(DefaultFanSpec())
-}
-
 // NewFanControllerFor returns a controller running the given ladder.
 func NewFanControllerFor(spec FanSpec) *FanController {
 	return &FanController{FanSpec: spec}
@@ -249,9 +233,6 @@ func (f *FanController) Update(maxCoreTemp float64) float64 {
 	}
 	return f.speed
 }
-
-// Speed returns the current fan speed fraction.
-func (f *FanController) Speed() float64 { return f.speed }
 
 // Validate sanity-checks the parameter set: positive capacitances and
 // conductances, in-range asymmetry, and a well-formed symmetric adjacency.

@@ -164,8 +164,8 @@ func TestHottestCoreTracksPowerImbalance(t *testing.T) {
 	in := load{core: []float64{0.9, 0.5, 0.5, 0.5}, board: 1}
 	s.step(30, in)
 	st := s.state()
-	if st.HottestCore() != 0 {
-		t.Fatalf("hottest core = %d, want 0", st.HottestCore())
+	if st.MaxCore() != st.Core[0] {
+		t.Fatalf("hottest core is not core 0: %v", st.Core)
 	}
 	// Inter-core coupling is strong on the tiny A15 cluster, so the
 	// imbalance is modest but must clearly exceed sensor quantization.
@@ -322,46 +322,46 @@ func TestEnergyConservationAtEquilibrium(t *testing.T) {
 
 func TestMaxCoreAndHottest(t *testing.T) {
 	st := State{Core: []float64{50, 70, 60, 65}}
-	if st.MaxCore() != 70 || st.HottestCore() != 1 {
-		t.Fatalf("MaxCore=%v Hottest=%v", st.MaxCore(), st.HottestCore())
+	if st.MaxCore() != 70 {
+		t.Fatalf("MaxCore=%v", st.MaxCore())
 	}
 }
 
 func TestFanControllerLadder(t *testing.T) {
-	f := NewFanController()
+	f := NewFanControllerFor(DefaultFanSpec())
 	if f.Update(50) != f.IdleSpeed {
-		t.Fatalf("fan at 50C = %v, want the always-on idle duty %v", f.Speed(), f.IdleSpeed)
+		t.Fatalf("fan at 50C = %v, want the always-on idle duty %v", f.speed, f.IdleSpeed)
 	}
 	if f.Update(58) != f.LowSpeed {
-		t.Fatalf("fan at 58C = %v, want low speed", f.Speed())
+		t.Fatalf("fan at 58C = %v, want low speed", f.speed)
 	}
 	if f.Update(64) != f.MidSpeed {
-		t.Fatalf("fan at 64C = %v, want mid speed", f.Speed())
+		t.Fatalf("fan at 64C = %v, want mid speed", f.speed)
 	}
 	if f.Update(69) != 1.0 {
-		t.Fatalf("fan at 69C = %v, want 100%%", f.Speed())
+		t.Fatalf("fan at 69C = %v, want 100%%", f.speed)
 	}
 }
 
 func TestFanControllerHysteresis(t *testing.T) {
-	f := NewFanController()
+	f := NewFanControllerFor(DefaultFanSpec())
 	f.Update(69) // 100%
 	// Dropping just under the high threshold keeps 100% (within hysteresis).
 	if f.Update(67) != 1.0 {
-		t.Fatalf("fan dropped too eagerly: %v", f.Speed())
+		t.Fatalf("fan dropped too eagerly: %v", f.speed)
 	}
 	// Dropping well below steps down to the mid duty.
 	if f.Update(64) != f.MidSpeed {
-		t.Fatalf("fan at 64C after high = %v, want mid", f.Speed())
+		t.Fatalf("fan at 64C after high = %v, want mid", f.speed)
 	}
 	if f.Update(61) != f.MidSpeed {
-		t.Fatalf("hysteresis at 61C should hold mid, got %v", f.Speed())
+		t.Fatalf("hysteresis at 61C should hold mid, got %v", f.speed)
 	}
 	if f.Update(58) != f.LowSpeed {
-		t.Fatalf("fan at 58C after mid = %v, want low", f.Speed())
+		t.Fatalf("fan at 58C after mid = %v, want low", f.speed)
 	}
 	if f.Update(53) != f.IdleSpeed {
-		t.Fatalf("fan at 53C = %v, want the idle duty", f.Speed())
+		t.Fatalf("fan at 53C = %v, want the idle duty", f.speed)
 	}
 }
 

@@ -45,17 +45,6 @@ func (s *Series) At(t float64) float64 {
 	return s.Vals[i]
 }
 
-// Slice returns the values with Times in [t0, t1).
-func (s *Series) Slice(t0, t1 float64) []float64 {
-	var out []float64
-	for i, t := range s.Times {
-		if t >= t0 && t < t1 {
-			out = append(out, s.Vals[i])
-		}
-	}
-	return out
-}
-
 // Recorder gathers multiple named series on a shared clock.
 type Recorder struct {
 	order  []string

@@ -34,14 +34,6 @@ func TestSeriesAtEmpty(t *testing.T) {
 	}
 }
 
-func TestSeriesSlice(t *testing.T) {
-	s := &Series{Times: []float64{0, 1, 2, 3}, Vals: []float64{1, 2, 3, 4}}
-	got := s.Slice(1, 3)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Slice = %v", got)
-	}
-}
-
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
 	r.Record("temp", 0, 40)

@@ -208,7 +208,7 @@ func TestGPUUtilAt(t *testing.T) {
 }
 
 func TestBackgroundLoad(t *testing.T) {
-	bg := NewBackground(1)
+	bg := NewBackgroundN(1, 4)
 	last := make([]float64, 4)
 	for i := 0; i < 500; i++ {
 		copy(last, bg.UtilAt())
