@@ -58,14 +58,17 @@ MAX_WARM_BYTES ?= 4100000
 # BenchmarkStagePredict covers the DTPM predictor stage at model orders 4
 # and 8, BenchmarkStagePower the fused ground-truth power pass,
 # BenchmarkStageThermalStep one BatchSim step, BenchmarkStageTick one
-# scheduler tick and BenchmarkStageReseed the per-cell sensor and
-# background reseeding (all 0 allocs/op, so any allocation fails the gate);
+# scheduler tick, BenchmarkStageUpdate one DTPM controller update and
+# BenchmarkStageReseed the per-cell sensor and background reseeding (all 0
+# allocs/op, so any allocation fails the gate);
 # BenchmarkStoreDecode and BenchmarkStorePut cover one store hit (entry
 # read and verify, 2 allocs/op) and one entry write on a real fleet-cell
 # entry. BenchmarkCharacterization covers the §4 characterization rig
-# (furnace sweeps and PRBS runs on a width-1 BatchSim through the fused
-# power pass; ~129k allocs/op, flat across runs).
-HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStagePower$$|BenchmarkStageThermalStep$$|BenchmarkStageTick$$|BenchmarkStageReseed$$|BenchmarkCharacterization$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
+# (furnace sweeps and PRBS runs on width-1 BatchSims through the fused
+# power pass, simulated concurrently, each PRBS dataset in two slabs;
+# ~1.7k allocs/op, flat across runs, where per-interval garbage made it
+# ~129k).
+HOTBENCH = BenchmarkSimCell$$|BenchmarkSimCellDTPM$$|BenchmarkStreamingRun$$|BenchmarkFleetCell$$|BenchmarkFleetThroughput$$|BenchmarkFleetWarm$$|BenchmarkStagePredict$$|BenchmarkStagePower$$|BenchmarkStageThermalStep$$|BenchmarkStageTick$$|BenchmarkStageUpdate$$|BenchmarkStageReseed$$|BenchmarkCharacterization$$|BenchmarkStoreDecode$$|BenchmarkStorePut$$
 
 all: build
 

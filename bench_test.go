@@ -594,6 +594,30 @@ func BenchmarkStageThermalStep(b *testing.B) {
 	}
 }
 
+// BenchmarkStageUpdate times the controller stage: one DTPM
+// Controller.Update on the hot interval with the seed-1 characterized
+// models, TMax 63 °C and the governor asking for the top frequency, the
+// call shape bench/probes.go times as dtpm.update_ns. It must not
+// allocate (allocs/op is gated in HOTBENCH).
+func BenchmarkStageUpdate(b *testing.B) {
+	hot := hotStageInterval()
+	char := benchContext(b).Char
+	core := make([]float64, len(hot.temps))
+	bd, _ := hot.runner.GT.StepInto(core, hot.chip, hot.act, hot.temps, hot.board)
+	cfg := dtpm.DefaultConfig()
+	cfg.TMax = 63
+	ctrl, err := dtpm.NewController(cfg, char.Thermal, char.Power.Clone())
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := dtpm.Inputs{Temps: hot.temps, Powers: bd.Domain, GovernorFreq: hot.chip.BigCluster.Domain.MaxFreq(), GPUActive: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctrl.Update(hot.chip, in)
+	}
+}
+
 var (
 	stageModelsMu sync.Mutex
 	stageModels   = map[string]*sysid.ThermalModel{}

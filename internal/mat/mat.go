@@ -1,10 +1,14 @@
-// Package mat provides small dense linear-algebra primitives used by the
+// Package mat provides dense linear-algebra primitives used by the
 // system-identification and thermal-prediction code: matrices, vectors,
-// LU-based solving, QR least squares, and matrix powers.
+// LU-based solving and QR least squares.
 //
-// The matrices involved in the DTPM models are tiny (4x4 state matrices,
-// regression problems with a handful of columns), so the implementation
-// favours clarity and numerical robustness over asymptotic performance.
+// The state matrices are small (order 4 or 8), but the thermal
+// identification regressions are not: one PRBS experiment gives 10,500
+// regression rows, with a column per hotspot and per excited power input,
+// solved for every hotspot row. LeastSquaresMulti therefore factors such a
+// matrix once for all its right-hand sides and keeps R column-major;
+// everything else favours clarity and numerical robustness over asymptotic
+// performance.
 package mat
 
 import (
@@ -238,75 +242,109 @@ func SolveLU(a *Mat, b []float64) ([]float64, error) {
 
 // LeastSquares solves min_x ||A x - b||_2 for a tall (or square) matrix A
 // using Householder QR. It returns the coefficient vector of length A.Cols.
+// It is LeastSquaresMulti with one right-hand side.
 func LeastSquares(a *Mat, b []float64) ([]float64, error) {
+	x, err := LeastSquaresMulti(a, [][]float64{b})
+	if err != nil {
+		return nil, err
+	}
+	return x[0], nil
+}
+
+// LeastSquaresMulti solves min_x ||A x - b||_2 for every right-hand side b
+// in bs, factoring the tall (or square) matrix A once by Householder QR and
+// applying each reflection to every b as it goes. It returns one
+// coefficient vector of length A.Cols per right-hand side. The R update and
+// each b update are independent, so every solution is bit-identical to
+// factoring A afresh for that b alone.
+func LeastSquaresMulti(a *Mat, bs [][]float64) ([][]float64, error) {
 	mRows, nCols := a.Rows, a.Cols
-	if len(b) != mRows {
-		return nil, ErrShape
+	for _, b := range bs {
+		if len(b) != mRows {
+			return nil, ErrShape
+		}
 	}
 	if mRows < nCols {
 		return nil, fmt.Errorf("mat: underdetermined system %dx%d: %w", mRows, nCols, ErrShape)
 	}
-	r := a.Clone()
-	y := make([]float64, mRows)
-	copy(y, b)
+	// R is stored column-major (column j is r[j*mRows:(j+1)*mRows]) so each
+	// reflection walks contiguous memory; ys holds the right-hand sides.
+	slab := make([]float64, (nCols+len(bs)+1)*mRows)
+	r, ys, v := slab[:nCols*mRows], slab[nCols*mRows:(nCols+len(bs))*mRows], slab[(nCols+len(bs))*mRows:]
+	for i := 0; i < mRows; i++ {
+		for j, x := range a.Data[i*nCols : (i+1)*nCols] {
+			r[j*mRows+i] = x
+		}
+	}
+	col := func(s []float64, j int) []float64 { return s[j*mRows : (j+1)*mRows : (j+1)*mRows] }
+	for q, b := range bs {
+		copy(col(ys, q), b)
+	}
 
 	for k := 0; k < nCols; k++ {
 		// Householder vector for column k, rows k..m-1.
+		ck := col(r, k)
 		normX := 0.0
-		for i := k; i < mRows; i++ {
-			normX += r.At(i, k) * r.At(i, k)
+		for _, x := range ck[k:] {
+			normX += x * x
 		}
 		normX = math.Sqrt(normX)
 		if normX < 1e-300 {
 			return nil, ErrSingular
 		}
-		alpha := -math.Copysign(normX, r.At(k, k))
-		v := make([]float64, mRows)
-		v[k] = r.At(k, k) - alpha
-		for i := k + 1; i < mRows; i++ {
-			v[i] = r.At(i, k)
-		}
+		alpha := -math.Copysign(normX, ck[k])
+		v[k] = ck[k] - alpha
+		copy(v[k+1:], ck[k+1:])
 		vtv := 0.0
-		for i := k; i < mRows; i++ {
-			vtv += v[i] * v[i]
+		for _, x := range v[k:] {
+			vtv += x * x
 		}
 		if vtv < 1e-300 {
 			continue // column already triangular
 		}
-		// Apply H = I - 2 v v^T / (v^T v) to R (columns k..n-1) and to y.
+		// Apply H = I - 2 v v^T / (v^T v) to R (columns k..n-1) and to
+		// every y.
 		for j := k; j < nCols; j++ {
-			dot := 0.0
-			for i := k; i < mRows; i++ {
-				dot += v[i] * r.At(i, j)
-			}
-			f := 2 * dot / vtv
-			for i := k; i < mRows; i++ {
-				r.Set(i, j, r.At(i, j)-f*v[i])
-			}
+			reflect(v[k:], col(r, j)[k:], vtv)
 		}
-		dot := 0.0
-		for i := k; i < mRows; i++ {
-			dot += v[i] * y[i]
-		}
-		f := 2 * dot / vtv
-		for i := k; i < mRows; i++ {
-			y[i] -= f * v[i]
+		for q := range bs {
+			reflect(v[k:], col(ys, q)[k:], vtv)
 		}
 	}
-	// Back substitution on the triangular system R x = y.
-	x := make([]float64, nCols)
-	for i := nCols - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < nCols; j++ {
-			s -= r.At(i, j) * x[j]
+	// Back substitution on the triangular systems R x = y.
+	xs := make([][]float64, len(bs))
+	xslab := make([]float64, len(bs)*nCols)
+	for q := range bs {
+		y := col(ys, q)
+		x := xslab[q*nCols : (q+1)*nCols : (q+1)*nCols]
+		for i := nCols - 1; i >= 0; i-- {
+			s := y[i]
+			for j := i + 1; j < nCols; j++ {
+				s -= r[j*mRows+i] * x[j]
+			}
+			d := r[i*mRows+i]
+			if math.Abs(d) < 1e-12 {
+				return nil, ErrSingular
+			}
+			x[i] = s / d
 		}
-		d := r.At(i, i)
-		if math.Abs(d) < 1e-12 {
-			return nil, ErrSingular
-		}
-		x[i] = s / d
+		xs[q] = x
 	}
-	return x, nil
+	return xs, nil
+}
+
+// reflect applies the Householder reflection H = I - 2 v v^T / vtv to x
+// (len(x) == len(v)), summing the dot product in ascending order.
+func reflect(v, x []float64, vtv float64) {
+	x = x[:len(v)]
+	dot := 0.0
+	for i, vi := range v {
+		dot += vi * x[i]
+	}
+	f := 2 * dot / vtv
+	for i, vi := range v {
+		x[i] -= f * vi
+	}
 }
 
 // AddVec returns a + b element-wise.

@@ -226,6 +226,42 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 	}
 }
 
+// TestLeastSquaresMultiMatchesSingle checks that sharing one factorization
+// across right-hand sides gives each the bits it gets when solved alone,
+// and that a right-hand side of the wrong length is rejected.
+func TestLeastSquaresMultiMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := New(300, 6)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	bs := make([][]float64, 4)
+	for q := range bs {
+		bs[q] = make([]float64, a.Rows)
+		for i := range bs[q] {
+			bs[q][i] = rng.NormFloat64()
+		}
+	}
+	xs, err := LeastSquaresMulti(a, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, b := range bs {
+		x, err := LeastSquares(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range x {
+			if math.Float64bits(xs[q][j]) != math.Float64bits(x[j]) {
+				t.Fatalf("rhs %d coef %d: shared factorization %v, alone %v", q, j, xs[q][j], x[j])
+			}
+		}
+	}
+	if _, err := LeastSquaresMulti(a, [][]float64{bs[0], bs[1][:10]}); err != ErrShape {
+		t.Fatalf("short right-hand side: err = %v, want ErrShape", err)
+	}
+}
+
 func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	// The LS residual must be orthogonal to the column space of A.
 	rng := rand.New(rand.NewSource(3))

@@ -235,6 +235,37 @@ func TestCacheDoesNotCacheContextCancellation(t *testing.T) {
 	}
 }
 
+// midFlowCancel is a context whose Err reports nothing for its first n
+// calls and context.Canceled after: a cancellation that lands while the
+// characterization's simulations are already running.
+type midFlowCancel struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *midFlowCancel) Err() error {
+	if c.left.Add(-1) >= 0 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestCacheDoesNotCacheMidFlowCancellation cancels a lazy
+// characterization after its first simulations have started: the error
+// must reach the caller and the retry must characterize afresh.
+func TestCacheDoesNotCacheMidFlowCancellation(t *testing.T) {
+	c := NewCache(nil, nil, 1)
+	ctx := &midFlowCancel{Context: context.Background()}
+	ctx.left.Store(4)
+	if _, _, err := c.Device(ctx, "fanless-phone"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled characterization returned %v, want context.Canceled", err)
+	}
+	_, models, err := c.Device(context.Background(), "fanless-phone")
+	if err != nil || models == nil {
+		t.Fatalf("retry after cancellation returned models %v, error %v", models, err)
+	}
+}
+
 // TestCacheConcurrentResolvers hammers one cache from several goroutines
 // (run under -race): the lazily characterized anchor is built once and
 // every caller shares it, while error entries, platform names and tags are

@@ -79,7 +79,8 @@ func (b *Bank) ReadTemp(trueC float64) float64 {
 
 // ReadCoreTempsInto reads the big-cluster hotspot sensors, one per core
 // node: len(trueC) readings into dst (which must be at least that long),
-// returning dst[:len(trueC)].
+// returning dst[:len(trueC)]. dst may be trueC itself: each true value is
+// read before its reading is written.
 func (b *Bank) ReadCoreTempsInto(dst, trueC []float64) []float64 {
 	dst = dst[:len(trueC)]
 	for i, t := range trueC {

@@ -20,8 +20,9 @@ type Characterization struct {
 // the runner's simulated device: the furnace leakage characterization and
 // the per-resource PRBS thermal identification. The returned models are the
 // ones the DTPM controller deploys (they come from noisy sensor data, not
-// from the ground truth). The context aborts the flow between its stages
-// (furnace sweeps and PRBS experiments).
+// from the ground truth). The flow's simulations (every furnace point and
+// PRBS experiment) run concurrently on up to GOMAXPROCS goroutines; the
+// context stops it before any simulation that has not started yet.
 func (r *Runner) Characterize(ctx context.Context, seed int64) (*Characterization, error) {
 	return r.CharacterizeWithTs(ctx, seed, 0.1)
 }
@@ -37,11 +38,7 @@ func (r *Runner) CharacterizeWithTs(ctx context.Context, seed int64, ts float64)
 		Sensors: sensor.NewBank(r.Sensors, seed),
 		Ts:      ts,
 	}
-	leak, err := rig.CharacterizeLeakage()
-	if err != nil {
-		return nil, err
-	}
-	model, _, err := rig.CharacterizeThermal()
+	leak, model, err := rig.Characterize()
 	if err != nil {
 		return nil, err
 	}

@@ -40,11 +40,18 @@ func (d *Dataset) NumStates() int {
 	return NumStates
 }
 
-// Append adds one synchronized sample. Both slices are copied, so the
-// caller may reuse its buffers.
-func (d *Dataset) Append(temps []float64, powers []float64) {
-	d.Temps = append(d.Temps, append([]float64(nil), temps...))
-	d.Powers = append(d.Powers, append([]float64(nil), powers...))
+// newDataset returns a dataset of n samples of states temperatures and
+// NumInputs powers each. The rows are views into one temperature slab and
+// one power slab.
+func newDataset(ts, ambient float64, states, n int) *Dataset {
+	d := &Dataset{Ts: ts, Ambient: ambient, States: states, Temps: make([][]float64, n), Powers: make([][]float64, n)}
+	temps := make([]float64, n*states)
+	powers := make([]float64, n*NumInputs)
+	for k := 0; k < n; k++ {
+		d.Temps[k] = temps[k*states : (k+1)*states : (k+1)*states]
+		d.Powers[k] = powers[k*NumInputs : (k+1)*NumInputs : (k+1)*NumInputs]
+	}
+	return d
 }
 
 // validate checks shape invariants.
@@ -386,7 +393,8 @@ func excitedInputs(d *Dataset) []int {
 }
 
 // Identify fits A and B jointly by per-row least squares over the whole
-// dataset: for each hotspot i,
+// dataset (one QR factorization of the shared regressor serves every row):
+// for each hotspot i,
 //
 //	dT_i[k+1] = a_i . dT[k] + b_i . P[k]
 //
@@ -423,15 +431,21 @@ func Identify(d *Dataset) (*ThermalModel, error) {
 		Ts:      d.Ts,
 		Ambient: d.Ambient,
 	}
-	target := make([]float64, n)
-	for i := 0; i < ns; i++ {
-		for k := 0; k < n; k++ {
+	// Every hotspot row regresses on the same matrix: factor it once.
+	targets := make([][]float64, ns)
+	slab := make([]float64, ns*n)
+	for i := range targets {
+		target := slab[i*n : (i+1)*n : (i+1)*n]
+		for k := range target {
 			target[k] = d.Temps[k+1][i] - d.Ambient
 		}
-		coef, err := mat.LeastSquares(reg, target)
-		if err != nil {
-			return nil, fmt.Errorf("sysid: row %d: %w", i, err)
-		}
+		targets[i] = target
+	}
+	coefs, err := mat.LeastSquaresMulti(reg, targets)
+	if err != nil {
+		return nil, fmt.Errorf("sysid: hotspot rows: %w", err)
+	}
+	for i, coef := range coefs {
 		for j := 0; j < ns; j++ {
 			model.A.Set(i, j, coef[j])
 		}

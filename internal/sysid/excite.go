@@ -3,6 +3,9 @@ package sysid
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/platform"
 	"repro/internal/power"
@@ -14,8 +17,8 @@ import (
 // (ground-truth power + thermal models standing in for the silicon), the
 // sensors, and the sampling period.
 type Rig struct {
-	// Ctx, when set, aborts the characterization between its stages (each
-	// furnace sweep and each PRBS experiment checks it before starting).
+	// Ctx, when set, aborts the characterization between its stages: each
+	// furnace point and each PRBS experiment checks it before it starts.
 	// nil means context.Background.
 	Ctx context.Context
 	// Desc selects the platform under characterization (nil = the default
@@ -106,23 +109,111 @@ func Settle(gt *power.GroundTruth, p thermal.Params, chip *platform.Chip, act po
 	return st
 }
 
-// furnace settles the device in the furnace at ambient amb and appends
-// samplesPer sensor readings of (hotspot temperature, big-rail power),
-// tagged with the operating point (volt, freq), to out.
-func (r *Rig) furnace(out []FurnaceSample, chip *platform.Chip, act power.ChipActivity, amb, volt float64, freq platform.KHz, samplesPer int) []FurnaceSample {
+// furnacePoint is one furnace operating point: the light workload with
+// the big cluster at freq, in a furnace at ambient amb (°C).
+type furnacePoint struct {
+	freq platform.KHz
+	amb  float64
+}
+
+// furnaceTruth is what the sensors read at a settled furnace point: the
+// hottest core's temperature and the big rail's power, at supply volt.
+type furnaceTruth struct {
+	hotspot, bigPower, volt float64
+}
+
+// settleFurnace settles the device at one furnace point on a chip of its
+// own. The result is a pure function of the rig's ground truth, network
+// and platform and of the point, so points settle concurrently.
+func (r *Rig) settleFurnace(pt furnacePoint) (furnaceTruth, error) {
+	chip := platform.NewChipFor(r.desc())
+	if err := chip.Active().SetFreq(pt.freq); err != nil {
+		return furnaceTruth{}, err
+	}
+	act := lightActivity(chip.BigCluster.NumCores())
 	tp := r.Thermal
-	tp.Ambient = amb
+	tp.Ambient = pt.amb
 	st := Settle(r.GT, tp, chip, act, 5)
 	truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
-	for s := 0; s < samplesPer; s++ {
-		out = append(out, FurnaceSample{
-			TempC: r.Sensors.ReadTemp(st.MaxCore()),
-			Power: r.Sensors.ReadPower(truth.Domain[platform.Big]),
-			Volt:  volt,
-			FHz:   freq.Hz(),
-		})
+	return furnaceTruth{hotspot: st.MaxCore(), bigPower: truth.Domain[platform.Big], volt: chip.Active().Volt()}, nil
+}
+
+// sweep is one furnace experiment: the points it settles, in order, and
+// the sensor readings it logs per point.
+type sweep struct {
+	points     []furnacePoint
+	samplesPer int
+}
+
+// tempSweep is the Figure 4.2 experiment's plan (see FurnaceTempSweep).
+func tempSweep(setpointsC []float64, freq platform.KHz, samplesPer int) sweep {
+	points := make([]furnacePoint, len(setpointsC))
+	for i, amb := range setpointsC {
+		points[i] = furnacePoint{freq: freq, amb: amb}
 	}
-	return out
+	return sweep{points: points, samplesPer: samplesPer}
+}
+
+// freqSweep is the Figure 4.6 experiment's plan (see FurnaceFreqSweep).
+func (r *Rig) freqSweep(setpointC float64, samplesPer int) sweep {
+	opps := r.desc().Big.Domain.OPPs
+	points := make([]furnacePoint, len(opps))
+	for i, opp := range opps {
+		points[i] = furnacePoint{freq: opp.Freq, amb: setpointC}
+	}
+	return sweep{points: points, samplesPer: samplesPer}
+}
+
+// run performs a batch of experiments. It simulates every furnace point of
+// the sweeps and every PRBS experiment concurrently (each is a pure
+// function of the rig's device and its plan), then reads the sensors
+// serially: the sweeps in order, point by point and per point samplesPer
+// (hotspot temperature, big-rail power) pairs, then the PRBS experiments in
+// order. That is the order a serial run draws its noise in, so no reading
+// depends on which simulation finished first. It returns each sweep's
+// samples and each PRBS experiment's dataset.
+func (r *Rig) run(sweeps []sweep, prbs []PRBSConfig) ([][]FurnaceSample, []*Dataset, error) {
+	var points []furnacePoint
+	for _, sw := range sweeps {
+		points = append(points, sw.points...)
+	}
+	truths := make([]furnaceTruth, len(points))
+	sets := make([]*Dataset, len(prbs))
+	if i, err := r.parallel(len(points)+len(prbs), func(i int) (err error) {
+		if i < len(points) {
+			truths[i], err = r.settleFurnace(points[i])
+			return err
+		}
+		sets[i-len(points)], err = r.simulatePRBS(prbs[i-len(points)])
+		return err
+	}); err != nil {
+		if i >= len(points) {
+			err = fmt.Errorf("sysid: PRBS for %s: %w", prbs[i-len(points)].Resource, err)
+		}
+		return nil, nil, err
+	}
+
+	samples := make([][]FurnaceSample, len(sweeps))
+	for j, sw := range sweeps {
+		out := make([]FurnaceSample, 0, len(sw.points)*sw.samplesPer)
+		for _, pt := range sw.points {
+			tr := truths[0]
+			truths = truths[1:]
+			for s := 0; s < sw.samplesPer; s++ {
+				out = append(out, FurnaceSample{
+					TempC: r.Sensors.ReadTemp(tr.hotspot),
+					Power: r.Sensors.ReadPower(tr.bigPower),
+					Volt:  tr.volt,
+					FHz:   pt.freq.Hz(),
+				})
+			}
+		}
+		samples[j] = out
+	}
+	for _, ds := range sets {
+		r.sense(ds)
+	}
+	return samples, sets, nil
 }
 
 // FurnaceTempSweep reproduces the Figure 4.2 experiment: the platform sits
@@ -130,69 +221,49 @@ func (r *Rig) furnace(out []FurnaceSample, chip *platform.Chip, act power.ChipAc
 // given big-cluster frequency; after settling, samplesPer sensor readings of
 // (hotspot temperature, big-rail power) are logged per setpoint.
 func (r *Rig) FurnaceTempSweep(setpointsC []float64, freq platform.KHz, samplesPer int) ([]FurnaceSample, error) {
-	if err := r.cancelled(); err != nil {
+	samples, _, err := r.run([]sweep{tempSweep(setpointsC, freq, samplesPer)}, nil)
+	if err != nil {
 		return nil, err
 	}
-	chip := platform.NewChipFor(r.desc())
-	if err := chip.Active().SetFreq(freq); err != nil {
-		return nil, err
-	}
-	v := chip.Active().Volt()
-	act := lightActivity(chip.BigCluster.NumCores())
-
-	var out []FurnaceSample
-	for _, amb := range setpointsC {
-		out = r.furnace(out, chip, act, amb, v, freq, samplesPer)
-	}
-	return out, nil
+	return samples[0], nil
 }
 
 // FurnaceFreqSweep reproduces the Figure 4.6 experiment: at a constant
 // furnace temperature, the light workload runs once per big-cluster DVFS
 // step; samplesPer readings are logged per step. The result feeds FitAlphaC.
 func (r *Rig) FurnaceFreqSweep(setpointC float64, samplesPer int) ([]FurnaceSample, error) {
-	if err := r.cancelled(); err != nil {
+	samples, _, err := r.run([]sweep{r.freqSweep(setpointC, samplesPer)}, nil)
+	if err != nil {
 		return nil, err
 	}
-	chip := platform.NewChipFor(r.desc())
-	act := lightActivity(chip.BigCluster.NumCores())
-	d := chip.Active().Domain
-
-	var out []FurnaceSample
-	for _, opp := range d.OPPs {
-		if err := chip.Active().SetFreq(opp.Freq); err != nil {
-			return nil, err
-		}
-		out = r.furnace(out, chip, act, setpointC, opp.Volt, opp.Freq, samplesPer)
-	}
-	return out, nil
+	return samples[0], nil
 }
 
-// CharacterizeLeakage runs the full §4.1 procedure for the big cluster:
-// a frequency sweep at the coolest setpoint pins down the light workload's
+// leakageSweeps returns the §4.1 procedure's two furnace experiments: a
+// frequency sweep at the coolest setpoint, then a temperature sweep over
+// 40-80 °C in 10 °C steps at the big cluster's top frequency (Figure 4.5
+// uses the top step, 1.6 GHz on the Odroid).
+func (r *Rig) leakageSweeps() []sweep {
+	return []sweep{
+		r.freqSweep(40, 8),
+		tempSweep([]float64{40, 50, 60, 70, 80}, r.desc().Big.Domain.MaxFreq(), 12),
+	}
+}
+
+// fitLeakage fits the big-cluster leakage law to the two sweeps of
+// leakageSweeps: the frequency sweep pins down the light workload's
 // dynamic power, then the temperature sweep and the Gauss-Newton fit. The
 // two fits are alternated a few times: the leakage law evaluated at each
 // frequency-sweep sample's MEASURED temperature removes the self-heating
 // bias from the alphaC estimate, which in turn sharpens the leakage fit.
-func (r *Rig) CharacterizeLeakage() (power.LeakageParams, error) {
+func (r *Rig) fitLeakage(freqSweep, sweep []FurnaceSample) (power.LeakageParams, error) {
 	vNom := r.GT.Res[platform.Big].Leak.VNom
-
-	freqSweep, err := r.FurnaceFreqSweep(40, 8)
-	if err != nil {
-		return power.LeakageParams{}, err
-	}
 	alphaC, _, err := FitAlphaC(freqSweep, vNom)
 	if err != nil {
 		return power.LeakageParams{}, err
 	}
-
-	setpoints := []float64{40, 50, 60, 70, 80} // §4.1.1: 40-80 °C in 10 °C steps
 	bigDomain := &r.desc().Big.Domain
-	fixed := bigDomain.MaxFreq() // Figure 4.5 uses the top step (1.6 GHz on the Odroid)
-	sweep, err := r.FurnaceTempSweep(setpoints, fixed, 12)
-	if err != nil {
-		return power.LeakageParams{}, err
-	}
+	fixed := bigDomain.MaxFreq()
 	v, _ := bigDomain.VoltAt(fixed)
 
 	// Stage estimates seed the joint fit over both experiments.
@@ -204,6 +275,16 @@ func (r *Rig) CharacterizeLeakage() (power.LeakageParams, error) {
 	all := append(append([]FurnaceSample(nil), freqSweep...), sweep...)
 	_, fit, err := FitPowerModelJoint(all, vNom, init, alphaC)
 	return fit, err
+}
+
+// CharacterizeLeakage runs the full §4.1 procedure for the big cluster:
+// the furnace sweeps of leakageSweeps, then the fits of fitLeakage.
+func (r *Rig) CharacterizeLeakage() (power.LeakageParams, error) {
+	samples, _, err := r.run(r.leakageSweeps(), nil)
+	if err != nil {
+		return power.LeakageParams{}, err
+	}
+	return r.fitLeakage(samples[0], samples[1])
 }
 
 // PRBSConfig configures one identification experiment.
@@ -219,6 +300,23 @@ func DefaultPRBSConfig(res platform.Resource) PRBSConfig {
 	return PRBSConfig{Resource: res, Duration: 1050, HoldSec: 3, Seed: 0x2F3}
 }
 
+// thermalExperiments returns the thermal identification's PRBS
+// experiments, one per power resource in resource order. On
+// single-cluster platforms the little-cluster experiment is skipped (its B
+// column stays zero: the domain never draws power).
+func (r *Rig) thermalExperiments() []PRBSConfig {
+	var cfgs []PRBSConfig
+	for res := platform.Big; res < platform.NumResources; res++ {
+		if res == platform.Little && !r.desc().HasLittle() {
+			continue
+		}
+		cfg := DefaultPRBSConfig(res)
+		cfg.Seed += uint16(res) * 97
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
 // CollectPRBS runs one PRBS identification experiment: the chosen resource
 // oscillates between its minimum and maximum operating point while the
 // others stay constant or minimal (§4.2.1), and synchronized sensor samples
@@ -227,21 +325,30 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 	if err := r.cancelled(); err != nil {
 		return nil, err
 	}
+	ds, err := r.simulatePRBS(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.sense(ds)
+	return ds, nil
+}
+
+// simulatePRBS runs one PRBS experiment's ground truth: the true hotspot
+// temperatures and domain powers of every interval, written into a dataset
+// that sense turns into sensor readings in place. The drive is open loop
+// (sensor readings never feed back into it), so the truth is a pure
+// function of the rig's device and cfg and experiments simulate
+// concurrently.
+func (r *Rig) simulatePRBS(cfg PRBSConfig) (*Dataset, error) {
 	if cfg.Duration <= 0 || cfg.HoldSec <= 0 {
 		return nil, fmt.Errorf("sysid: invalid PRBS config %+v", cfg)
 	}
 	desc := r.desc()
 	chip := platform.NewChipFor(desc)
 	sim := thermal.NewBatchSim(r.Thermal, 1)
-	prbs := NewPRBS(cfg.Seed)
 	n := int(cfg.Duration / r.Ts)
-	hold := int(cfg.HoldSec / r.Ts)
-	bits := prbs.HoldSequence(n, hold)
-
-	nodes := chip.BigCluster.NumCores()
-	ds := &Dataset{Ts: r.Ts, Ambient: r.Thermal.Ambient, States: nodes}
-	var st thermal.State
-	temps := make([]float64, nodes) // reused: Append copies each sample
+	bits := NewPRBS(cfg.Seed).HoldSequence(n, int(cfg.HoldSec/r.Ts))
+	ds := newDataset(r.Ts, r.Thermal.Ambient, chip.BigCluster.NumCores(), n)
 
 	// Baseline configuration: everything minimal.
 	if err := chip.Active().SetFreq(chip.Active().Domain.MinFreq()); err != nil {
@@ -253,10 +360,22 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 		}
 		chip.SwitchCluster(platform.LittleCluster)
 	}
+	// The core load pattern is constant per experiment; the PRBS bit moves
+	// only the excited resource's operating point.
+	act := power.ChipActivity{CPUActivity: 1, GPUActivity: 1, MemTraffic: 0.05}
+	switch cfg.Resource {
+	case platform.Big, platform.Little:
+		act.CoreUtil = prbsCoreUtil(chip.Active().NumCores())
+	case platform.GPU:
+		act.CoreUtil = singleCoreUtil(ds.States, 0.1) // driver overhead only
+	case platform.Mem:
+		act.CoreUtil = singleCoreUtil(ds.States, 0.15) // traffic generator
+	default:
+		return nil, fmt.Errorf("sysid: unknown resource %v", cfg.Resource)
+	}
 
-	for k := 0; k < n; k++ {
-		high := bits[k]
-		act := power.ChipActivity{CPUActivity: 1, GPUActivity: 1, MemTraffic: 0.05}
+	var st thermal.State
+	for k, high := range bits {
 		switch cfg.Resource {
 		case platform.Big, platform.Little:
 			f := chip.Active().Domain.MinFreq()
@@ -266,59 +385,54 @@ func (r *Rig) CollectPRBS(cfg PRBSConfig) (*Dataset, error) {
 			if err := chip.Active().SetFreq(f); err != nil {
 				return nil, err
 			}
-			act.CoreUtil = prbsCoreUtil(chip.Active().NumCores())
 		case platform.GPU:
 			f := chip.GPUDomain.MinFreq()
-			util := 0.05
+			act.GPUUtil = 0.05
 			if high {
 				f = chip.GPUDomain.MaxFreq()
-				util = 1.0
+				act.GPUUtil = 1.0
 			}
 			if err := chip.SetGPUFreq(f); err != nil {
 				return nil, err
 			}
-			act.GPUUtil = util
-			act.CoreUtil = singleCoreUtil(nodes, 0.1) // driver overhead only
 		case platform.Mem:
 			act.MemTraffic = 0.05
 			if high {
 				act.MemTraffic = 1.8
 			}
-			act.CoreUtil = singleCoreUtil(nodes, 0.15) // traffic generator
-		default:
-			return nil, fmt.Errorf("sysid: unknown resource %v", cfg.Resource)
 		}
 
-		// One fused pass yields the breakdown the sensors read and the
-		// node powers the network integrates.
+		// The state is read straight into the sample's row; one fused
+		// pass yields the breakdown the sensors will read and the node
+		// powers the network integrates.
+		st.Core = ds.Temps[k]
 		sim.StateInto(0, &st)
 		truth, board := r.GT.StepInto(sim.CoreInput(0), chip, act, st.Core, st.Board)
-		r.Sensors.ReadCoreTempsInto(temps, st.Core)
-		powers := r.Sensors.ReadDomainPowers(truth.Domain)
-		ds.Append(temps, powers[:])
+		copy(ds.Powers[k], truth.Domain[:])
 
 		sim.Step(0, r.Ts, board, 0)
 	}
 	return ds, nil
 }
 
-// CharacterizeThermal runs the paper's complete thermal identification:
-// one PRBS experiment per power resource, then staged least squares. On
-// single-cluster platforms the little-cluster experiment is skipped (its B
-// column stays zero: the domain never draws power).
-func (r *Rig) CharacterizeThermal() (*ThermalModel, []*Dataset, error) {
+// sense replaces a simulated dataset's true values with sensor readings in
+// place, in the order the rig samples them: per interval, every hotspot
+// temperature, then the four rail powers.
+func (r *Rig) sense(ds *Dataset) {
+	for k, temps := range ds.Temps {
+		r.Sensors.ReadCoreTempsInto(temps, temps)
+		p := r.Sensors.ReadDomainPowers([platform.NumResources]float64(ds.Powers[k]))
+		copy(ds.Powers[k], p[:])
+	}
+}
+
+// identify runs the staged least squares over the datasets of the
+// experiments in cfgs, returning the model and the datasets indexed by
+// resource.
+func (r *Rig) identify(cfgs []PRBSConfig, sets []*Dataset) (*ThermalModel, []*Dataset, error) {
 	datasets := make([]*Dataset, NumInputs)
-	for res := platform.Big; res < platform.NumResources; res++ {
-		if res == platform.Little && !r.desc().HasLittle() {
-			continue
-		}
-		cfg := DefaultPRBSConfig(res)
-		cfg.Seed += uint16(res) * 97
-		ds, err := r.CollectPRBS(cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sysid: PRBS for %s: %w", res, err)
-		}
-		datasets[res] = ds
+	for i, cfg := range cfgs {
+		datasets[cfg.Resource] = sets[i]
 	}
 	model, err := IdentifyStaged(datasets)
 	if err != nil {
@@ -326,4 +440,90 @@ func (r *Rig) CharacterizeThermal() (*ThermalModel, []*Dataset, error) {
 	}
 	model.Platform = r.desc().Name
 	return model, datasets, nil
+}
+
+// CharacterizeThermal runs the paper's complete thermal identification:
+// one PRBS experiment per power resource (thermalExperiments), then staged
+// least squares. It returns the model and the datasets indexed by
+// resource (nil for a skipped experiment).
+func (r *Rig) CharacterizeThermal() (*ThermalModel, []*Dataset, error) {
+	cfgs := r.thermalExperiments()
+	_, sets, err := r.run(nil, cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.identify(cfgs, sets)
+}
+
+// Characterize runs the complete §4 flow: CharacterizeLeakage and then
+// CharacterizeThermal, with every simulation of both running concurrently.
+// The sensors are read in the order the two calls read them, so the
+// results are bit-identical to calling them in turn.
+func (r *Rig) Characterize() (power.LeakageParams, *ThermalModel, error) {
+	cfgs := r.thermalExperiments()
+	samples, sets, err := r.run(r.leakageSweeps(), cfgs)
+	if err != nil {
+		return power.LeakageParams{}, nil, err
+	}
+	leak, err := r.fitLeakage(samples[0], samples[1])
+	if err != nil {
+		return power.LeakageParams{}, nil, err
+	}
+	model, _, err := r.identify(cfgs, sets)
+	if err != nil {
+		return power.LeakageParams{}, nil, err
+	}
+	return leak, model, nil
+}
+
+// parallel runs unit(0), ..., unit(n-1) on up to GOMAXPROCS goroutines,
+// the caller's among them, and returns once every unit has finished. Each
+// unit checks the rig context before it starts; a cancelled unit records
+// the context's error instead of running. The lowest-index failure is
+// returned with its index, so the error does not depend on scheduling. A
+// unit's panic is re-raised on the caller's goroutine.
+func (r *Rig) parallel(n int, unit func(i int) error) (int, error) {
+	errs := make([]error, n)
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed any
+	)
+	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				if failed == nil {
+					failed = p
+				}
+				mu.Unlock()
+			}
+		}()
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			if err := r.cancelled(); err != nil {
+				errs[i] = err
+				continue
+			}
+			errs[i] = unit(i)
+		}
+	}
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if failed != nil {
+		panic(failed)
+	}
+	for i, err := range errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
 }

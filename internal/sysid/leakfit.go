@@ -75,8 +75,10 @@ func FitLeakage(samples []FurnaceSample, pDyn, vNom float64) (power.LeakageParam
 
 	theta := []float64{c1, c2, ig}
 	lambda := 1e-3
-	residual := func(th []float64) []float64 {
-		r := make([]float64, len(samples))
+	// The residual, trial and Jacobian buffers are reused by every
+	// iteration; each is fully rewritten before it is read.
+	r, trialR := make([]float64, len(samples)), make([]float64, len(samples))
+	residual := func(r, th []float64) []float64 {
 		for i, s := range samples {
 			tk := power.CelsiusToKelvin(s.TempC)
 			model := pDyn + scale*(th[0]*tk*tk*math.Exp(th[1]/tk)+th[2])
@@ -92,11 +94,12 @@ func FitLeakage(samples []FurnaceSample, pDyn, vNom float64) (power.LeakageParam
 		return s
 	}
 
-	cost := sumsq(residual(theta))
+	cost := sumsq(residual(r, theta))
+	J := mat.New(len(samples), 3)
+	trial := make([]float64, 3)
 	for iter := 0; iter < 200; iter++ {
 		// Jacobian of the residuals w.r.t. (c1, c2, I_gate).
-		J := mat.New(len(samples), 3)
-		r := residual(theta)
+		residual(r, theta)
 		for i, s := range samples {
 			tk := power.CelsiusToKelvin(s.TempC)
 			e := math.Exp(theta[1] / tk)
@@ -105,17 +108,18 @@ func FitLeakage(samples []FurnaceSample, pDyn, vNom float64) (power.LeakageParam
 			J.Set(i, 2, -scale)
 		}
 		// Solve (J^T J + lambda I) d = -J^T r.
-		jtj := J.T().Mul(J)
+		jt := J.T()
+		jtj := jt.Mul(J)
 		for d := 0; d < 3; d++ {
 			jtj.Set(d, d, jtj.At(d, d)*(1+lambda))
 		}
-		jtr := J.T().MulVec(r)
+		jtr := jt.MulVec(r)
 		step, err := mat.SolveLU(jtj, mat.ScaleVec(-1, jtr))
 		if err != nil {
 			lambda *= 10
 			continue
 		}
-		trial := []float64{theta[0] + step[0], theta[1] + step[1], theta[2] + step[2]}
+		trial[0], trial[1], trial[2] = theta[0]+step[0], theta[1]+step[1], theta[2]+step[2]
 		// Keep the parameters physical: positive c1, negative c2.
 		if trial[0] <= 0 {
 			trial[0] = theta[0] / 2
@@ -123,9 +127,9 @@ func FitLeakage(samples []FurnaceSample, pDyn, vNom float64) (power.LeakageParam
 		if trial[1] >= 0 {
 			trial[1] = theta[1] / 2
 		}
-		trialCost := sumsq(residual(trial))
+		trialCost := sumsq(residual(trialR, trial))
 		if trialCost < cost {
-			theta = trial
+			copy(theta, trial)
 			cost = trialCost
 			lambda = math.Max(lambda/3, 1e-9)
 		} else {
@@ -175,8 +179,9 @@ func FitPowerModelJoint(samples []FurnaceSample, vNom float64, init power.Leakag
 		ac, c1, c2, ig := th[0]*sAC, th[1]*sC1, th[2]*sC2, th[3]*sIG
 		return ac*s.Volt*s.Volt*s.FHz + s.Volt*(c1*tk*tk*math.Exp(c2/tk)+ig)*(s.Volt/vNom)
 	}
-	residual := func(th []float64) []float64 {
-		r := make([]float64, len(samples))
+	// As in FitLeakage, the buffers are reused by every iteration.
+	r, trialR := make([]float64, len(samples)), make([]float64, len(samples))
+	residual := func(r, th []float64) []float64 {
 		for i, s := range samples {
 			r[i] = s.Power - model(th, s)
 		}
@@ -190,11 +195,12 @@ func FitPowerModelJoint(samples []FurnaceSample, vNom float64, init power.Leakag
 		return t
 	}
 
-	cost := sumsq(residual(theta))
+	cost := sumsq(residual(r, theta))
 	lambda := 1e-3
+	J := mat.New(len(samples), 4)
+	trial := make([]float64, 4)
 	for iter := 0; iter < 300; iter++ {
-		r := residual(theta)
-		J := mat.New(len(samples), 4)
+		residual(r, theta)
 		for i, s := range samples {
 			tk := power.CelsiusToKelvin(s.TempC)
 			e := math.Exp(theta[2] * sC2 / tk)
@@ -204,16 +210,16 @@ func FitPowerModelJoint(samples []FurnaceSample, vNom float64, init power.Leakag
 			J.Set(i, 2, -sC2*vs*theta[1]*sC1*tk*e)
 			J.Set(i, 3, -sIG*vs)
 		}
-		jtj := J.T().Mul(J)
+		jt := J.T()
+		jtj := jt.Mul(J)
 		for d := 0; d < 4; d++ {
 			jtj.Set(d, d, jtj.At(d, d)*(1+lambda)+1e-12)
 		}
-		step, err := mat.SolveLU(jtj, mat.ScaleVec(-1, J.T().MulVec(r)))
+		step, err := mat.SolveLU(jtj, mat.ScaleVec(-1, jt.MulVec(r)))
 		if err != nil {
 			lambda *= 10
 			continue
 		}
-		trial := make([]float64, 4)
 		for d := range trial {
 			trial[d] = theta[d] + step[d]
 		}
@@ -229,9 +235,9 @@ func FitPowerModelJoint(samples []FurnaceSample, vNom float64, init power.Leakag
 		if trial[3] < 0 {
 			trial[3] = 0
 		}
-		trialCost := sumsq(residual(trial))
+		trialCost := sumsq(residual(trialR, trial))
 		if trialCost < cost {
-			theta = trial
+			copy(theta, trial)
 			cost = trialCost
 			lambda = math.Max(lambda/3, 1e-9)
 		} else {

@@ -12,6 +12,14 @@ import (
 	"repro/internal/sensor"
 )
 
+// Append adds one synchronized sample to a hand-built dataset. Both slices
+// are copied, so the caller may reuse its buffers. The rig itself fills
+// its datasets' slabs in place (newDataset).
+func (d *Dataset) Append(temps []float64, powers []float64) {
+	d.Temps = append(d.Temps, append([]float64(nil), temps...))
+	d.Powers = append(d.Powers, append([]float64(nil), powers...))
+}
+
 func TestPRBSPeriodAndBalance(t *testing.T) {
 	p := NewPRBS(1)
 	seq := p.HoldSequence(32767, 1)
