@@ -256,9 +256,9 @@ func (r *Rig) leakageSweeps() []sweep {
 // two fits are alternated a few times: the leakage law evaluated at each
 // frequency-sweep sample's MEASURED temperature removes the self-heating
 // bias from the alphaC estimate, which in turn sharpens the leakage fit.
-func (r *Rig) fitLeakage(freqSweep, sweep []FurnaceSample) (power.LeakageParams, error) {
+func (r *Rig) fitLeakage(freqSamples, tempSamples []FurnaceSample) (power.LeakageParams, error) {
 	vNom := r.GT.Res[platform.Big].Leak.VNom
-	alphaC, _, err := FitAlphaC(freqSweep, vNom)
+	alphaC, _, err := FitAlphaC(freqSamples, vNom)
 	if err != nil {
 		return power.LeakageParams{}, err
 	}
@@ -268,11 +268,11 @@ func (r *Rig) fitLeakage(freqSweep, sweep []FurnaceSample) (power.LeakageParams,
 
 	// Stage estimates seed the joint fit over both experiments.
 	pDyn := alphaC * v * v * fixed.Hz()
-	init, err := FitLeakage(sweep, pDyn, vNom)
+	init, err := FitLeakage(tempSamples, pDyn, vNom)
 	if err != nil {
 		return power.LeakageParams{}, err
 	}
-	all := append(append([]FurnaceSample(nil), freqSweep...), sweep...)
+	all := append(append([]FurnaceSample(nil), freqSamples...), tempSamples...)
 	_, fit, err := FitPowerModelJoint(all, vNom, init, alphaC)
 	return fit, err
 }
