@@ -183,8 +183,8 @@ func (d *Device) Characterize(seed int64) (*Models, error) {
 }
 
 // CharacterizeContext is Characterize with cancellation: the context
-// aborts the modeling flow between its stages (furnace sweeps and PRBS
-// identification experiments).
+// stops the modeling flow before any furnace operating point or PRBS
+// identification experiment that has not started yet.
 func (d *Device) CharacterizeContext(ctx context.Context, seed int64) (*Models, error) {
 	ch, err := d.r.Characterize(ctx, seed)
 	if err != nil {
