@@ -20,9 +20,10 @@ type Characterization struct {
 // the runner's simulated device: the furnace leakage characterization and
 // the per-resource PRBS thermal identification. The returned models are the
 // ones the DTPM controller deploys (they come from noisy sensor data, not
-// from the ground truth). The flow's simulations (every furnace point and
-// PRBS experiment) run concurrently on up to GOMAXPROCS goroutines; the
-// context stops it before any simulation that has not started yet.
+// from the ground truth). Within each stage the simulations (the furnace
+// points, then the PRBS experiments) run concurrently on up to GOMAXPROCS
+// goroutines; the context stops the flow before any simulation that has
+// not started yet.
 func (r *Runner) Characterize(ctx context.Context, seed int64) (*Characterization, error) {
 	return r.CharacterizeWithTs(ctx, seed, 0.1)
 }
@@ -38,7 +39,11 @@ func (r *Runner) CharacterizeWithTs(ctx context.Context, seed int64, ts float64)
 		Sensors: sensor.NewBank(r.Sensors, seed),
 		Ts:      ts,
 	}
-	leak, model, err := rig.Characterize()
+	leak, err := rig.CharacterizeLeakage()
+	if err != nil {
+		return nil, err
+	}
+	model, _, err := rig.CharacterizeThermal()
 	if err != nil {
 		return nil, err
 	}

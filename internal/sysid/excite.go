@@ -164,33 +164,23 @@ func (r *Rig) freqSweep(setpointC float64, samplesPer int) sweep {
 	return sweep{points: points, samplesPer: samplesPer}
 }
 
-// run performs a batch of experiments. It simulates every furnace point of
-// the sweeps and every PRBS experiment concurrently (each is a pure
-// function of the rig's device and its plan), then reads the sensors
-// serially: the sweeps in order, point by point and per point samplesPer
-// (hotspot temperature, big-rail power) pairs, then the PRBS experiments in
-// order. That is the order a serial run draws its noise in, so no reading
-// depends on which simulation finished first. It returns each sweep's
-// samples and each PRBS experiment's dataset.
-func (r *Rig) run(sweeps []sweep, prbs []PRBSConfig) ([][]FurnaceSample, []*Dataset, error) {
+// run performs the furnace experiments of sweeps. It settles every point
+// of every sweep concurrently (each is a pure function of the rig's device
+// and the point), then reads the sensors serially: the sweeps in order,
+// point by point, and per point samplesPer (hotspot temperature, big-rail
+// power) pairs. That is the order a serial run draws its noise in, so no
+// reading depends on which point settled first.
+func (r *Rig) run(sweeps ...sweep) ([][]FurnaceSample, error) {
 	var points []furnacePoint
 	for _, sw := range sweeps {
 		points = append(points, sw.points...)
 	}
 	truths := make([]furnaceTruth, len(points))
-	sets := make([]*Dataset, len(prbs))
-	if i, err := r.parallel(len(points)+len(prbs), func(i int) (err error) {
-		if i < len(points) {
-			truths[i], err = r.settleFurnace(points[i])
-			return err
-		}
-		sets[i-len(points)], err = r.simulatePRBS(prbs[i-len(points)])
+	if _, err := r.parallel(len(points), func(i int) (err error) {
+		truths[i], err = r.settleFurnace(points[i])
 		return err
 	}); err != nil {
-		if i >= len(points) {
-			err = fmt.Errorf("sysid: PRBS for %s: %w", prbs[i-len(points)].Resource, err)
-		}
-		return nil, nil, err
+		return nil, err
 	}
 
 	samples := make([][]FurnaceSample, len(sweeps))
@@ -210,10 +200,7 @@ func (r *Rig) run(sweeps []sweep, prbs []PRBSConfig) ([][]FurnaceSample, []*Data
 		}
 		samples[j] = out
 	}
-	for _, ds := range sets {
-		r.sense(ds)
-	}
-	return samples, sets, nil
+	return samples, nil
 }
 
 // FurnaceTempSweep reproduces the Figure 4.2 experiment: the platform sits
@@ -221,7 +208,7 @@ func (r *Rig) run(sweeps []sweep, prbs []PRBSConfig) ([][]FurnaceSample, []*Data
 // given big-cluster frequency; after settling, samplesPer sensor readings of
 // (hotspot temperature, big-rail power) are logged per setpoint.
 func (r *Rig) FurnaceTempSweep(setpointsC []float64, freq platform.KHz, samplesPer int) ([]FurnaceSample, error) {
-	samples, _, err := r.run([]sweep{tempSweep(setpointsC, freq, samplesPer)}, nil)
+	samples, err := r.run(tempSweep(setpointsC, freq, samplesPer))
 	if err != nil {
 		return nil, err
 	}
@@ -232,38 +219,37 @@ func (r *Rig) FurnaceTempSweep(setpointsC []float64, freq platform.KHz, samplesP
 // furnace temperature, the light workload runs once per big-cluster DVFS
 // step; samplesPer readings are logged per step. The result feeds FitAlphaC.
 func (r *Rig) FurnaceFreqSweep(setpointC float64, samplesPer int) ([]FurnaceSample, error) {
-	samples, _, err := r.run([]sweep{r.freqSweep(setpointC, samplesPer)}, nil)
+	samples, err := r.run(r.freqSweep(setpointC, samplesPer))
 	if err != nil {
 		return nil, err
 	}
 	return samples[0], nil
 }
 
-// leakageSweeps returns the §4.1 procedure's two furnace experiments: a
-// frequency sweep at the coolest setpoint, then a temperature sweep over
-// 40-80 °C in 10 °C steps at the big cluster's top frequency (Figure 4.5
-// uses the top step, 1.6 GHz on the Odroid).
-func (r *Rig) leakageSweeps() []sweep {
-	return []sweep{
-		r.freqSweep(40, 8),
-		tempSweep([]float64{40, 50, 60, 70, 80}, r.desc().Big.Domain.MaxFreq(), 12),
-	}
-}
-
-// fitLeakage fits the big-cluster leakage law to the two sweeps of
-// leakageSweeps: the frequency sweep pins down the light workload's
+// CharacterizeLeakage runs the full §4.1 procedure for the big cluster:
+// a frequency sweep at the coolest setpoint pins down the light workload's
 // dynamic power, then the temperature sweep and the Gauss-Newton fit. The
-// two fits are alternated a few times: the leakage law evaluated at each
+// two sweeps' points settle as one concurrent batch. The two fits are
+// alternated a few times: the leakage law evaluated at each
 // frequency-sweep sample's MEASURED temperature removes the self-heating
 // bias from the alphaC estimate, which in turn sharpens the leakage fit.
-func (r *Rig) fitLeakage(freqSamples, tempSamples []FurnaceSample) (power.LeakageParams, error) {
+func (r *Rig) CharacterizeLeakage() (power.LeakageParams, error) {
 	vNom := r.GT.Res[platform.Big].Leak.VNom
+	bigDomain := &r.desc().Big.Domain
+	fixed := bigDomain.MaxFreq() // Figure 4.5 uses the top step (1.6 GHz on the Odroid)
+	samples, err := r.run(
+		r.freqSweep(40, 8),
+		tempSweep([]float64{40, 50, 60, 70, 80}, fixed, 12), // §4.1.1: 40-80 °C in 10 °C steps
+	)
+	if err != nil {
+		return power.LeakageParams{}, err
+	}
+	freqSamples, tempSamples := samples[0], samples[1]
+
 	alphaC, _, err := FitAlphaC(freqSamples, vNom)
 	if err != nil {
 		return power.LeakageParams{}, err
 	}
-	bigDomain := &r.desc().Big.Domain
-	fixed := bigDomain.MaxFreq()
 	v, _ := bigDomain.VoltAt(fixed)
 
 	// Stage estimates seed the joint fit over both experiments.
@@ -277,16 +263,6 @@ func (r *Rig) fitLeakage(freqSamples, tempSamples []FurnaceSample) (power.Leakag
 	return fit, err
 }
 
-// CharacterizeLeakage runs the full §4.1 procedure for the big cluster:
-// the furnace sweeps of leakageSweeps, then the fits of fitLeakage.
-func (r *Rig) CharacterizeLeakage() (power.LeakageParams, error) {
-	samples, _, err := r.run(r.leakageSweeps(), nil)
-	if err != nil {
-		return power.LeakageParams{}, err
-	}
-	return r.fitLeakage(samples[0], samples[1])
-}
-
 // PRBSConfig configures one identification experiment.
 type PRBSConfig struct {
 	Resource platform.Resource // which power source to oscillate
@@ -298,23 +274,6 @@ type PRBSConfig struct {
 // DefaultPRBSConfig mirrors the Figure 4.8 experiment for a resource.
 func DefaultPRBSConfig(res platform.Resource) PRBSConfig {
 	return PRBSConfig{Resource: res, Duration: 1050, HoldSec: 3, Seed: 0x2F3}
-}
-
-// thermalExperiments returns the thermal identification's PRBS
-// experiments, one per power resource in resource order. On
-// single-cluster platforms the little-cluster experiment is skipped (its B
-// column stays zero: the domain never draws power).
-func (r *Rig) thermalExperiments() []PRBSConfig {
-	var cfgs []PRBSConfig
-	for res := platform.Big; res < platform.NumResources; res++ {
-		if res == platform.Little && !r.desc().HasLittle() {
-			continue
-		}
-		cfg := DefaultPRBSConfig(res)
-		cfg.Seed += uint16(res) * 97
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
 }
 
 // CollectPRBS runs one PRBS identification experiment: the chosen resource
@@ -426,12 +385,34 @@ func (r *Rig) sense(ds *Dataset) {
 	}
 }
 
-// identify runs the staged least squares over the datasets of the
-// experiments in cfgs, returning the model and the datasets indexed by
-// resource.
-func (r *Rig) identify(cfgs []PRBSConfig, sets []*Dataset) (*ThermalModel, []*Dataset, error) {
+// CharacterizeThermal runs the paper's complete thermal identification:
+// one PRBS experiment per power resource, then staged least squares. The
+// experiments simulate concurrently and are sensed afterwards in resource
+// order, the order a serial run reads them in. On single-cluster
+// platforms the little-cluster experiment is skipped (its B column stays
+// zero: the domain never draws power). It returns the model and the
+// datasets indexed by resource (nil for a skipped experiment).
+func (r *Rig) CharacterizeThermal() (*ThermalModel, []*Dataset, error) {
+	var cfgs []PRBSConfig
+	for res := platform.Big; res < platform.NumResources; res++ {
+		if res == platform.Little && !r.desc().HasLittle() {
+			continue
+		}
+		cfg := DefaultPRBSConfig(res)
+		cfg.Seed += uint16(res) * 97
+		cfgs = append(cfgs, cfg)
+	}
+	sets := make([]*Dataset, len(cfgs))
+	if i, err := r.parallel(len(cfgs), func(i int) (err error) {
+		sets[i], err = r.simulatePRBS(cfgs[i])
+		return err
+	}); err != nil {
+		return nil, nil, fmt.Errorf("sysid: PRBS for %s: %w", cfgs[i].Resource, err)
+	}
+
 	datasets := make([]*Dataset, NumInputs)
 	for i, cfg := range cfgs {
+		r.sense(sets[i])
 		datasets[cfg.Resource] = sets[i]
 	}
 	model, err := IdentifyStaged(datasets)
@@ -440,40 +421,6 @@ func (r *Rig) identify(cfgs []PRBSConfig, sets []*Dataset) (*ThermalModel, []*Da
 	}
 	model.Platform = r.desc().Name
 	return model, datasets, nil
-}
-
-// CharacterizeThermal runs the paper's complete thermal identification:
-// one PRBS experiment per power resource (thermalExperiments), then staged
-// least squares. It returns the model and the datasets indexed by
-// resource (nil for a skipped experiment).
-func (r *Rig) CharacterizeThermal() (*ThermalModel, []*Dataset, error) {
-	cfgs := r.thermalExperiments()
-	_, sets, err := r.run(nil, cfgs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.identify(cfgs, sets)
-}
-
-// Characterize runs the complete §4 flow: CharacterizeLeakage and then
-// CharacterizeThermal, with every simulation of both running concurrently.
-// The sensors are read in the order the two calls read them, so the
-// results are bit-identical to calling them in turn.
-func (r *Rig) Characterize() (power.LeakageParams, *ThermalModel, error) {
-	cfgs := r.thermalExperiments()
-	samples, sets, err := r.run(r.leakageSweeps(), cfgs)
-	if err != nil {
-		return power.LeakageParams{}, nil, err
-	}
-	leak, err := r.fitLeakage(samples[0], samples[1])
-	if err != nil {
-		return power.LeakageParams{}, nil, err
-	}
-	model, _, err := r.identify(cfgs, sets)
-	if err != nil {
-		return power.LeakageParams{}, nil, err
-	}
-	return leak, model, nil
 }
 
 // parallel runs unit(0), ..., unit(n-1) on up to GOMAXPROCS goroutines,

@@ -52,35 +52,6 @@ func platformRig(t *testing.T, name string, seed int64) *Rig {
 	}
 }
 
-// TestCharacterizeMatchesStages checks that the one-batch flow (every
-// simulation of both procedures at once) fits the same bits as
-// CharacterizeLeakage then CharacterizeThermal on every platform.
-func TestCharacterizeMatchesStages(t *testing.T) {
-	for _, name := range platform.Names() {
-		leak, model, err := platformRig(t, name, 1).Characterize()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		staged := platformRig(t, name, 1)
-		wantLeak, err := staged.CharacterizeLeakage()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wantModel, _, err := staged.CharacterizeThermal()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := fmt.Sprint(hexBits(leak.C1, leak.C2, leak.IGate, leak.VNom), hexBits(model.A.Data...), hexBits(model.B.Data...))
-		want := fmt.Sprint(hexBits(wantLeak.C1, wantLeak.C2, wantLeak.IGate, wantLeak.VNom), hexBits(wantModel.A.Data...), hexBits(wantModel.B.Data...))
-		if got != want {
-			t.Errorf("%s: Characterize fitted\n%s\nthe two stages\n%s", name, got, want)
-		}
-		if model.Platform != name {
-			t.Errorf("%s: model stamped %q", name, model.Platform)
-		}
-	}
-}
-
 // TestCharacterizeThermalCancelledMidway cancels the context once the
 // first PRBS simulation has started: every experiment that has not started
 // must see the cancellation, and the flow must return it wrapped.
@@ -99,23 +70,19 @@ func TestCharacterizeThermalCancelledMidway(t *testing.T) {
 	}
 }
 
-// TestCharacterizeCancelledMidway does the same for the whole flow, with
-// the cancellation landing after every furnace point has started.
-func TestCharacterizeCancelledMidway(t *testing.T) {
+// TestCharacterizeLeakageCancelledMidway does the same for the furnace
+// sweeps, with the cancellation landing once the first point has started.
+func TestCharacterizeLeakageCancelledMidway(t *testing.T) {
 	rig := platformRig(t, platform.DefaultName, 1)
-	var points int64
-	for _, sw := range rig.leakageSweeps() {
-		points += int64(len(sw.points))
-	}
-	rig.Ctx = newCancelAfter(points + 1)
-	if _, model, err := rig.Characterize(); !errors.Is(err, context.Canceled) || model != nil {
-		t.Fatalf("cancelled characterization returned model %v, error %v; want context.Canceled", model, err)
+	rig.Ctx = newCancelAfter(1)
+	if fit, err := rig.CharacterizeLeakage(); !errors.Is(err, context.Canceled) || fit != (power.LeakageParams{}) {
+		t.Fatalf("cancelled leakage characterization returned %+v, error %v; want context.Canceled", fit, err)
 	}
 }
 
 // TestCharacterizeLeavesNoGoroutines checks that every simulation
-// goroutine has exited when the flow returns, after a completed run and
-// after a cancelled one.
+// goroutine has exited when a stage returns, after a completed run and
+// after cancelled ones.
 func TestCharacterizeLeavesNoGoroutines(t *testing.T) {
 	// settled polls until at most limit goroutines remain (or 20 ms pass)
 	// and returns the count, so goroutines that are exiting are not
@@ -129,20 +96,33 @@ func TestCharacterizeLeavesNoGoroutines(t *testing.T) {
 		return n
 	}
 	before := settled(0)
-	if _, _, err := platformRig(t, "tablet-8big", 1).Characterize(); err != nil {
-		t.Fatal(err)
-	}
-	if n := settled(before); n > before {
-		t.Fatalf("%d goroutines after Characterize, %d before", n, before)
+	check := func(what string) {
+		t.Helper()
+		if n := settled(before); n > before {
+			t.Fatalf("%d goroutines after %s, %d before", n, what, before)
+		}
 	}
 	rig := platformRig(t, "tablet-8big", 1)
+	if _, err := rig.CharacterizeLeakage(); err != nil {
+		t.Fatal(err)
+	}
+	check("CharacterizeLeakage")
+	if _, _, err := rig.CharacterizeThermal(); err != nil {
+		t.Fatal(err)
+	}
+	check("CharacterizeThermal")
+
+	rig = platformRig(t, "tablet-8big", 1)
 	rig.Ctx = newCancelAfter(3)
-	if _, _, err := rig.Characterize(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled characterization returned %v, want context.Canceled", err)
+	if _, err := rig.CharacterizeLeakage(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leakage characterization returned %v, want context.Canceled", err)
 	}
-	if n := settled(before); n > before {
-		t.Fatalf("%d goroutines after a cancelled Characterize, %d before", n, before)
+	check("a cancelled CharacterizeLeakage")
+	rig.Ctx = newCancelAfter(1)
+	if _, _, err := rig.CharacterizeThermal(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled identification returned %v, want context.Canceled", err)
 	}
+	check("a cancelled CharacterizeThermal")
 }
 
 // TestParallelReraisesPanics checks that a unit's panic, on whichever
