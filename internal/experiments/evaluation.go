@@ -29,17 +29,16 @@ func runTab6_4(*Context) (*Report, error) {
 func runFig6_2(c *Context) (*Report, error) {
 	rep := &Report{ID: "fig6.2", Title: "Temperature prediction error for all benchmarks (1 s horizon)"}
 	t := Table{Columns: []string{"benchmark", "mean error", "max error", "max abs (C)"}}
-	if err := c.prefetch(workload.Names(), []sim.Policy{sim.PolicyNoFan}); err != nil {
+	benches := workload.Table()
+	runs, err := c.runs(benches, sim.PolicyNoFan)
+	if err != nil {
 		return nil, err
 	}
 	var worstMean, worstMax float64
 	var sumMean float64
 	n := 0
-	for _, b := range workload.Table() {
-		res, err := c.runBench(b, sim.PolicyNoFan)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		res := runs[i][0]
 		t.Rows = append(t.Rows, []string{b.Name, pct(res.PredMeanPct), pct(res.PredMaxPct), f2(res.PredMaxAbsC)})
 		sumMean += res.PredMeanPct
 		n++
@@ -64,15 +63,18 @@ func runFig6_2(c *Context) (*Report, error) {
 func tempControl(c *Context, id, bench string) (*Report, error) {
 	rep := &Report{ID: id, Title: "Temperature control for " + bench}
 	t := Table{Columns: []string{"config", "max (C)", "avg (C)", "time > 63C (s)", "exec (s)"}}
-	if err := c.prefetch([]string{bench}, []sim.Policy{sim.PolicyNoFan, sim.PolicyFan, sim.PolicyDTPM}); err != nil {
+	bs, err := benchmarks(bench)
+	if err != nil {
+		return nil, err
+	}
+	pols := []sim.Policy{sim.PolicyNoFan, sim.PolicyFan, sim.PolicyDTPM}
+	runs, err := c.runs(bs, pols...)
+	if err != nil {
 		return nil, err
 	}
 	var charts []string
-	for _, pol := range []sim.Policy{sim.PolicyNoFan, sim.PolicyFan, sim.PolicyDTPM} {
-		res, err := c.runByName(bench, pol)
-		if err != nil {
-			return nil, err
-		}
+	for i, pol := range pols {
+		res := runs[0][i]
 		s := res.Rec.Series("maxtemp")
 		s.Name = pol.String()
 		charts = append(charts, chart(fmt.Sprintf("%s: max core temp (C) vs time (s)", pol), 10, 72, s))
@@ -100,32 +102,26 @@ func runFig6_5(c *Context) (*Report, error) {
 		Columns: []string{"config", "templerun", "basicmath"}}
 	variance := Table{Name: "Steady-state temperature variance (C^2)",
 		Columns: []string{"config", "templerun", "basicmath"}}
-	if err := c.prefetch([]string{"templerun", "basicmath"},
-		[]sim.Policy{sim.PolicyNoFan, sim.PolicyFan, sim.PolicyDTPM}); err != nil {
+	bs, err := benchmarks("templerun", "basicmath")
+	if err != nil {
 		return nil, err
 	}
-	results := map[sim.Policy]map[string]*sim.Result{}
-	for _, pol := range []sim.Policy{sim.PolicyNoFan, sim.PolicyFan, sim.PolicyDTPM} {
-		results[pol] = map[string]*sim.Result{}
-		for _, bench := range []string{"templerun", "basicmath"} {
-			res, err := c.runByName(bench, pol)
-			if err != nil {
-				return nil, err
-			}
-			results[pol][bench] = res
-		}
-		avg.Rows = append(avg.Rows, []string{pol.String(),
-			f1(results[pol]["templerun"].SSAvgTemp), f1(results[pol]["basicmath"].SSAvgTemp)})
-		spread.Rows = append(spread.Rows, []string{pol.String(),
-			f1(results[pol]["templerun"].SSSpread), f1(results[pol]["basicmath"].SSSpread)})
-		variance.Rows = append(variance.Rows, []string{pol.String(),
-			f2(results[pol]["templerun"].SSTempVar), f2(results[pol]["basicmath"].SSTempVar)})
+	pols := []sim.Policy{sim.PolicyNoFan, sim.PolicyFan, sim.PolicyDTPM}
+	runs, err := c.runs(bs, pols...)
+	if err != nil {
+		return nil, err
+	}
+	for i, pol := range pols {
+		tr, bm := runs[0][i], runs[1][i]
+		avg.Rows = append(avg.Rows, []string{pol.String(), f1(tr.SSAvgTemp), f1(bm.SSAvgTemp)})
+		spread.Rows = append(spread.Rows, []string{pol.String(), f1(tr.SSSpread), f1(bm.SSSpread)})
+		variance.Rows = append(variance.Rows, []string{pol.String(), f2(tr.SSTempVar), f2(bm.SSTempVar)})
 	}
 	rep.Tables = append(rep.Tables, avg, spread, variance)
-	for _, bench := range []string{"templerun", "basicmath"} {
-		ratio := results[sim.PolicyFan][bench].SSTempVar / results[sim.PolicyDTPM][bench].SSTempVar
+	for i, b := range bs {
+		ratio := runs[i][1].SSTempVar / runs[i][2].SSTempVar // with-fan over DTPM
 		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("%s: DTPM variance %.1fx smaller than with-fan (paper claims ~6x)", bench, ratio))
+			fmt.Sprintf("%s: DTPM variance %.1fx smaller than with-fan (paper claims ~6x)", b.Name, ratio))
 	}
 	return rep, nil
 }
@@ -136,14 +132,17 @@ func runFig6_5(c *Context) (*Report, error) {
 func freqTempTrace(c *Context, id, bench string) (*Report, error) {
 	rep := &Report{ID: id, Title: "Frequency and temperature for " + bench}
 	t := Table{Columns: []string{"config", "exec (s)", "avg power (W)", "max (C)", "avg freq (GHz)"}}
-	if err := c.prefetch([]string{bench}, []sim.Policy{sim.PolicyFan, sim.PolicyDTPM}); err != nil {
+	bs, err := benchmarks(bench)
+	if err != nil {
 		return nil, err
 	}
-	for _, pol := range []sim.Policy{sim.PolicyFan, sim.PolicyDTPM} {
-		res, err := c.runByName(bench, pol)
-		if err != nil {
-			return nil, err
-		}
+	pols := []sim.Policy{sim.PolicyFan, sim.PolicyDTPM}
+	runs, err := c.runs(bs, pols...)
+	if err != nil {
+		return nil, err
+	}
+	for i, pol := range pols {
+		res := runs[0][i]
 		fs := res.Rec.Series("freq_ghz")
 		fs.Name = "freq (GHz)"
 		ts := res.Rec.Series("maxtemp")
@@ -194,18 +193,21 @@ func runFig6_8(c *Context) (*Report, error) {
 	return rep, nil
 }
 
-// savingsRow computes one Figure 6.9 row: DTPM vs the with-fan default.
-func savingsRow(c *Context, b workload.Benchmark) (saving, loss float64, err error) {
-	base, err := c.runBench(b, sim.PolicyFan)
+// savings computes the Figure 6.9 row of each benchmark: DTPM's platform
+// power saving and performance loss against the with-fan default, in
+// percent.
+func savings(c *Context, benches []workload.Benchmark) (saving, loss []float64, err error) {
+	runs, err := c.runs(benches, sim.PolicyFan, sim.PolicyDTPM)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-	dtpm, err := c.runBench(b, sim.PolicyDTPM)
-	if err != nil {
-		return 0, 0, err
+	saving = make([]float64, len(benches))
+	loss = make([]float64, len(benches))
+	for i, r := range runs {
+		base, dtpm := r[0], r[1]
+		saving[i] = 100 * (base.AvgPower - dtpm.AvgPower) / base.AvgPower
+		loss[i] = 100 * (dtpm.ExecTime - base.ExecTime) / base.ExecTime
 	}
-	saving = 100 * (base.AvgPower - dtpm.AvgPower) / base.AvgPower
-	loss = 100 * (dtpm.ExecTime - base.ExecTime) / base.ExecTime
 	return saving, loss, nil
 }
 
@@ -215,8 +217,7 @@ func savingsRow(c *Context, b workload.Benchmark) (saving, loss float64, err err
 func runFig6_9(c *Context) (*Report, error) {
 	rep := &Report{ID: "fig6.9", Title: "Power savings and performance loss summary"}
 	t := Table{Columns: []string{"benchmark", "class", "power saving", "perf loss"}}
-	// The multi-threaded pair is reported separately in Figure 6.10; one
-	// filtered list drives both the prefetch and the row loop.
+	// The multi-threaded pair is reported separately in Figure 6.10.
 	var singleThreaded []workload.Benchmark
 	for _, b := range workload.Table() {
 		if b.Name == "lu" || b.Name == "fft" {
@@ -224,22 +225,19 @@ func runFig6_9(c *Context) (*Report, error) {
 		}
 		singleThreaded = append(singleThreaded, b)
 	}
-	if err := c.prefetchBenches(singleThreaded, []sim.Policy{sim.PolicyFan, sim.PolicyDTPM}); err != nil {
+	saving, loss, err := savings(c, singleThreaded)
+	if err != nil {
 		return nil, err
 	}
 	classSum := map[string]float64{}
 	classN := map[string]float64{}
 	var lossSum float64
 	n := 0
-	for _, b := range singleThreaded {
-		saving, loss, err := savingsRow(c, b)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{b.Name, b.Class.String(), pct(saving), pct(loss)})
-		classSum[b.Class.String()] += saving
+	for i, b := range singleThreaded {
+		t.Rows = append(t.Rows, []string{b.Name, b.Class.String(), pct(saving[i]), pct(loss[i])})
+		classSum[b.Class.String()] += saving[i]
 		classN[b.Class.String()]++
-		lossSum += loss
+		lossSum += loss[i]
 		n++
 	}
 	rep.Tables = append(rep.Tables, t)
@@ -265,19 +263,16 @@ func runFig6_9(c *Context) (*Report, error) {
 func runFig6_10(c *Context) (*Report, error) {
 	rep := &Report{ID: "fig6.10", Title: "Power savings and performance loss, multi-threaded benchmarks"}
 	t := Table{Columns: []string{"benchmark", "power saving", "perf loss"}}
-	if err := c.prefetch([]string{"fft", "lu"}, []sim.Policy{sim.PolicyFan, sim.PolicyDTPM}); err != nil {
+	bs, err := benchmarks("fft", "lu")
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range []string{"fft", "lu"} {
-		b, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		saving, loss, err := savingsRow(c, b)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{name, pct(saving), pct(loss)})
+	saving, loss, err := savings(c, bs)
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range bs {
+		t.Rows = append(t.Rows, []string{b.Name, pct(saving[i]), pct(loss[i])})
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Notes = append(rep.Notes,

@@ -103,17 +103,17 @@ type Experiment struct {
 
 // Context carries the simulated device, the §4 characterization, and a
 // result cache shared by the experiments (several figures reuse the same
-// benchmark runs). Runs are executed on a sched worker pool: experiments
-// that consume whole {benchmark × policy} grids prefetch their cells
-// concurrently. Because sim.Run isolates all mutable state per run,
-// the prefetched results are identical to the sequential ones.
+// benchmark runs). Experiments read their {benchmark × policy} grids
+// through runs, which simulates the uncached cells concurrently on a
+// sched worker pool. Because sim.Run isolates all mutable state per run,
+// the results are identical to sequential ones.
 type Context struct {
 	Runner *sim.Runner
 	Char   *sim.Characterization
 	Seed   int64
 
 	ctx     context.Context
-	workers int // prefetch pool size; <= 0 means GOMAXPROCS
+	workers int // run pool size; <= 0 means GOMAXPROCS
 
 	mu    sync.Mutex
 	cache map[string]*sim.Result
@@ -136,8 +136,8 @@ func NewContext(ctx context.Context, seed int64) (*Context, error) {
 	}, nil
 }
 
-// SetWorkers bounds the worker pool used for prefetching benchmark runs
-// (<= 0 means GOMAXPROCS).
+// SetWorkers bounds the worker pool that simulates benchmark runs (<= 0
+// means GOMAXPROCS).
 func (c *Context) SetWorkers(n int) { c.workers = n }
 
 func runKey(bench string, pol sim.Policy) string {
@@ -153,24 +153,10 @@ func (c *Context) options(bench workload.Benchmark, pol sim.Policy) sim.Options 
 	}
 }
 
-// prefetch warms the run cache for the cross product of the given benchmark
-// names and policies, executing the uncached cells concurrently on the
-// worker pool.
-func (c *Context) prefetch(benches []string, pols []sim.Policy) error {
-	bs := make([]workload.Benchmark, len(benches))
-	for i, name := range benches {
-		b, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		bs[i] = b
-	}
-	return c.prefetchBenches(bs, pols)
-}
-
-// prefetchBenches is prefetch for explicit Benchmark values (the synthetic
-// stress workloads are not in the workload table).
-func (c *Context) prefetchBenches(benches []workload.Benchmark, pols []sim.Policy) error {
+// runs returns the cached run of every (benchmark, policy) pair, indexed
+// [bench][policy], after simulating the uncached pairs concurrently on
+// the worker pool. Every run records its full trace.
+func (c *Context) runs(benches []workload.Benchmark, pols ...sim.Policy) ([][]*sim.Result, error) {
 	type cell struct {
 		key  string
 		opts sim.Options
@@ -180,16 +166,12 @@ func (c *Context) prefetchBenches(benches []workload.Benchmark, pols []sim.Polic
 	for _, b := range benches {
 		for _, pol := range pols {
 			key := runKey(b.Name, pol)
-			if _, ok := c.cache[key]; ok {
-				continue
+			if _, ok := c.cache[key]; !ok {
+				missing = append(missing, cell{key, c.options(b, pol)})
 			}
-			missing = append(missing, cell{key, c.options(b, pol)})
 		}
 	}
 	c.mu.Unlock()
-	if len(missing) == 0 {
-		return nil
-	}
 	results := make([]*sim.Result, len(missing))
 	errs := make([]error, len(missing))
 	sched.Pool{Workers: c.workers}.ForEach(len(missing), func(i int) {
@@ -199,39 +181,31 @@ func (c *Context) prefetchBenches(benches []workload.Benchmark, pols []sim.Polic
 	defer c.mu.Unlock()
 	for i, m := range missing {
 		if errs[i] != nil {
-			return fmt.Errorf("experiments: %s: %w", m.key, errs[i])
+			return nil, fmt.Errorf("experiments: %s: %w", m.key, errs[i])
 		}
 		c.cache[m.key] = results[i]
 	}
-	return nil
+	out := make([][]*sim.Result, len(benches))
+	for i, b := range benches {
+		out[i] = make([]*sim.Result, len(pols))
+		for j, pol := range pols {
+			out[i][j] = c.cache[runKey(b.Name, pol)]
+		}
+	}
+	return out, nil
 }
 
-// runBench executes (and caches) one benchmark under one policy with full
-// trace recording.
-func (c *Context) runBench(bench workload.Benchmark, pol sim.Policy) (*sim.Result, error) {
-	key := runKey(bench.Name, pol)
-	c.mu.Lock()
-	if res, ok := c.cache[key]; ok {
-		c.mu.Unlock()
-		return res, nil
+// benchmarks looks benchmarks up in the workload table by name.
+func benchmarks(names ...string) ([]workload.Benchmark, error) {
+	out := make([]workload.Benchmark, len(names))
+	for i, name := range names {
+		b, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = b
 	}
-	c.mu.Unlock()
-	res, err := c.Runner.Run(c.ctx, c.options(bench, pol))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s under %v: %w", bench.Name, pol, err)
-	}
-	c.mu.Lock()
-	c.cache[key] = res
-	c.mu.Unlock()
-	return res, nil
-}
-
-func (c *Context) runByName(name string, pol sim.Policy) (*sim.Result, error) {
-	b, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return c.runBench(b, pol)
+	return out, nil
 }
 
 // chart renders series as a compact ASCII figure.

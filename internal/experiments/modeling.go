@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -32,18 +34,11 @@ func runFig1_1(c *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.prefetchBenches([]workload.Benchmark{b},
-		[]sim.Policy{sim.PolicyFan, sim.PolicyNoFan}); err != nil {
-		return nil, err
-	}
-	fan, err := c.runBench(b, sim.PolicyFan)
+	runs, err := c.runs([]workload.Benchmark{b}, sim.PolicyFan, sim.PolicyNoFan)
 	if err != nil {
 		return nil, err
 	}
-	nofan, err := c.runBench(b, sim.PolicyNoFan)
-	if err != nil {
-		return nil, err
-	}
+	fan, nofan := runs[0][0], runs[0][1]
 	fanS := fan.Rec.Series("maxtemp")
 	fanS.Name = "with-fan"
 	noS := nofan.Rec.Series("maxtemp")
@@ -149,7 +144,7 @@ func runFig4_3(c *Context) (*Report, error) {
 		t.Rows = append(t.Rows, []string{f1(temp), f2(fit), f2(gt)})
 		series.Append(temp, fit)
 		gtSeries.Append(temp, gt)
-		if e := 100 * abs(fit-gt) / gt; e > worst {
+		if e := 100 * math.Abs(fit-gt) / gt; e > worst {
 			worst = e
 		}
 	}
@@ -222,7 +217,7 @@ func runFig4_6(c *Context) (*Report, error) {
 	for f := range byFreq {
 		freqs = append(freqs, f)
 	}
-	sortFloat64s(freqs)
+	slices.Sort(freqs)
 	for _, f := range freqs {
 		var dyn, lk []float64
 		for _, s := range byFreq[f] {
@@ -322,10 +317,15 @@ func runFig4_8(c *Context) (*Report, error) {
 // runFig4_9 regenerates Figure 4.9: predicted vs measured core temperature
 // for Blowfish at a 1 s prediction interval.
 func runFig4_9(c *Context) (*Report, error) {
-	res, err := c.runByName("blowfish", sim.PolicyNoFan)
+	bs, err := benchmarks("blowfish")
 	if err != nil {
 		return nil, err
 	}
+	runs, err := c.runs(bs, sim.PolicyNoFan)
+	if err != nil {
+		return nil, err
+	}
+	res := runs[0][0]
 	meas := res.Rec.Series("maxtemp")
 	meas.Name = "measured temp (C)"
 	pred := res.Rec.Series("predmax_c")
@@ -373,19 +373,4 @@ func runFig4_10(c *Context) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"paper shape: error below 3% at 1 s, growing moderately to ~7% at 5 s (Fig. 4.10)")
 	return rep, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func sortFloat64s(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

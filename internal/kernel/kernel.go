@@ -448,14 +448,3 @@ func (s *Sched) rebalanceCached(cluster *platform.Cluster) {
 		load[best] += t.demand
 	}
 }
-
-// String summarizes the scheduler state.
-func (s *Sched) String() string {
-	running := 0
-	for _, t := range s.tasks {
-		if !t.Done {
-			running++
-		}
-	}
-	return fmt.Sprintf("kernel: t=%.1fs tasks=%d running=%d", s.now, len(s.tasks), running)
-}

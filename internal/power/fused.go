@@ -2,20 +2,26 @@ package power
 
 import "repro/internal/platform"
 
-// StepInto computes, in one pass, everything the per-interval simulation
-// loop needs from the ground-truth model: the full Breakdown (what
-// Evaluate returns) plus the per-hotspot core powers and the board-node
-// power. Calling Evaluate and then the per-core reference fused_test.go
-// keeps (corePowersInto, which re-runs Evaluate) takes three passes over
-// the exponential leakage law per interval where one suffices. With four
-// big cores that is 20 Exp evaluations reduced to 7.
+// StepInto computes, in one pass, everything the simulation needs from the
+// ground-truth model: the full power Breakdown of the given chip
+// configuration, activity, and temperatures, plus the per-hotspot core
+// powers (written into core, one per big core) and the board-node power
+// (returned). coreTemps are the big-cluster hotspot temperatures (°C) used
+// for big-cluster leakage; boardTemp (°C) is used for the other domains.
+// Per-core leakage uses each core's own hotspot temperature, which is what
+// makes the leakage-temperature loop (§4.1.1) visible to the DTPM
+// algorithm. It is the only production power pass: callers that need
+// only the breakdown pass a scratch core slice.
 //
-// The contract is bit-identity with the two-call sequence: every Dynamic
-// and Leakage term is computed by the same expressions on the same
-// arguments, each exactly once, and combined in the same order — when the
-// big cluster is active, nc == nBig, so Evaluate's leak share li/nc and
-// the reference's li/nBig are the same division. The simulation kernel
-// is built on this; fused_test.go enforces it against the oracle pair.
+// fused_test.go keeps the two-pass reference it replaced: evaluate (the
+// breakdown) and corePowersInto (which re-runs evaluate for the per-core
+// powers), three passes over the exponential leakage law per interval
+// where one suffices; with four big cores that is 20 Exp evaluations
+// reduced to 7. The contract is bit-identity with that pair: every
+// Dynamic and Leakage term is computed by the same expressions on the
+// same arguments, each exactly once, and combined in the same order —
+// when the big cluster is active, nc == nBig, so evaluate's leak share
+// li/nc and the reference's li/nBig are the same division.
 func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (Breakdown, float64) {
 	var b Breakdown
 	b.Base = g.Base
@@ -74,8 +80,9 @@ func (g *GroundTruth) StepInto(core []float64, chip *platform.Chip, act ChipActi
 	b.Domain[platform.GPU] = g.Dynamic(platform.GPU, gv, chip.GPUFreq(), act.GPUUtil, act.GPUActivity) + gleak
 	b.Leakage[platform.GPU] = gleak
 
-	// Memory: MemPower recomputes the same leakage term internally; reuse
-	// it with the identical expression shape (static + traffic + leak).
+	// Memory: the reference's memPower recomputes the same leakage term
+	// internally; reuse it with the identical expression shape (static +
+	// traffic + leak).
 	mleak := g.Res[platform.Mem].Leak.Power(boardTemp, g.Res[platform.Mem].Leak.VNom)
 	traffic := act.MemTraffic
 	if traffic < 0 {

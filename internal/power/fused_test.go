@@ -9,7 +9,7 @@ import (
 )
 
 // TestStepIntoMatchesEvaluatePair pins the fused evaluation's contract:
-// StepInto returns exactly what the Evaluate + corePowersInto pair
+// StepInto returns exactly what the evaluate + corePowersInto pair
 // returns — same bits, not same values — across active clusters, offline
 // cores, fan speeds, and activity mixes on every registered platform.
 func TestStepIntoMatchesEvaluatePair(t *testing.T) {
@@ -28,7 +28,7 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 				t.Helper()
 				wantCore := make([]float64, nBig)
 				gotCore := make([]float64, nBig)
-				wantB := g.Evaluate(chip, act, coreTemps, boardTemp)
+				wantB := g.evaluate(chip, act, coreTemps, boardTemp)
 				wantBoard := g.corePowersInto(wantCore, chip, act, coreTemps, boardTemp)
 				gotB, gotBoard := g.StepInto(gotCore, chip, act, coreTemps, boardTemp)
 				if gotB != wantB {
@@ -112,10 +112,10 @@ func TestStepIntoMatchesEvaluatePair(t *testing.T) {
 // aggregate board-node power (little + GPU + mem + gated residuals) for
 // the thermal network. When the little cluster is active the big cores
 // dissipate only their gated residual and the little cluster's power
-// heats the board node. It is the two-pass reference, built on Evaluate,
+// heats the board node. It is the two-pass reference, built on evaluate,
 // that StepInto's fused pass is checked against.
 func (g *GroundTruth) corePowersInto(core []float64, chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) (board float64) {
-	b := g.Evaluate(chip, act, coreTemps, boardTemp)
+	b := g.evaluate(chip, act, coreTemps, boardTemp)
 	nBig := chip.BigCluster.NumCores()
 	if chip.ActiveKind() == platform.BigCluster {
 		active := chip.Active()
@@ -137,4 +137,73 @@ func (g *GroundTruth) corePowersInto(core []float64, chip *platform.Chip, act Ch
 	}
 	board = b.Domain[platform.Little] + b.Domain[platform.GPU] + b.Domain[platform.Mem] + g.BaseBoardHeat
 	return board
+}
+
+// evaluate computes the ground-truth power breakdown for the given chip
+// configuration, activity, and temperatures, one term at a time: the
+// per-domain reference StepInto's Breakdown is checked against. coreTemps
+// are the big-cluster hotspot temperatures (°C) used for big-cluster
+// leakage; boardTemp (°C) is used for the other domains. Per-core leakage
+// uses each core's own hotspot temperature, which is what makes the
+// leakage-temperature loop (§4.1.1) visible to the DTPM algorithm.
+func (g *GroundTruth) evaluate(chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) Breakdown {
+	var b Breakdown
+	b.Base = g.Base
+	b.Fan = g.FanPower(act.FanSpeed)
+
+	active := chip.Active()
+	v := active.Volt()
+	f := active.Freq()
+
+	// Active cluster: per-core dynamic power plus per-core leakage share.
+	var dyn, leak float64
+	res := platform.Big
+	if active.Kind == platform.LittleCluster {
+		res = platform.Little
+	}
+	nc := active.NumCores()
+	for i := 0; i < nc; i++ {
+		if !active.CoreOnline(i) {
+			continue
+		}
+		dyn += g.Dynamic(res, v, f, act.CoreUtil[i], act.CPUActivity)
+		t := boardTemp
+		if res == platform.Big {
+			t = coreTemps[i]
+		}
+		leak += g.Leakage(res, t, v) / float64(nc)
+	}
+	b.Domain[res] = dyn + leak
+	b.Leakage[res] = leak
+
+	// Inactive cluster is power gated: a tiny residual leakage remains.
+	inactive := platform.Little
+	if res == platform.Little {
+		inactive = platform.Big
+	}
+	residual := 0.02 * g.Leakage(inactive, boardTemp, g.Res[inactive].Leak.VNom)
+	b.Domain[inactive] = residual
+	b.Leakage[inactive] = residual
+
+	// GPU.
+	gv := chip.GPUVolt()
+	gleak := g.Leakage(platform.GPU, boardTemp, gv)
+	b.Domain[platform.GPU] = g.Dynamic(platform.GPU, gv, chip.GPUFreq(), act.GPUUtil, act.GPUActivity) + gleak
+	b.Leakage[platform.GPU] = gleak
+
+	// Memory.
+	mleak := g.Res[platform.Mem].Leak.Power(boardTemp, g.Res[platform.Mem].Leak.VNom)
+	b.Domain[platform.Mem] = g.memPower(boardTemp, act.MemTraffic)
+	b.Leakage[platform.Mem] = mleak
+
+	return b
+}
+
+// memPower returns memory power given a combined traffic activity level.
+func (g *GroundTruth) memPower(tC, trafficActivity float64) float64 {
+	if trafficActivity < 0 {
+		trafficActivity = 0
+	}
+	leak := g.Res[platform.Mem].Leak.Power(tC, g.Res[platform.Mem].Leak.VNom)
+	return g.MemStatic + g.MemPerActivity*trafficActivity + leak
 }

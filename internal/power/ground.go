@@ -15,7 +15,6 @@
 package power
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/platform"
@@ -155,15 +154,6 @@ func (g *GroundTruth) Leakage(r platform.Resource, tC, v float64) float64 {
 	return g.Res[r].Leak.Power(tC, v)
 }
 
-// MemPower returns memory power given a combined traffic activity level.
-func (g *GroundTruth) MemPower(tC, trafficActivity float64) float64 {
-	if trafficActivity < 0 {
-		trafficActivity = 0
-	}
-	leak := g.Res[platform.Mem].Leak.Power(tC, g.Res[platform.Mem].Leak.VNom)
-	return g.MemStatic + g.MemPerActivity*trafficActivity + leak
-}
-
 // FanPower returns the fan power draw at the given speed fraction [0, 1].
 // Small DC fan draw grows superlinearly with duty (P â speed^1.5 sits
 // between the linear motor-loss and cubic aerodynamic regimes): the
@@ -200,13 +190,6 @@ func (b Breakdown) SoC() float64 {
 // Platform returns the total platform power (external power meter reading).
 func (b Breakdown) Platform() float64 { return b.SoC() + b.Fan + b.Base }
 
-// String summarizes the breakdown.
-func (b Breakdown) String() string {
-	return fmt.Sprintf("big=%.3fW little=%.3fW gpu=%.3fW mem=%.3fW fan=%.3fW base=%.3fW total=%.3fW",
-		b.Domain[platform.Big], b.Domain[platform.Little], b.Domain[platform.GPU],
-		b.Domain[platform.Mem], b.Fan, b.Base, b.Platform())
-}
-
 // ChipActivity describes the instantaneous activity of the chip needed to
 // evaluate ground-truth power: utilization and workload activity factors for
 // each resource and per-core utilization for the active CPU cluster.
@@ -225,63 +208,4 @@ type ChipActivity struct {
 	MemTraffic float64
 	// FanSpeed is the current fan speed fraction [0,1].
 	FanSpeed float64
-}
-
-// Evaluate computes the ground-truth power breakdown for the given chip
-// configuration, activity, and temperatures. coreTemps are the big-cluster
-// hotspot temperatures (°C) used for big-cluster leakage; boardTemp (°C) is
-// used for the other domains. Per-core leakage uses each core's own hotspot
-// temperature, which is what makes the leakage-temperature loop (§4.1.1)
-// visible to the DTPM algorithm.
-func (g *GroundTruth) Evaluate(chip *platform.Chip, act ChipActivity, coreTemps []float64, boardTemp float64) Breakdown {
-	var b Breakdown
-	b.Base = g.Base
-	b.Fan = g.FanPower(act.FanSpeed)
-
-	active := chip.Active()
-	v := active.Volt()
-	f := active.Freq()
-
-	// Active cluster: per-core dynamic power plus per-core leakage share.
-	var dyn, leak float64
-	res := platform.Big
-	if active.Kind == platform.LittleCluster {
-		res = platform.Little
-	}
-	nc := active.NumCores()
-	for i := 0; i < nc; i++ {
-		if !active.CoreOnline(i) {
-			continue
-		}
-		dyn += g.Dynamic(res, v, f, act.CoreUtil[i], act.CPUActivity)
-		t := boardTemp
-		if res == platform.Big {
-			t = coreTemps[i]
-		}
-		leak += g.Leakage(res, t, v) / float64(nc)
-	}
-	b.Domain[res] = dyn + leak
-	b.Leakage[res] = leak
-
-	// Inactive cluster is power gated: a tiny residual leakage remains.
-	inactive := platform.Little
-	if res == platform.Little {
-		inactive = platform.Big
-	}
-	residual := 0.02 * g.Leakage(inactive, boardTemp, g.Res[inactive].Leak.VNom)
-	b.Domain[inactive] = residual
-	b.Leakage[inactive] = residual
-
-	// GPU.
-	gv := chip.GPUVolt()
-	gleak := g.Leakage(platform.GPU, boardTemp, gv)
-	b.Domain[platform.GPU] = g.Dynamic(platform.GPU, gv, chip.GPUFreq(), act.GPUUtil, act.GPUActivity) + gleak
-	b.Leakage[platform.GPU] = gleak
-
-	// Memory.
-	mleak := g.Res[platform.Mem].Leak.Power(boardTemp, g.Res[platform.Mem].Leak.VNom)
-	b.Domain[platform.Mem] = g.MemPower(boardTemp, act.MemTraffic)
-	b.Leakage[platform.Mem] = mleak
-
-	return b
 }

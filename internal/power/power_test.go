@@ -142,12 +142,12 @@ func TestFanPower(t *testing.T) {
 
 func TestMemPower(t *testing.T) {
 	g := DefaultGroundTruth()
-	idle := g.MemPower(40, 0)
-	busy := g.MemPower(40, 1.5)
+	idle := g.memPower(40, 0)
+	busy := g.memPower(40, 1.5)
 	if idle <= 0 || busy <= idle {
 		t.Fatalf("mem power wrong: idle %v busy %v", idle, busy)
 	}
-	if g.MemPower(40, -1) != idle {
+	if g.memPower(40, -1) != idle {
 		t.Fatal("negative traffic should clamp")
 	}
 }
@@ -164,7 +164,7 @@ func TestEvaluateBreakdown(t *testing.T) {
 		FanSpeed:    0.5,
 	}
 	temps := []float64{65, 64, 63, 62}
-	b := g.Evaluate(chip, act, temps, 50)
+	b := g.evaluate(chip, act, temps, 50)
 	if b.Domain[platform.Big] < 3.2 || b.Domain[platform.Big] > 4.8 {
 		t.Fatalf("big cluster power = %.3f W, want ~4 (quad A15 near full load)", b.Domain[platform.Big])
 	}
@@ -186,13 +186,13 @@ func TestEvaluateOfflineCoresDrawNoDynamic(t *testing.T) {
 	g := DefaultGroundTruth()
 	chip := platform.NewChip()
 	act := ChipActivity{CoreUtil: []float64{1, 1, 1, 1}, CPUActivity: 1}
-	full := g.Evaluate(chip, act, []float64{60, 60, 60, 60}, 50)
+	full := g.evaluate(chip, act, []float64{60, 60, 60, 60}, 50)
 	for i := 1; i < 4; i++ {
 		if err := chip.Active().SetCoreOnline(i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	one := g.Evaluate(chip, act, []float64{60, 60, 60, 60}, 50)
+	one := g.evaluate(chip, act, []float64{60, 60, 60, 60}, 50)
 	if one.Domain[platform.Big] >= full.Domain[platform.Big]/2 {
 		t.Fatalf("1-core power %.3f should be well under 4-core %.3f", one.Domain[platform.Big], full.Domain[platform.Big])
 	}
@@ -203,8 +203,8 @@ func TestEvaluateLittleClusterUsesBoardTemp(t *testing.T) {
 	chip := platform.NewChip()
 	chip.SwitchCluster(platform.LittleCluster)
 	act := ChipActivity{CoreUtil: []float64{1, 1, 1, 1}, CPUActivity: 1}
-	cold := g.Evaluate(chip, act, []float64{90, 90, 90, 90}, 40)
-	hot := g.Evaluate(chip, act, []float64{90, 90, 90, 90}, 70)
+	cold := g.evaluate(chip, act, []float64{90, 90, 90, 90}, 40)
+	hot := g.evaluate(chip, act, []float64{90, 90, 90, 90}, 70)
 	if hot.Domain[platform.Little] <= cold.Domain[platform.Little] {
 		t.Fatal("little leakage should track board temperature")
 	}

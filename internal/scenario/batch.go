@@ -7,15 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Compiled implements sim.BatchScript: a fleet batch of cells running one
-// scenario shape shares the per-interval phase lookup, waveform
-// modulation, and conditions read, leaving only the per-device jitter
-// factor and ambient override to per-device evaluation.
+// Compiled's per-interval view (sim.Script): a fleet batch of cells
+// running one scenario shape shares the per-interval phase lookup,
+// waveform modulation, and conditions read, leaving only the per-device
+// jitter factor and ambient override to per-device evaluation.
 
-// SharedStep implements sim.BatchScript. The DemandBase computation is
-// WorkerDemand's prefix — the same expressions in the same order up to
-// (but excluding) the jitter multiply — so WorkerDemandShared can continue
-// it bit-identically.
+// SharedStep implements sim.Script. DemandBase is the per-worker demand
+// before the jitter multiply: the benchmark demand times the phase scale,
+// times the waveform modulation when the benchmark has one. The waveform
+// mirrors the benchmark demand generator's phase modulation but is a pure
+// function of (phase, time), so any instant can be re-queried exactly.
 func (c *Compiled) SharedStep(t float64) sim.SharedStep {
 	p := c.phaseAt(t)
 	sh := sim.SharedStep{
@@ -37,10 +38,11 @@ func (c *Compiled) SharedStep(t float64) sim.SharedStep {
 	return sh
 }
 
-// WorkerDemandShared implements sim.BatchScript: WorkerDemand(i, sh.Time)
-// with the device-independent base read from sh and only this scenario's
-// jitter stream applied.
-func (c *Compiled) WorkerDemandShared(sh *sim.SharedStep, i int) float64 {
+// WorkerDemand implements sim.Script: the device-independent base read
+// from sh with only this scenario's jitter applied. The jitter is a
+// counter hash of (seed, phase, worker, step) instead of a stateful RNG,
+// so the demand stays a pure function of its arguments.
+func (c *Compiled) WorkerDemand(sh *sim.SharedStep, i int) float64 {
 	if sh.Idle || i < 0 || i >= sh.Threads {
 		return 0
 	}
@@ -50,13 +52,13 @@ func (c *Compiled) WorkerDemandShared(sh *sim.SharedStep, i int) float64 {
 	return clamp01(d)
 }
 
-// AmbientAt implements sim.BatchScript: this scenario's ambient override
+// AmbientAt implements sim.Script: this scenario's ambient override
 // for the shared step's phase (Conditions(sh.Time).AmbientC).
 func (c *Compiled) AmbientAt(sh *sim.SharedStep) float64 {
 	return c.phases[sh.PhaseIndex].ambient
 }
 
-// ShapeSignature implements sim.BatchScript. Two compiled scenarios with
+// ShapeSignature implements sim.Script. Two compiled scenarios with
 // equal signatures have identical flattened phase grids, workloads,
 // scales, and governor swaps — everything the lock-step batch kernel
 // shares — while the signature deliberately excludes the jitter seed and

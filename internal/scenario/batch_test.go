@@ -5,11 +5,31 @@ import (
 	"testing"
 )
 
-// TestSharedStepMatchesScalar pins the BatchScript bit-identity contract
-// over the whole library: for every scenario (and a perturbed copy of it,
-// the form fleet cells actually run), at times on and off the control
-// grid, WorkerDemandShared must reproduce WorkerDemand bitwise and
-// AmbientAt must reproduce Conditions().AmbientC.
+// scalarWorkerDemand is worker i's demand at time t evaluated in one pass
+// from the phase lookup to the jitter: the per-instant form the shared
+// step was split from, kept as the reference that split is checked
+// against.
+func scalarWorkerDemand(c *Compiled, i int, t float64) float64 {
+	p := c.phaseAt(t)
+	if p.idle || i < 0 || i >= p.bench.Threads {
+		return 0
+	}
+	tl := t - p.start
+	d := p.bench.Demand * p.scale
+	if p.bench.PhasePeriod > 0 && p.bench.PhaseAmp > 0 {
+		phase := math.Sin(2 * math.Pi * tl / p.bench.PhasePeriod)
+		d *= 1 + p.bench.PhaseAmp*math.Tanh(3*phase)
+	}
+	d *= 1 + 0.05*jitter(c.seed, int64(p.index), int64(i), int64(tl/0.1))
+	return clamp01(d)
+}
+
+// TestSharedStepMatchesScalar pins the shared-step split bit for bit over
+// the whole library: for every scenario (and a perturbed copy of it, the
+// form fleet cells actually run), at times on and off the control grid,
+// WorkerDemand continued from SharedStep must reproduce the one-pass
+// scalarWorkerDemand bitwise and AmbientAt must reproduce
+// Conditions().AmbientC.
 func TestSharedStepMatchesScalar(t *testing.T) {
 	for _, name := range Names() {
 		spec, err := ByName(name)
@@ -34,8 +54,8 @@ func TestSharedStepMatchesScalar(t *testing.T) {
 					t.Fatalf("%s[v%d] t=%g: AmbientAt %v vs %v", name, vi, tt, got, cond.AmbientC)
 				}
 				for i := -1; i <= c.Workers(); i++ {
-					want := c.WorkerDemand(i, tt)
-					got := c.WorkerDemandShared(&sh, i)
+					want := scalarWorkerDemand(c, i, tt)
+					got := c.WorkerDemand(&sh, i)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s[v%d] t=%g worker %d: %v vs %v", name, vi, tt, i, got, want)
 					}

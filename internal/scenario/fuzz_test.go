@@ -44,30 +44,32 @@ func FuzzScenarioSpec(f *testing.F) {
 		// the clamped out-of-range queries the sim never issues.
 		probes := []float64{-1, 0, c.Duration() / 3, c.Duration() - 1e-3, c.Duration() + 10}
 		for _, tt := range probes {
+			sh := c.SharedStep(tt)
+			again := c.SharedStep(tt)
+			if again != sh {
+				t.Fatalf("SharedStep(%g) not pure: %+v then %+v", tt, sh, again)
+			}
 			for w := -1; w <= c.Workers(); w++ {
-				d := c.WorkerDemand(w, tt)
+				d := c.WorkerDemand(&sh, w)
 				if math.IsNaN(d) || d < 0 || d > 1 {
-					t.Fatalf("WorkerDemand(%d, %g) = %g out of [0, 1]", w, tt, d)
+					t.Fatalf("WorkerDemand(SharedStep(%g), %d) = %g out of [0, 1]", tt, w, d)
 				}
-				if d != c.WorkerDemand(w, tt) {
-					t.Fatalf("WorkerDemand(%d, %g) not pure", w, tt)
+				if d != c.WorkerDemand(&again, w) {
+					t.Fatalf("WorkerDemand(SharedStep(%g), %d) not pure", tt, w)
 				}
 			}
-			cond := c.Conditions(tt)
-			if cond != c.Conditions(tt) {
-				t.Fatalf("Conditions(%g) not pure", tt)
-			}
+			cond := sh.Cond
 			for name, v := range map[string]float64{
 				"gpu_demand": cond.GPUDemand, "ambient": cond.AmbientC,
 				"cpu_activity": cond.CPUActivity, "gpu_activity": cond.GPUActivity,
 				"mem_traffic": cond.MemTraffic, "mem_bound": cond.MemBound,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("Conditions(%g).%s = %g non-finite", tt, name, v)
+					t.Fatalf("SharedStep(%g).Cond.%s = %g non-finite", tt, name, v)
 				}
 			}
 			if cond.GPUDemand < 0 || cond.GPUDemand > 1 || cond.MemBound < 0 || cond.MemBound >= 1 {
-				t.Fatalf("Conditions(%g) out of bounds: %+v", tt, cond)
+				t.Fatalf("SharedStep(%g).Cond out of bounds: %+v", tt, cond)
 			}
 		}
 	})

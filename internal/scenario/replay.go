@@ -91,23 +91,16 @@ func (r *Replay) Duration() float64 { return r.duration }
 // Workers implements sim.Script.
 func (r *Replay) Workers() int { return len(r.workers) }
 
-// WorkerDemand implements sim.Script.
-func (r *Replay) WorkerDemand(i int, t float64) float64 {
-	if i < 0 || i >= len(r.workers) {
-		return 0
-	}
-	return r.workers[i].At(t)
-}
-
-// Conditions implements sim.Script. The recorded gov_id is the effective
-// governor at each step, so the replayed run performs the same swaps on
-// the same steps; an out-of-range id keeps the current governor.
-func (r *Replay) Conditions(t float64) sim.Conditions {
+// SharedStep implements sim.Script: the recorded conditions at t. The
+// recorded gov_id is the effective governor at each step, so the replayed
+// run performs the same swaps on the same steps; an out-of-range id keeps
+// the current governor.
+func (r *Replay) SharedStep(t float64) sim.SharedStep {
 	govName := ""
 	if id := int(r.cond["gov_id"].At(t)); id >= 0 && id < len(governor.Names()) {
 		govName = governor.Names()[id]
 	}
-	return sim.Conditions{
+	return sim.SharedStep{Time: t, Cond: sim.Conditions{
 		Governor:    govName,
 		AmbientC:    r.cond["ambient_c"].At(t),
 		GPUDemand:   r.cond["gpu_demand"].At(t),
@@ -115,5 +108,20 @@ func (r *Replay) Conditions(t float64) sim.Conditions {
 		GPUActivity: r.cond["gpu_activity"].At(t),
 		MemTraffic:  r.cond["mem_traffic"].At(t),
 		MemBound:    r.cond["mem_bound"].At(t),
-	}
+	}}
 }
+
+// WorkerDemand implements sim.Script: worker i's recorded demand.
+func (r *Replay) WorkerDemand(sh *sim.SharedStep, i int) float64 {
+	if i < 0 || i >= len(r.workers) {
+		return 0
+	}
+	return r.workers[i].At(sh.Time)
+}
+
+// AmbientAt implements sim.Script: the recorded ambient.
+func (r *Replay) AmbientAt(sh *sim.SharedStep) float64 { return sh.Cond.AmbientC }
+
+// ShapeSignature implements sim.Script. It is empty: a replay never shares
+// a batch.
+func (r *Replay) ShapeSignature() string { return "" }

@@ -341,26 +341,8 @@ func (c *Compiled) phaseAt(t float64) *cphase {
 	return &c.phases[i-1]
 }
 
-// WorkerDemand implements sim.Script. The waveform mirrors the benchmark
-// demand generator (phase modulation plus a small jitter) but is computed
-// as a pure function of (phase, worker, time) — a counter-hashed jitter
-// instead of a stateful RNG — so any instant can be re-queried exactly.
-func (c *Compiled) WorkerDemand(i int, t float64) float64 {
-	p := c.phaseAt(t)
-	if p.idle || i < 0 || i >= p.bench.Threads {
-		return 0
-	}
-	tl := t - p.start
-	d := p.bench.Demand * p.scale
-	if p.bench.PhasePeriod > 0 && p.bench.PhaseAmp > 0 {
-		phase := math.Sin(2 * math.Pi * tl / p.bench.PhasePeriod)
-		d *= 1 + p.bench.PhaseAmp*math.Tanh(3*phase)
-	}
-	d *= 1 + 0.05*jitter(c.seed, int64(p.index), int64(i), int64(tl/0.1))
-	return clamp01(d)
-}
-
-// Conditions implements sim.Script.
+// Conditions returns every non-demand quantity the scenario dictates at
+// time t (SharedStep's Cond).
 func (c *Compiled) Conditions(t float64) sim.Conditions {
 	p := c.phaseAt(t)
 	cond := sim.Conditions{Governor: p.governor, AmbientC: p.ambient}

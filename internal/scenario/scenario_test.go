@@ -80,15 +80,15 @@ func TestCompileFlattening(t *testing.T) {
 	if cond.AmbientC != 40 || cond.MemBound != 0 || cond.GPUDemand != 0 {
 		t.Errorf("soak conditions = %+v", cond)
 	}
-	if d := c.WorkerDemand(0, 1); d != 0 {
+	if d := demandAt(c, 0, 1); d != 0 {
 		t.Errorf("soak demand = %g, want 0", d)
 	}
 	// First work phase starts at 10 s.
-	if d := c.WorkerDemand(0, 11); d <= 0 || d > 1 {
+	if d := demandAt(c, 0, 11); d <= 0 || d > 1 {
 		t.Errorf("work demand = %g, want (0, 1]", d)
 	}
 	// Worker index beyond the phase's thread count idles.
-	if d := c.WorkerDemand(4, 11); d != 0 {
+	if d := demandAt(c, 4, 11); d != 0 {
 		t.Errorf("out-of-range worker demand = %g", d)
 	}
 	// Past the end, conditions clamp to the last phase.
@@ -98,24 +98,32 @@ func TestCompileFlattening(t *testing.T) {
 	}
 }
 
+// demandAt is worker i's demand at t as the kernel reads it: the shared
+// step, then the per-device demand continued from it.
+func demandAt(c *Compiled, i int, t float64) float64 {
+	sh := c.SharedStep(t)
+	return c.WorkerDemand(&sh, i)
+}
+
 func TestWorkerDemandPure(t *testing.T) {
 	c, err := Compile(Library()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{0, 0.05, 17.2, 60, c.Duration() - 0.1} {
-		a := c.WorkerDemand(0, tt)
+		sh := c.SharedStep(tt)
+		a := c.WorkerDemand(&sh, 0)
 		for k := 0; k < 3; k++ {
-			if b := c.WorkerDemand(0, tt); b != a {
-				t.Fatalf("WorkerDemand(0, %g) not pure: %g then %g", tt, a, b)
+			again := c.SharedStep(tt)
+			if again != sh {
+				t.Fatalf("SharedStep(%g) not pure: %+v then %+v", tt, sh, again)
+			}
+			if b := c.WorkerDemand(&again, 0); b != a {
+				t.Fatalf("WorkerDemand(SharedStep(%g), 0) not pure: %g then %g", tt, a, b)
 			}
 		}
 		if a < 0 || a > 1 || math.IsNaN(a) {
-			t.Fatalf("WorkerDemand(0, %g) = %g out of [0,1]", tt, a)
-		}
-		ca := c.Conditions(tt)
-		if cb := c.Conditions(tt); ca != cb {
-			t.Fatalf("Conditions(%g) not pure", tt)
+			t.Fatalf("WorkerDemand(SharedStep(%g), 0) = %g out of [0,1]", tt, a)
 		}
 	}
 }

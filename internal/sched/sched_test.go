@@ -171,9 +171,9 @@ func TestRunSafelyConvertsPanics(t *testing.T) {
 	}
 }
 
-// panicScript is a BatchScript whose every method panics (its embedded
+// panicScript is a Script whose every method panics (its embedded
 // interface is nil), so a batch over it panics inside the kernel.
-type panicScript struct{ sim.BatchScript }
+type panicScript struct{ sim.Script }
 
 // TestRunSafelyContainsBatchPanics: a panicking batch call becomes an
 // error with no partial results, not a crash.

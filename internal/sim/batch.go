@@ -26,7 +26,7 @@ import (
 var ErrBatchIncompatible = errors.New("sim: runs are not batch-compatible")
 
 // SharedStep is the device-independent slice of one control interval of a
-// scripted scenario: everything a BatchScript can compute once per batch
+// scripted scenario: everything a Script can compute once per batch
 // instead of once per device. Cond carries the full interval conditions —
 // including AmbientC, which is the only per-device field; batch consumers
 // must read each device's ambient through AmbientAt instead.
@@ -48,27 +48,6 @@ type SharedStep struct {
 	PhaseStart float64
 }
 
-// BatchScript is a Script whose per-interval evaluation splits into a
-// shared part (one SharedStep per batch per interval) and a cheap
-// per-device part. The contract is bit-identity: for scripts of one shape,
-// WorkerDemandShared(SharedStep(t), i) must equal WorkerDemand(i, t)
-// bitwise, and AmbientAt must equal Conditions(t).AmbientC — the batched
-// fleet kernel's byte-identity guarantee rests on it.
-type BatchScript interface {
-	Script
-	// SharedStep evaluates the device-independent interval state at t.
-	SharedStep(t float64) SharedStep
-	// WorkerDemandShared is WorkerDemand(i, sh.Time) continued from the
-	// shared base: only the per-device jitter factor is applied here.
-	WorkerDemandShared(sh *SharedStep, i int) float64
-	// AmbientAt is this device's Conditions(sh.Time).AmbientC.
-	AmbientAt(sh *SharedStep) float64
-	// ShapeSignature fingerprints everything two scripts must share to be
-	// steppable in lock-step — phase timing, workloads, scales, governor
-	// swaps — and nothing that may vary per device (jitter seed, ambient).
-	ShapeSignature() string
-}
-
 // batchDev is the complete mutable state of one device in a batch, minus
 // the thermal integrator (owned by the shared BatchSim).
 type batchDev struct {
@@ -80,7 +59,7 @@ type batchDev struct {
 	sched kernel.Sched
 
 	opt      Options
-	script   BatchScript
+	script   Script
 	bench    benchScript         // backs script for unscripted runs
 	gen      *workload.Generator // unscripted runs only: the benchmark's demand stream
 	res      *Result
@@ -188,9 +167,10 @@ func (a *batchArena) release() {
 // consumes, and it would cost a model-order prediction per device per
 // interval for a metric nobody reads. Callers that need Pred* use Run.
 //
-// All runs must be batch-compatible — scripted with one BatchScript shape,
-// equal policy/TMax/control period/governor, no recording — otherwise
-// RunBatch returns ErrBatchIncompatible. Any mid-run error (and
+// All runs must be batch-compatible — scripted, no recording, equal
+// policy/TMax/control period/governor, and, in a batch of two or more,
+// one non-empty Script.ShapeSignature — otherwise RunBatch returns nil
+// results and an error wrapping ErrBatchIncompatible. Any mid-run error (and
 // cancellation) aborts the whole batch the way Run aborts a single device.
 func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error) {
 	if len(opts) == 0 {
@@ -200,9 +180,6 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 		opt := &opts[i]
 		if opt.Script == nil {
 			return nil, fmt.Errorf("%w: run %d is not scripted", ErrBatchIncompatible, i)
-		}
-		if _, ok := opt.Script.(BatchScript); !ok {
-			return nil, fmt.Errorf("%w: run %d script %T does not implement BatchScript", ErrBatchIncompatible, i, opt.Script)
 		}
 		if opt.Record {
 			return nil, fmt.Errorf("%w: run %d records traces", ErrBatchIncompatible, i)
@@ -225,9 +202,9 @@ func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error
 // other error. account turns on the §6.3.1 prediction accounting (Run's
 // contract, not RunBatch's).
 //
-// Runs that are not BatchScripts — unscripted benchmarks and plain
-// Scripts — arrive only from Run, so at width 1, where the shared step is
-// the device's own: RunBatch refuses them.
+// Unscripted benchmarks arrive only from Run, so at width 1, where the
+// shared step is the device's own: RunBatch refuses them. Scripts with an
+// empty shape signature (a trace replay) likewise only ever run alone.
 func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, results []*Result, account bool) error {
 	B := len(opts)
 	arena.devs = keep(arena.devs, B)
@@ -247,14 +224,11 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 		if opt.Governor == "" {
 			opt.Governor = "ondemand"
 		}
-		switch s := opt.Script.(type) {
-		case nil:
+		if opt.Script == nil {
 			dev.bench = benchScript{b: opt.Bench, gen: workload.NewGenerator(opt.Bench)}
 			dev.script = &dev.bench
-		case BatchScript:
-			dev.script = s
-		default:
-			dev.script = plainScript{s}
+		} else {
+			dev.script = opt.Script
 		}
 		if opt.MaxDuration == 0 {
 			opt.MaxDuration = dev.script.Duration()
@@ -265,6 +239,9 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 	unscripted := ref.Script == nil
 	if B > 1 {
 		shape := lead.ShapeSignature()
+		if shape == "" {
+			return fmt.Errorf("%w: run 0 script %q never shares a batch", ErrBatchIncompatible, lead.Name())
+		}
 		for i := 1; i < B; i++ {
 			o := &opts[i]
 			if o.Policy != ref.Policy || o.TMax != ref.TMax || o.ControlPeriod != ref.ControlPeriod ||
@@ -464,10 +441,12 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			}
 		}
 
-		// Initialize the power observation with an idle reading.
+		// Initialize the power observation with an idle reading. Its core
+		// powers land in the BatchSim input row, which the first
+		// interval's StepInto overwrites before any Step reads it.
 		idleAct := power.ChipActivity{CoreUtil: dev.prevUtil, CPUActivity: 1}
 		bsim.StateInto(d, &dev.st)
-		b0 := r.GT.Evaluate(dev.chip, idleAct, dev.st.Core, dev.st.Board)
+		b0, _ := r.GT.StepInto(dev.corePow, dev.chip, idleAct, dev.st.Core, dev.st.Board)
 		dev.prevPowers = b0.Domain
 	}
 
@@ -529,7 +508,7 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			}
 			if dev.gen == nil {
 				for i := range dev.workers {
-					dev.demands[i] = dev.script.WorkerDemandShared(&sh, i)
+					dev.demands[i] = dev.script.WorkerDemand(&sh, i)
 				}
 				if rec := dev.res.Rec; rec != nil {
 					// The script's inputs, recorded alongside the outputs,

@@ -150,8 +150,8 @@ func oracleDigests(t *testing.T) map[string]string {
 			continue
 		}
 
-		// Record a scenario, rebuild it from its trace, and replay it: the
-		// replay runs the plain-Script (non-batch) path.
+		// Record a scenario, rebuild it from its trace, and replay it: a
+		// replay reads its recorded inputs, not a compiled shape.
 		sc, err := scenario.ByName("gaming-session")
 		if err != nil {
 			t.Fatal(err)

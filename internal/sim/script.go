@@ -9,10 +9,12 @@ import "repro/internal/workload"
 // that switch workloads, screen-off idle gaps, governor swaps mid-run,
 // ambient-temperature profiles, and thermal-soak preludes.
 //
-// Every method must be a pure function of its arguments (no internal state
-// advanced per call): the kernel scheduler samples WorkerDemand more than
-// once per tick, and trace replay depends on re-querying the same instants
-// and getting bit-identical values back.
+// The kernel reads a script one interval at a time, in two parts: a shared
+// part (one SharedStep per batch per interval) and a cheap per-device part
+// (WorkerDemand and AmbientAt continued from it). Every method must be a
+// pure function of its arguments (no internal state advanced per call):
+// trace replay depends on re-querying the same instants and getting
+// bit-identical values back.
 type Script interface {
 	// Name labels the run (Result.Bench).
 	Name() string
@@ -21,12 +23,25 @@ type Script interface {
 	Duration() float64
 	// Workers is the number of foreground worker tasks to schedule.
 	Workers() int
+	// SharedStep evaluates the device-independent state of the interval
+	// starting at t.
+	SharedStep(t float64) SharedStep
 	// WorkerDemand returns worker i's demanded fraction of
-	// workload.RefCapacity at time t, in [0, 1]. Workers idle in phases
-	// that use fewer threads than Workers.
-	WorkerDemand(i int, t float64) float64
-	// Conditions returns every other scripted quantity at time t.
-	Conditions(t float64) Conditions
+	// workload.RefCapacity in the interval sh, in [0, 1], continued from
+	// the shared step: only per-device parts (a jitter stream) are applied
+	// here. Workers idle in phases that use fewer threads than Workers.
+	WorkerDemand(sh *SharedStep, i int) float64
+	// AmbientAt is this device's ambient override in °C for the interval
+	// sh (0 = keep).
+	AmbientAt(sh *SharedStep) float64
+	// ShapeSignature fingerprints everything two scripts must share to be
+	// steppable in lock-step — phase timing, workloads, scales, governor
+	// swaps — and nothing that may vary per device (jitter seed, ambient).
+	// Scripts with equal signatures must return equal SharedSteps (their
+	// Cond.AmbientC aside, which is read per device through AmbientAt): a
+	// batch steps every device on its first device's shared step. An
+	// empty signature means the script never shares a batch.
+	ShapeSignature() string
 }
 
 // Conditions is the non-demand state a Script dictates at one instant.
@@ -51,25 +66,6 @@ type Conditions struct {
 	MemBound float64
 }
 
-// plainScript adapts a Script that is not a BatchScript (a trace replay,
-// say) to the kernel's per-interval view: the "shared" step is simply this
-// device's own evaluation. RunBatch refuses such scripts, so the kernel
-// only ever steps them at width 1 (through Run).
-type plainScript struct{ Script }
-
-func (p plainScript) SharedStep(t float64) SharedStep {
-	return SharedStep{Time: t, Cond: p.Conditions(t)}
-}
-
-func (p plainScript) WorkerDemandShared(sh *SharedStep, i int) float64 {
-	return p.WorkerDemand(i, sh.Time)
-}
-
-func (p plainScript) AmbientAt(sh *SharedStep) float64 { return sh.Cond.AmbientC }
-
-// ShapeSignature is never compared: plain scripts never share a batch.
-func (p plainScript) ShapeSignature() string { return "" }
-
 // benchScript adapts an unscripted benchmark run to the kernel's
 // per-interval view: constant conditions from the benchmark table, GPU
 // demand from the generator's waveform. Only Run reaches it (at width 1).
@@ -89,30 +85,22 @@ func (s *benchScript) Duration() float64 { return max(4*s.b.NominalDuration(), 6
 
 func (s *benchScript) Workers() int { return s.b.Threads }
 
-// WorkerDemand draws from the generator, which advances its RNG on every
-// call — unlike a Script's pure demand. The kernel therefore ticks
-// benchmark workers through their Demand closures and never calls this.
-func (s *benchScript) WorkerDemand(_ int, t float64) float64 { return s.gen.DemandAt(t) }
-
-func (s *benchScript) Conditions(t float64) Conditions {
-	return Conditions{
+func (s *benchScript) SharedStep(t float64) SharedStep {
+	return SharedStep{Time: t, Cond: Conditions{
 		GPUDemand:   s.gen.GPUUtilAt(t),
 		CPUActivity: s.b.CPUActivity,
 		GPUActivity: s.b.GPUActivity,
 		MemTraffic:  s.b.MemTraffic,
 		MemBound:    s.b.MemBound,
-	}
+	}}
 }
 
-func (s *benchScript) SharedStep(t float64) SharedStep {
-	return SharedStep{Time: t, Cond: s.Conditions(t)}
-}
-
-func (s *benchScript) WorkerDemandShared(sh *SharedStep, i int) float64 {
-	return s.WorkerDemand(i, sh.Time)
-}
+// WorkerDemand draws from the generator, which advances its RNG on every
+// call — unlike a Script's pure demand. The kernel therefore ticks
+// benchmark workers through their Demand closures and never calls this.
+func (s *benchScript) WorkerDemand(sh *SharedStep, _ int) float64 { return s.gen.DemandAt(sh.Time) }
 
 func (s *benchScript) AmbientAt(*SharedStep) float64 { return 0 }
 
-// ShapeSignature is never compared: benchmarks never share a batch.
+// ShapeSignature is empty: benchmarks never share a batch.
 func (s *benchScript) ShapeSignature() string { return "" }

@@ -134,7 +134,7 @@ func (r *Rig) settleFurnace(pt furnacePoint) (furnaceTruth, error) {
 	tp := r.Thermal
 	tp.Ambient = pt.amb
 	st := Settle(r.GT, tp, chip, act, 5)
-	truth := r.GT.Evaluate(chip, act, st.Core, st.Board)
+	truth, _ := r.GT.StepInto(make([]float64, chip.BigCluster.NumCores()), chip, act, st.Core, st.Board)
 	return furnaceTruth{hotspot: st.MaxCore(), bigPower: truth.Domain[platform.Big], volt: chip.Active().Volt()}, nil
 }
 
