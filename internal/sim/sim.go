@@ -129,9 +129,11 @@ type Options struct {
 	Observer func(Sample)
 	// Script, when set, drives a time-varying scenario instead of Bench:
 	// the workload, governor, GPU demand, activity factors, and ambient
-	// temperature are re-read from the script every control interval, and
+	// temperature are read from the script once per control interval
+	// (its SharedStep, then this device's WorkerDemand and AmbientAt), and
 	// the run completes when the script's duration elapses. Bench is
-	// ignored. With Record set, the script's inputs are recorded alongside
+	// ignored. RunBatch requires a Script, and in a batch of two or more
+	// one non-empty ShapeSignature across the batch. With Record set, the script's inputs are recorded alongside
 	// the outputs ("demand_w<i>", "gpu_demand", "ambient_c",
 	// "cpu_activity", "gpu_activity", "mem_traffic", "mem_bound",
 	// "gov_id"), which is what makes a trace replayable.
