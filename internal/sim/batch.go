@@ -168,10 +168,11 @@ func (a *batchArena) release() {
 // interval for a metric nobody reads. Callers that need Pred* use Run.
 //
 // All runs must be batch-compatible — scripted, no recording, equal
-// policy/TMax/control period/governor, and, in a batch of two or more,
-// one non-empty Script.ShapeSignature — otherwise RunBatch returns nil
-// results and an error wrapping ErrBatchIncompatible. Any mid-run error (and
-// cancellation) aborts the whole batch the way Run aborts a single device.
+// policy/TMax/control period/governor/max duration, and, in a batch of two
+// or more, one non-empty Script.ShapeSignature — otherwise RunBatch
+// returns nil results and an error wrapping ErrBatchIncompatible. Any
+// mid-run error (and cancellation) aborts the whole batch the way Run
+// aborts a single device.
 func (r *Runner) RunBatch(ctx context.Context, opts []Options) ([]*Result, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBatchIncompatible)
