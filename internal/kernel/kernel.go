@@ -22,8 +22,11 @@ import (
 // Task is one schedulable entity.
 type Task struct {
 	Name string
-	// Demand returns the demanded fraction of workload.RefCapacity at time
-	// t (seconds).
+	// Demand, when set, returns the demanded fraction of
+	// workload.RefCapacity at time t (seconds), and TickWith calls it at
+	// every demand read of the tick. It may draw from a random stream on
+	// each call. A task without it takes its demand from TickWith's
+	// demands slice.
 	Demand func(t float64) float64
 	// MemBound in [0, 1) is the fraction of the task's execution time spent
 	// stalled on memory at the reference configuration. Memory stalls do not
@@ -40,7 +43,7 @@ type Task struct {
 	FinishedAt float64
 
 	core   int     // current core assignment
-	demand float64 // cached demand for the current TickWith interval
+	demand float64 // this tick's demands entry, read when Demand is nil
 }
 
 // Foreground reports whether the task is work-bound (finite work).
@@ -51,7 +54,7 @@ type Sched struct {
 	tasks []*Task
 	now   float64
 
-	// Reusable per-tick buffers: Tick and rebalance run every 100 ms
+	// Reusable per-tick buffers: TickWith and rebalance run every 100 ms
 	// control interval, so the task groupings are kept across calls
 	// (truncated, never freed) instead of reallocated each tick. They are
 	// sized to the widest cluster seen so far (grow grows them).
@@ -65,7 +68,7 @@ type Sched struct {
 func NewSched() *Sched { return &Sched{} }
 
 // Reserve preallocates for nTasks tasks on clusters up to nCores wide, so
-// the Add calls and the first Tick perform no incremental growth (the
+// the Add calls and the first TickWith perform no incremental growth (the
 // simulation loop builds one Sched per run and knows both numbers
 // up front).
 func (s *Sched) Reserve(nTasks, nCores int) {
@@ -169,7 +172,7 @@ func (s *Sched) LastFinish() float64 {
 type TickResult struct {
 	// CoreUtil is the realized utilization of each core in [0, 1], one
 	// entry per core of the ticked cluster. The slice aliases a Sched
-	// buffer reused by the next Tick; copy it to retain a sample.
+	// buffer reused by the next TickWith; copy it to retain a sample.
 	CoreUtil []float64
 	// WorkDone is the total reference cycles retired this tick.
 	WorkDone float64
@@ -195,7 +198,7 @@ func (s *Sched) rebalance(cluster *platform.Cluster) {
 			continue
 		}
 		if t.core >= 0 && t.core < n && cluster.CoreOnline(t.core) {
-			load[t.core] += t.Demand(s.now)
+			load[t.core] += s.demandOf(t)
 		} else {
 			displaced = append(displaced, t)
 		}
@@ -206,7 +209,7 @@ func (s *Sched) rebalance(cluster *platform.Cluster) {
 	// slice, and on a steady-state tick nothing is displaced.)
 	if len(displaced) > 1 {
 		sort.SliceStable(displaced, func(i, j int) bool {
-			return displaced[i].Demand(s.now) > displaced[j].Demand(s.now)
+			return s.demandOf(displaced[i]) > s.demandOf(displaced[j])
 		})
 	}
 	for _, t := range displaced {
@@ -224,8 +227,18 @@ func (s *Sched) rebalance(cluster *platform.Cluster) {
 			panic("kernel: no online core to place task")
 		}
 		t.core = best
-		load[best] += t.Demand(s.now)
+		load[best] += s.demandOf(t)
 	}
+}
+
+// demandOf reads t's demand for the current tick: a fresh call of its
+// Demand closure at the scheduler clock, or the level TickWith stored from
+// its demands slice for a task without one.
+func (s *Sched) demandOf(t *Task) float64 {
+	if t.Demand != nil {
+		return t.Demand(s.now)
+	}
+	return t.demand
 }
 
 // MigrateAll forces every task off its core (used on cluster switches).
@@ -235,7 +248,14 @@ func (s *Sched) MigrateAll() {
 	}
 }
 
-// Tick advances the scheduler by dt seconds on the given cluster.
+// TickWith advances the scheduler by dt seconds on the given cluster.
+// demands[j] is the demand of the j-th Add-ed task for this tick; it is
+// read only for tasks without a Demand closure. A task with one is called
+// at the scheduler clock on every read: once in the load pass if it stays
+// placed, on each comparison of the displacement sort and at its placement
+// if it moves, then once for its core time and once for its cycles. Those
+// reads are kept in that order because benchmark generators draw from a
+// random stream on every call.
 //
 // A task demanding fraction d of workload.RefCapacity needs, per second of
 // wall time, d * ((1-MemBound)/rho + MemBound) seconds of core time, where
@@ -244,10 +264,16 @@ func (s *Sched) MigrateAll() {
 // core-time demands on a core exceed one, the runnable tasks share the core
 // proportionally and the benchmark is slowed down (this is where throttling
 // costs performance).
-func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
+func (s *Sched) TickWith(dt float64, cluster *platform.Cluster, demands []float64) TickResult {
 	var res TickResult
 	if dt <= 0 {
 		return res
+	}
+	if len(demands) != len(s.tasks) {
+		panic(fmt.Sprintf("kernel: TickWith got %d demands for %d tasks", len(demands), len(s.tasks)))
+	}
+	for j, t := range s.tasks {
+		t.demand = demands[j]
 	}
 	s.rebalance(cluster)
 	n := cluster.NumCores()
@@ -268,16 +294,13 @@ func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
 	for i := range res.CoreUtil {
 		res.CoreUtil[i] = 0
 	}
-	coreTime := func(t *Task) float64 {
-		return t.Demand(s.now) * ((1-t.MemBound)/rho + t.MemBound)
-	}
 	for c := 0; c < n; c++ {
 		if len(perCore[c]) == 0 {
 			continue
 		}
 		need := 0.0
 		for _, t := range perCore[c] {
-			need += coreTime(t)
+			need += s.demandOf(t) * ((1-t.MemBound)/rho + t.MemBound)
 		}
 		if need <= 0 {
 			continue
@@ -291,7 +314,7 @@ func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
 		}
 		res.CoreUtil[c] = util
 		for _, t := range perCore[c] {
-			cycles := t.Demand(s.now) * workload.RefCapacity * scale * dt
+			cycles := s.demandOf(t) * workload.RefCapacity * scale * dt
 			res.WorkDone += cycles
 			if t.Foreground() {
 				t.WorkLeft -= cycles
@@ -309,142 +332,4 @@ func (s *Sched) Tick(dt float64, cluster *platform.Cluster) TickResult {
 	}
 	s.now += dt
 	return res
-}
-
-// TickWith advances the scheduler exactly like Tick, but reads each task's
-// demand from demands — demands[j] belongs to the j-th Add-ed task — instead
-// of calling the Demand closures. Tick evaluates every runnable task's
-// closure up to three times per interval (load accounting, displacement
-// sort, core-time and cycle math); TickWith evaluates each exactly zero
-// times, which is what lets the batched fleet kernel compute the
-// device-independent part of scripted demand once per batch.
-//
-// The contract is byte-identity with Tick: the caller guarantees
-// demands[j] == tasks[j].Demand(now) bitwise for this interval, now being
-// the scheduler clock. That holds only for pure demand functions (scripted
-// scenarios, background levels frozen for the tick); benchmark generators
-// advance RNG state on every call and MUST keep using Tick.
-func (s *Sched) TickWith(dt float64, cluster *platform.Cluster, demands []float64) TickResult {
-	var res TickResult
-	if dt <= 0 {
-		return res
-	}
-	if len(demands) != len(s.tasks) {
-		panic(fmt.Sprintf("kernel: TickWith got %d demands for %d tasks", len(demands), len(s.tasks)))
-	}
-	for j, t := range s.tasks {
-		t.demand = demands[j]
-	}
-	s.rebalanceCached(cluster)
-	n := cluster.NumCores()
-	rho := cluster.Freq().Hz() * cluster.IPC / workload.RefCapacity // speed ratio
-
-	perCore := s.perCore[:n]
-	for c := range perCore {
-		perCore[c] = perCore[c][:0]
-	}
-	for _, t := range s.tasks {
-		if t.Done {
-			continue
-		}
-		perCore[t.core] = append(perCore[t.core], t)
-	}
-	res.CoreUtil = s.coreUtil[:n]
-	for i := range res.CoreUtil {
-		res.CoreUtil[i] = 0
-	}
-	for c := 0; c < n; c++ {
-		if len(perCore[c]) == 0 {
-			continue
-		}
-		need := 0.0
-		for _, t := range perCore[c] {
-			need += t.demand * ((1-t.MemBound)/rho + t.MemBound)
-		}
-		if need <= 0 {
-			continue
-		}
-		util := need
-		scale := 1.0
-		if util > 1 {
-			scale = 1 / util
-			util = 1
-			res.Saturated = true
-		}
-		res.CoreUtil[c] = util
-		for _, t := range perCore[c] {
-			cycles := t.demand * workload.RefCapacity * scale * dt
-			res.WorkDone += cycles
-			if t.Foreground() {
-				t.WorkLeft -= cycles
-				if t.WorkLeft <= 0 {
-					t.WorkLeft = 0
-					t.Done = true
-					t.FinishedAt = s.now + dt
-				}
-			}
-		}
-	}
-	s.now += dt
-	return res
-}
-
-// rebalanceCached is rebalance over the demands cached by TickWith. On the
-// common steady-state tick (no task displaced) it additionally skips the
-// per-core load accounting entirely: load is recomputed from scratch every
-// call and consumed only by displacement placement, so with nothing to
-// place it is dead work.
-func (s *Sched) rebalanceCached(cluster *platform.Cluster) {
-	n := cluster.NumCores()
-	s.grow(n)
-	displaced := s.displaced[:0]
-	for _, t := range s.tasks {
-		if t.Done {
-			continue
-		}
-		if !(t.core >= 0 && t.core < n && cluster.CoreOnline(t.core)) {
-			displaced = append(displaced, t)
-		}
-	}
-	s.displaced = displaced // keep the (possibly regrown) buffer for reuse
-	if len(displaced) == 0 {
-		return
-	}
-	load := s.load[:n]
-	for i := range load {
-		load[i] = 0
-	}
-	for _, t := range s.tasks {
-		if t.Done {
-			continue
-		}
-		if t.core >= 0 && t.core < n && cluster.CoreOnline(t.core) {
-			load[t.core] += t.demand
-		}
-	}
-	// Deterministic order: heaviest demand first onto least-loaded cores.
-	// Stable sort over the same key values Tick's comparator re-evaluates,
-	// so the placement permutation is identical.
-	if len(displaced) > 1 {
-		sort.SliceStable(displaced, func(i, j int) bool {
-			return displaced[i].demand > displaced[j].demand
-		})
-	}
-	for _, t := range displaced {
-		best, bestLoad := -1, math.Inf(1)
-		for c := 0; c < n; c++ {
-			if !cluster.CoreOnline(c) {
-				continue
-			}
-			if load[c] < bestLoad {
-				best, bestLoad = c, load[c]
-			}
-		}
-		if best < 0 {
-			// No core online: cannot happen (platform keeps one online).
-			panic("kernel: no online core to place task")
-		}
-		t.core = best
-		load[best] += t.demand
-	}
 }

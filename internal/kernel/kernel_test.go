@@ -12,6 +12,11 @@ func constDemand(d float64) func(float64) float64 {
 	return func(float64) float64 { return d }
 }
 
+// tick runs one TickWith over tasks that all carry Demand closures.
+func tick(s *Sched, dt float64, c *platform.Cluster) TickResult {
+	return s.TickWith(dt, c, make([]float64, len(s.tasks)))
+}
+
 func bigCluster() *platform.Cluster {
 	c := platform.NewChip().BigCluster
 	if err := c.SetFreq(1600000); err != nil {
@@ -23,7 +28,7 @@ func bigCluster() *platform.Cluster {
 func TestSingleTaskUtilization(t *testing.T) {
 	s := NewSched()
 	s.Add(&Task{Name: "t", Demand: constDemand(0.5), WorkLeft: math.Inf(1)})
-	res := s.Tick(0.1, bigCluster())
+	res := tick(s, 0.1, bigCluster())
 	// Demand 0.5 of RefCapacity on a core at RefCapacity -> util 0.5.
 	total := 0.0
 	for _, u := range res.CoreUtil {
@@ -44,7 +49,7 @@ func TestUtilScalesWithFrequency(t *testing.T) {
 	if err := c.SetFreq(800000); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Tick(0.1, c)
+	res := tick(s, 0.1, c)
 	// Same demand at half frequency -> double utilization.
 	total := 0.0
 	for _, u := range res.CoreUtil {
@@ -62,7 +67,7 @@ func TestWorkAccountingAndCompletion(t *testing.T) {
 	s.Add(task)
 	c := bigCluster()
 	for i := 0; i < 20 && !s.AllForegroundDone(); i++ {
-		s.Tick(0.1, c)
+		tick(s, 0.1, c)
 	}
 	if !task.Done {
 		t.Fatal("task never finished")
@@ -84,7 +89,7 @@ func TestThrottlingSlowsCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100 && !s.AllForegroundDone(); i++ {
-			s.Tick(0.1, c)
+			tick(s, 0.1, c)
 		}
 		return s.LastFinish()
 	}
@@ -110,7 +115,7 @@ func TestLowDemandUnaffectedByModestThrottle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 300 && !s.AllForegroundDone(); i++ {
-			s.Tick(0.1, c)
+			tick(s, 0.1, c)
 		}
 		return s.LastFinish()
 	}
@@ -124,7 +129,7 @@ func TestLoadBalancerSpreadsThreads(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Add(&Task{Name: "w", Demand: constDemand(0.9), WorkLeft: math.Inf(1)})
 	}
-	res := s.Tick(0.1, bigCluster())
+	res := tick(s, 0.1, bigCluster())
 	for c, u := range res.CoreUtil {
 		if math.Abs(u-0.9) > 1e-9 {
 			t.Fatalf("core %d util = %v, want 0.9 (one thread per core)", c, u)
@@ -138,12 +143,12 @@ func TestHotplugMigration(t *testing.T) {
 		s.Add(&Task{Name: "w", Demand: constDemand(0.5), WorkLeft: math.Inf(1)})
 	}
 	c := bigCluster()
-	s.Tick(0.1, c)
+	tick(s, 0.1, c)
 	// Offline core 3: its task must migrate and core 3 must go idle.
 	if err := c.SetCoreOnline(3, false); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Tick(0.1, c)
+	res := tick(s, 0.1, c)
 	if res.CoreUtil[3] != 0 {
 		t.Fatalf("offline core still has load: %v", res.CoreUtil)
 	}
@@ -174,7 +179,7 @@ func TestSaturationSharesProportionally(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := s.Tick(0.1, c)
+	res := tick(s, 0.1, c)
 	if !res.Saturated {
 		t.Fatal("1.6 demand on one core must saturate")
 	}
@@ -191,7 +196,7 @@ func TestMigrateAllReassigns(t *testing.T) {
 	s := NewSched()
 	task := &Task{Name: "t", Demand: constDemand(0.5), WorkLeft: math.Inf(1)}
 	s.Add(task)
-	s.Tick(0.1, bigCluster())
+	tick(s, 0.1, bigCluster())
 	before := task.core
 	if before < 0 {
 		t.Fatal("task should be placed after a tick")
@@ -201,7 +206,7 @@ func TestMigrateAllReassigns(t *testing.T) {
 		t.Fatal("MigrateAll should unassign tasks")
 	}
 	little := platform.NewChip().LittleCluster
-	s.Tick(0.1, little)
+	tick(s, 0.1, little)
 	if task.core < 0 {
 		t.Fatal("task not re-placed after migration")
 	}
@@ -214,7 +219,7 @@ func TestLittleClusterLowerCapacity(t *testing.T) {
 	if err := little.SetFreq(1200000); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Tick(0.1, little)
+	res := tick(s, 0.1, little)
 	// Capacity = 1.2e9*0.4 = 0.48e9; demand = 0.3*1.6e9 = 0.48e9 -> util 1.
 	total := 0.0
 	for _, u := range res.CoreUtil {
@@ -228,7 +233,7 @@ func TestLittleClusterLowerCapacity(t *testing.T) {
 func TestLastFinishWithRunningTask(t *testing.T) {
 	s := NewSched()
 	s.Add(&Task{Name: "t", Demand: constDemand(1), WorkLeft: 1e18})
-	s.Tick(0.1, bigCluster())
+	tick(s, 0.1, bigCluster())
 	if s.LastFinish() != -1 {
 		t.Fatal("LastFinish should be -1 while tasks run")
 	}
@@ -237,7 +242,7 @@ func TestLastFinishWithRunningTask(t *testing.T) {
 func TestZeroDtNoop(t *testing.T) {
 	s := NewSched()
 	s.Add(&Task{Name: "t", Demand: constDemand(1), WorkLeft: 100})
-	res := s.Tick(0, bigCluster())
+	res := tick(s, 0, bigCluster())
 	if res.WorkDone != 0 || s.now != 0 {
 		t.Fatal("zero dt should be a no-op")
 	}
@@ -249,7 +254,7 @@ func TestBackgroundTasksNeverFinish(t *testing.T) {
 	s.Add(bg)
 	c := bigCluster()
 	for i := 0; i < 100; i++ {
-		s.Tick(0.1, c)
+		tick(s, 0.1, c)
 	}
 	if bg.Done || bg.Foreground() {
 		t.Fatal("background task must never finish")

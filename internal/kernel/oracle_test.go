@@ -46,8 +46,10 @@ func oracleBgLevel(i int, t float64) float64 {
 // runTickOracle drives four stream-drawing workers and four background
 // tasks through hotplug, MigrateAll, frequency steps, a stretch on the
 // little cluster, saturation, completion and zero-length ticks, and
-// returns the digest of everything the scheduler exposed on the way.
-func runTickOracle(t *testing.T) string {
+// returns the digest of everything the scheduler exposed on the way. The
+// background tasks carry Demand closures when liveBg is set and take their
+// levels from TickWith's demands slice otherwise.
+func runTickOracle(t *testing.T, liveBg bool) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	s := NewSched()
@@ -68,12 +70,14 @@ func runTickOracle(t *testing.T) string {
 		})
 	}
 	for i := 0; i < 4; i++ {
-		tasks = append(tasks, &Task{
-			Demand:   func(now float64) float64 { return oracleBgLevel(i, now) },
-			MemBound: 0.3,
-			WorkLeft: math.Inf(1),
-		})
+		bg := &Task{MemBound: 0.3, WorkLeft: math.Inf(1)}
+		if liveBg {
+			bg.Demand = func(now float64) float64 { return oracleBgLevel(i, now) }
+		}
+		tasks = append(tasks, bg)
 	}
+	// The workers' entries must never be read: their closures are.
+	demands := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), 0, 0, 0, 0}
 	for _, tk := range tasks {
 		s.Add(tk)
 	}
@@ -128,7 +132,10 @@ func runTickOracle(t *testing.T) string {
 			dt = 0
 		}
 
-		res := s.Tick(dt, active)
+		for i := 0; i < 4; i++ {
+			demands[4+i] = oracleBgLevel(i, s.now)
+		}
+		res := s.TickWith(dt, active, demands)
 
 		fmt.Fprintf(h, "tick %d sat=%t work=%016x util=%d", k, res.Saturated, math.Float64bits(res.WorkDone), len(res.CoreUtil))
 		for _, u := range res.CoreUtil {
@@ -157,9 +164,14 @@ func runTickOracle(t *testing.T) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestTickOracle checks the tick against the committed digest.
+// TestTickOracle checks the tick against the committed digest, taken from
+// the closure-driven tick the package had before TickWith was its only
+// tick, with the background tasks fed both ways.
 func TestTickOracle(t *testing.T) {
-	got := tickOracle{Ticks: tickOracleTicks, Digest: runTickOracle(t)}
+	got := tickOracle{Ticks: tickOracleTicks, Digest: runTickOracle(t, true)}
+	if fed := runTickOracle(t, false); fed != got.Digest {
+		t.Fatalf("background levels fed through demands digest %s, as closures %s", fed, got.Digest)
+	}
 	if *update {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

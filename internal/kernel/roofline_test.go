@@ -26,7 +26,7 @@ func runToCompletion(t *testing.T, memBound, demand float64, f platform.KHz) flo
 		WorkLeft: demand * workload.RefCapacity * 10, // 10 s at full speed
 	})
 	for i := 0; i < 100000; i++ {
-		s.Tick(0.1, cl)
+		tick(s, 0.1, cl)
 		if s.AllForegroundDone() {
 			return s.LastFinish()
 		}
@@ -97,7 +97,7 @@ func TestUtilizationInflatesWhenThrottled(t *testing.T) {
 		})
 		var res TickResult
 		for i := 0; i < 10; i++ {
-			res = s.Tick(0.1, cl)
+			res = tick(s, 0.1, cl)
 		}
 		total := 0.0
 		for _, u := range res.CoreUtil {
@@ -133,7 +133,7 @@ func TestSaturationHalvesEqualTasks(t *testing.T) {
 			WorkLeft: work,
 		})
 	}
-	res := s.Tick(0.1, cl)
+	res := tick(s, 0.1, cl)
 	if !res.Saturated {
 		t.Fatal("two 0.9-demand tasks on one core should saturate it")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // pureDemand is a deterministic pure demand waveform, the class of demand
-// function TickWith's caching contract covers (scripted scenarios).
+// a scripted scenario computes once per interval.
 func pureDemand(base float64, i int) func(float64) float64 {
 	return func(t float64) float64 {
 		return base * (0.6 + 0.4*math.Sin(t+float64(i)))
@@ -14,22 +14,25 @@ func pureDemand(base float64, i int) func(float64) float64 {
 }
 
 // TestTickWithMatchesTick drives two identical schedulers through a
-// frequency/hotplug/migration-heavy history — one via Tick (closure
-// evaluation), one via TickWith (cached demands) — and demands bitwise
-// agreement on every TickResult field, core assignment, and work account.
-// This is the byte-identity contract the batched fleet kernel rests on.
+// frequency/hotplug/migration-heavy history — one whose tasks carry Demand
+// closures, one whose tasks are fed the same values through the demands
+// slice — and demands bitwise agreement on every TickResult field, core
+// assignment, and work account. This is the byte-identity contract the
+// batched fleet kernel rests on.
 func TestTickWithMatchesTick(t *testing.T) {
 	const n = 6 // more tasks than cores: displacement sort has real work
-	mk := func() (*Sched, []*Task) {
+	mk := func(live bool) (*Sched, []*Task) {
 		s := NewSched()
 		tasks := make([]*Task, n)
 		pool := make([]Task, n)
 		for i := 0; i < n; i++ {
 			pool[i] = Task{
 				Name:     "w",
-				Demand:   pureDemand(0.9, i),
 				MemBound: 0.1 * float64(i%3),
 				WorkLeft: math.Inf(1),
+			}
+			if live {
+				pool[i].Demand = pureDemand(0.9, i)
 			}
 			if i == n-1 {
 				pool[i].WorkLeft = 1e9 // one finite task exercises completion
@@ -39,10 +42,14 @@ func TestTickWithMatchesTick(t *testing.T) {
 		}
 		return s, tasks
 	}
-	sA, tasksA := mk()
-	sB, tasksB := mk()
+	sA, tasksA := mk(true)
+	sB, tasksB := mk(false)
 	cA, cB := bigCluster(), bigCluster()
 
+	unread := make([]float64, n) // closure-fed tasks never read their entry
+	for j := range unread {
+		unread[j] = math.NaN()
+	}
 	demands := make([]float64, n)
 	dt := 0.1
 	for step := 0; step < 300; step++ {
@@ -71,9 +78,9 @@ func TestTickWithMatchesTick(t *testing.T) {
 			_ = cB.SetFreq(1600000)
 		}
 
-		resA := sA.Tick(dt, cA)
-		for j, tk := range tasksB {
-			demands[j] = tk.Demand(sB.now)
+		resA := sA.TickWith(dt, cA, unread)
+		for j := range tasksB {
+			demands[j] = pureDemand(0.9, j)(sB.now)
 		}
 		resB := sB.TickWith(dt, cB, demands)
 

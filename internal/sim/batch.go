@@ -70,7 +70,6 @@ type batchDev struct {
 	gov      governor.CPUGovernor
 	gpuGov   governor.GPU
 	workers  []kernel.Task // the foreground tasks, a prefix of the task slab
-	bgUtil   []float64
 
 	demands     []float64 // TickWith input, worker demands then bg levels
 	prevUtil    []float64
@@ -114,10 +113,8 @@ type batchArena struct {
 	// acquire), the B x steps maxTempSeries (append-only), and — with
 	// accounting — each device's ring of predicted maxima (every slot
 	// written before it is read).
-	floats    []float64
-	tasks     []kernel.Task // B x nTasks task slab, fully rewritten per use
-	wNames    []string      // cached worker task names for wNamesFor
-	wNamesFor string
+	floats []float64
+	tasks  []kernel.Task // B x nTasks task slab, fully rewritten per use
 }
 
 var batchArenas = sync.Pool{New: func() any { return new(batchArena) }}
@@ -298,13 +295,6 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 	rings := arena.floats[vecN+seriesN:]
 
 	arena.tasks = scratch(arena.tasks, B*nTasks)
-	if !unscripted && (arena.wNamesFor != lead.Name() || len(arena.wNames) < nWorkers) {
-		arena.wNames = make([]string, nWorkers)
-		for i := range arena.wNames {
-			arena.wNames[i] = fmt.Sprintf("%s-w%d", lead.Name(), i)
-		}
-		arena.wNamesFor = lead.Name()
-	}
 
 	for d := range devs {
 		dev := &devs[d]
@@ -379,7 +369,6 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			dev.gen = dev.bench.gen
 			for i := range dev.workers {
 				dev.workers[i] = kernel.Task{
-					Name:     opt.Bench.Name,
 					Demand:   dev.gen.DemandAt,
 					MemBound: opt.Bench.MemBound,
 					WorkLeft: opt.Bench.WorkPerThread,
@@ -387,7 +376,7 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			}
 		} else {
 			for i := range dev.workers {
-				dev.workers[i] = kernel.Task{Name: arena.wNames[i], WorkLeft: math.Inf(1)}
+				dev.workers[i] = kernel.Task{WorkLeft: math.Inf(1)}
 			}
 		}
 		for i := range dev.workers {
@@ -398,21 +387,12 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 		} else {
 			dev.bg.Reseed(opt.Seed + 77)
 		}
-		// UtilAt refreshes one reused buffer, so dev.bgUtil aliases the
-		// current levels for the whole run.
-		dev.bgUtil = dev.bg.UtilAt()
+		// The background walk takes one step before the first interval
+		// (its draws are part of every committed output).
+		dev.bg.UtilAt()
 		for i := 0; i < nodes; i++ {
-			tk := &taskPool[nWorkers+i]
-			*tk = kernel.Task{
-				Name:     bgTaskName(i),
-				MemBound: 0.3,
-				WorkLeft: math.Inf(1),
-			}
-			if unscripted {
-				util := dev.bgUtil
-				tk.Demand = func(float64) float64 { return util[i] }
-			}
-			dev.sched.Add(tk)
+			taskPool[nWorkers+i] = kernel.Task{MemBound: 0.3, WorkLeft: math.Inf(1)}
+			dev.sched.Add(&taskPool[nWorkers+i])
 		}
 
 		base := flat[d*perDev : (d+1)*perDev : (d+1)*perDev]
@@ -629,18 +609,13 @@ func (r *Runner) run(ctx context.Context, arena *batchArena, opts []Options, res
 			}
 
 			// Advance the workload: background levels refresh their
-			// per-device random walk; scripted worker demands were read
-			// above, so TickWith consumes cached values without evaluating
-			// any closure. Benchmark generators advance RNG state on every
-			// call and must tick through their closures.
-			dev.bgUtil = dev.bg.UtilAt()
-			var tick kernel.TickResult
-			if dev.gen != nil {
-				tick = dev.sched.Tick(dt, active)
-			} else {
-				copy(dev.demands[nWorkers:], dev.bgUtil)
-				tick = dev.sched.TickWith(dt, active, dev.demands)
-			}
+			// per-device random walk and reach the tick through
+			// dev.demands, beside the scripted worker demands read above.
+			// Benchmark workers carry their generator's closure instead,
+			// which the tick calls at each demand read (it draws jitter
+			// on every call).
+			copy(dev.demands[nWorkers:], dev.bg.UtilAt())
+			tick := dev.sched.TickWith(dt, active, dev.demands)
 			// Copy the realized utilization (the tick buffer is reused):
 			// the tail beyond the active cluster's width is zeroed so a
 			// cluster migration never leaves stale readings for the

@@ -222,16 +222,6 @@ func (r *Runner) desc() *platform.Descriptor {
 	return platform.Default()
 }
 
-// bgTaskName returns the name of background task i without allocating for
-// the common core counts.
-func bgTaskName(i int) string {
-	const names = "bg-0\x00bg-1\x00bg-2\x00bg-3\x00bg-4\x00bg-5\x00bg-6\x00bg-7"
-	if i < 8 {
-		return names[i*5 : i*5+4]
-	}
-	return fmt.Sprintf("bg-%d", i)
-}
-
 // idleCoreUtil returns the light background utilization pattern of an idle
 // device: the paper platform's {5%, 3%, 3%, 2%} pattern, cycled across
 // however many big cores the platform has.
