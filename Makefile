@@ -27,7 +27,11 @@ MIN_SPEEDUP ?= 0.9
 # code path (fixed-size buffers, pooled arenas), not the host, so the
 # ceiling travels across runners. Set from a measured ~239 kB/op with
 # ~65% headroom; a trip means per-op memory genuinely grew (a pool that
-# stopped pooling, a slice that started escaping).
+# stopped pooling, a slice that started escaping). bench-json checks it
+# on a run of its own at -cpu 1: at GOMAXPROCS 2 the one timed op can
+# land on another P than the warm-up did and miss the batch arenas that
+# sync.Pool keeps per P (1 of 60 runs read ~492 kB, with GC off too),
+# while at -cpu 1 every run reads the same bytes.
 MAX_BATCH_BYTES ?= 400000
 
 # Absolute B/op ceiling for the in-process warm fleet on BenchmarkFleetWarm
@@ -131,7 +135,10 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(HOTBENCH)' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -out BENCH_latest.json
 	$(GO) run ./cmd/benchjson -check -max-allocs-regress 0.20 BENCH_baseline.json BENCH_latest.json
-	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetThroughput/batched,$(MAX_BATCH_BYTES)' BENCH_latest.json
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput$$/^batched$$' -benchtime 1x -benchmem -cpu 1 . \
+		| $(GO) run ./cmd/benchjson -out .bench_build/batch-bytes.json
+	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetThroughput/batched,$(MAX_BATCH_BYTES)' .bench_build/batch-bytes.json
 	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkFleetWarm,$(MAX_WARM_BYTES)' BENCH_latest.json
 	$(GO) run ./cmd/benchjson -max-bytes 'BenchmarkSimCellDTPM,64000' BENCH_latest.json
 
