@@ -156,7 +156,6 @@ func runTickOracle(t *testing.T, liveBg bool) string {
 		}
 	}
 	fmt.Fprintf(h, "next draw %d\n", rng.Int63())
-	t.Logf("%d saturated ticks, %d of 4 workers done", saturated, done)
 	// The history must keep exercising what it was built to exercise.
 	if saturated == 0 || done == 0 || done == 4 {
 		t.Fatalf("oracle history lost its coverage: %d saturated ticks, %d of 4 workers done", saturated, done)

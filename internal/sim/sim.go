@@ -133,10 +133,11 @@ type Options struct {
 	// (its SharedStep, then this device's WorkerDemand and AmbientAt), and
 	// the run completes when the script's duration elapses. Bench is
 	// ignored. RunBatch requires a Script, and in a batch of two or more
-	// one non-empty ShapeSignature across the batch. With Record set, the script's inputs are recorded alongside
-	// the outputs ("demand_w<i>", "gpu_demand", "ambient_c",
-	// "cpu_activity", "gpu_activity", "mem_traffic", "mem_bound",
-	// "gov_id"), which is what makes a trace replayable.
+	// one non-empty ShapeSignature across the batch. With Record set, the
+	// script's inputs are recorded alongside the outputs ("demand_w<i>",
+	// "gpu_demand", "ambient_c", "cpu_activity", "gpu_activity",
+	// "mem_traffic", "mem_bound", "gov_id"), which is what makes a trace
+	// replayable.
 	Script Script
 }
 
