@@ -178,9 +178,9 @@ func BenchmarkStreamingRun(b *testing.B) {
 // interval into the online aggregators, no trace retained) plus the run's
 // fixed cost (planner, collector, a one-group report). The per-sample fold
 // must not allocate, so allocs/op is gated like the other hot loops. One
-// untimed run first fills the arena and aggregator pools, so the count is
-// the steady state: per-cell setup and the run's fixed cost, never a
-// per-interval term.
+// untimed run first fills the arena pool and the engine's free lists, so
+// the count is the steady state: per-cell setup and the run's fixed cost,
+// never a per-interval term.
 func BenchmarkFleetCell(b *testing.B) {
 	ctx := benchContext(b)
 	eng := &fleet.Engine{Workers: 1, Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1}
@@ -228,11 +228,11 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		// parallelism: both paths fan out across the same pool, and the
 		// ratio gate needs the single-worker per-device cost.
 		eng := &fleet.Engine{Workers: 1, Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1, BatchSize: batchSize}
-		// One untimed run first: the arena/aggregator pools fill and the
-		// scenario/workload caches warm, so allocs/op and B/op measure the
-		// steady state the CI gates pin — identical at -benchtime 1x or 100x
-		// — rather than one-time warm-up amortized over however many
-		// iterations this run happened to get.
+		// One untimed run first: the arena pool and the engine's free
+		// lists fill and the scenario/workload caches warm, so allocs/op
+		// and B/op measure the steady state the CI gates pin — identical at
+		// -benchtime 1x or 100x — rather than one-time warm-up amortized
+		// over however many iterations this run happened to get.
 		if _, err := eng.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
@@ -268,8 +268,8 @@ func BenchmarkFleetWarm(b *testing.B) {
 	}
 	spec := fleet.Spec{N: 1024, Policy: "dtpm", ControlPeriodS: 0.5, AmbientJitterC: 5}
 	eng := &fleet.Engine{Runner: ctx.Runner, Models: ctx.Char, BaseSeed: 1, Store: st}
-	// The cold prefill, then one untimed warm run so the aggregator pool
-	// is filled and B/op is the steady state.
+	// The cold prefill, then one untimed warm run so the engine's free
+	// list of cell sums is filled and B/op is the steady state.
 	for i := 0; i < 2; i++ {
 		if _, err := eng.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 
+	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -91,15 +92,23 @@ func (e *Engine) computeUnit(ctx context.Context, spec Spec, pol sim.Policy, ind
 	if err != nil {
 		return failAll(outs, err.Error())
 	}
+	desc := runner.Desc
+	if desc == nil {
+		desc = platform.Default()
+	}
+	maxGHz := desc.Big.Domain.MaxFreq().GHz()
 	opts := make([]sim.Options, 0, len(outs))
 	aggs := make([]*cellAgg, 0, len(outs))
 	live := make([]int, 0, len(outs)) // positions of the cells in the batch
 	for j := range outs {
-		opt, agg, err := cellOptions(spec, pol, outs[j].cfg, runner, models, false)
+		opt, err := cellOptions(spec, pol, outs[j].cfg, runner, models, false)
 		if err != nil {
 			outs[j].err = err.Error()
 			continue
 		}
+		agg := e.aggs.get()
+		agg.tmax, agg.maxGHz = spec.TMaxC, maxGHz
+		opt.Observer = agg.observe
 		opts = append(opts, opt)
 		aggs = append(aggs, agg)
 		live = append(live, j)
@@ -107,19 +116,19 @@ func (e *Engine) computeUnit(ctx context.Context, spec Spec, pol sim.Policy, ind
 	if len(opts) == 0 {
 		return outs
 	}
-	// A failed batch abandons its aggregators rather than recycling them:
-	// a panicking kernel cannot prove it dropped every reference.
+	// The kernel call is synchronous, so once it returns (or panics) no
+	// observer runs again: every aggregator goes back to the free list,
+	// reset, whether the unit succeeded or failed. A completed cell leaves
+	// in compact form.
 	results, err := sched.RunSafely(func() ([]*sim.Result, error) { return runner.RunBatch(ctx, opts) })
-	if err != nil {
-		for _, j := range live {
-			outs[j].err = err.Error()
-		}
-		return outs
-	}
 	for k, j := range live {
-		aggs[k].finish(results[k])
-		outs[j].agg = aggs[k]
-		outs[j].metrics = aggs[k].metrics()
+		if err != nil {
+			outs[j].err = err.Error()
+		} else {
+			outs[j].sums = e.sums.get()
+			aggs[k].compact(outs[j].sums, results[k])
+		}
+		e.aggs.put(aggs[k])
 	}
 	return outs
 }

@@ -7,9 +7,9 @@ import (
 	"math"
 )
 
-// The fleet-cell store payload is the full aggregator state of one cell
-// plus its metrics — not just the metrics, because the group merge
-// consumes histogram bins and moments, and caching anything less could not
+// The fleet-cell store payload is the compact form of one cell (cellSums):
+// its metrics and the aggregator state the group merge consumes —
+// histogram bins and moments — because caching anything less could not
 // rebuild a warm report byte-identical to a cold one. It is a fixed
 // little-endian binary layout; every float travels as its raw
 // math.Float64bits, so the round trip is bit-exact:
@@ -32,34 +32,18 @@ import (
 // Completed byte other than 0 or 1, a short payload or trailing bytes —
 // is rejected, so a decoded payload always re-encodes to the same bytes.
 
-// appendCellEntry appends the fleet-cell payload of aggregator a and its
-// metrics m to dst.
-func appendCellEntry(dst []byte, a *cellAgg, m *CellMetrics) []byte {
-	h := a.skin
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Lo))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Hi))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h.Bins)))
-	nz := 0
-	for _, c := range h.Bins {
-		if c != 0 {
-			nz++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(nz))
-	prev := -1
-	for i, c := range h.Bins {
-		if c != 0 {
-			dst = binary.AppendUvarint(dst, uint64(i-prev))
-			dst = binary.AppendUvarint(dst, c)
-			prev = i
-		}
-	}
-	dst = appendU64(dst, a.skinM.N)
-	dst = appendF64(dst, a.skinM.Sum, a.skinM.MinV, a.skinM.MaxV)
-	dst = appendU64(dst, a.coreM.N)
-	dst = appendF64(dst, a.coreM.Sum, a.coreM.MinV, a.coreM.MaxV)
-	dst = appendU64(dst, a.overN, a.n)
-	dst = appendF64(dst, a.freqFrac)
+// appendCellEntry appends the fleet-cell payload of cell s to dst.
+func appendCellEntry(dst []byte, s *cellSums) []byte {
+	dst = appendF64(dst, skinLoC, skinHiC)
+	dst = binary.LittleEndian.AppendUint32(dst, skinBins)
+	dst = append(dst, s.bins...)
+	dst = appendU64(dst, s.skinM.N)
+	dst = appendF64(dst, s.skinM.Sum, s.skinM.MinV, s.skinM.MaxV)
+	dst = appendU64(dst, s.coreM.N)
+	dst = appendF64(dst, s.coreM.Sum, s.coreM.MinV, s.coreM.MaxV)
+	dst = appendU64(dst, s.overN, s.n)
+	dst = appendF64(dst, s.freqFrac)
+	m := &s.metrics
 	completed := byte(0)
 	if m.Completed {
 		completed = 1
@@ -67,6 +51,27 @@ func appendCellEntry(dst []byte, a *cellAgg, m *CellMetrics) []byte {
 	dst = append(dst, completed)
 	dst = appendF64(dst, m.ExecS, m.EnergyJ, m.AvgPowerW, m.ThrottleFrac, m.PerfLossFrac, m.MaxSkinC, m.MaxCoreC)
 	return appendU64(dst, m.Samples)
+}
+
+// appendSkinBins appends the sparse bins section of a dense skin histogram:
+// the count of non-zero bins, then each one's index gap and count.
+func appendSkinBins(dst []byte, bins []uint64) []byte {
+	nz := 0
+	for _, c := range bins {
+		if c != 0 {
+			nz++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(nz))
+	prev := -1
+	for i, c := range bins {
+		if c != 0 {
+			dst = binary.AppendUvarint(dst, uint64(i-prev))
+			dst = binary.AppendUvarint(dst, c)
+			prev = i
+		}
+	}
+	return dst
 }
 
 func appendU64(dst []byte, vs ...uint64) []byte {
@@ -130,16 +135,16 @@ func (r *entryReader) uvarint() uint64 {
 	return v
 }
 
-// decodeCellEntry decodes a fleet-cell payload into a, which must be a
-// zeroed aggregator of the skin histogram's shape, and m. On error a and
-// m hold partial state and must be discarded (or reset).
-func decodeCellEntry(p []byte, a *cellAgg, m *CellMetrics) error {
+// decodeCellEntry decodes a fleet-cell payload into s, which must be
+// empty (fresh or reset). On error s holds partial state and must be
+// reset before reuse.
+func decodeCellEntry(p []byte, s *cellSums) error {
 	r := entryReader{p: p}
-	h := a.skin
 	lo, hi, bins := r.f64(), r.f64(), r.u32()
-	if r.err == nil && (lo != h.Lo || hi != h.Hi || int(bins) != len(h.Bins)) {
-		return fmt.Errorf("fleet: fleet-cell entry histogram [%g, %g) x %d, want [%g, %g) x %d", lo, hi, bins, h.Lo, h.Hi, len(h.Bins))
+	if r.err == nil && (lo != skinLoC || hi != skinHiC || bins != skinBins) {
+		return fmt.Errorf("fleet: fleet-cell entry histogram [%g, %g) x %d, want [%d, %d) x %d", lo, hi, bins, skinLoC, skinHiC, skinBins)
 	}
+	start := len(p) - len(r.p)
 	nz := r.uvarint()
 	var sum uint64
 	idx := -1
@@ -149,7 +154,7 @@ func decodeCellEntry(p []byte, a *cellAgg, m *CellMetrics) error {
 		case r.err != nil:
 		case gap == 0:
 			r.fail(errors.New("fleet: fleet-cell bin indices not strictly increasing"))
-		case gap >= uint64(len(h.Bins)-idx):
+		case gap >= uint64(skinBins-idx):
 			r.fail(errors.New("fleet: fleet-cell bin index out of range"))
 		case c == 0:
 			r.fail(errors.New("fleet: fleet-cell entry lists an empty bin"))
@@ -157,16 +162,19 @@ func decodeCellEntry(p []byte, a *cellAgg, m *CellMetrics) error {
 			r.fail(errors.New("fleet: fleet-cell bin counts overflow"))
 		default:
 			idx += int(gap)
-			h.AddBin(idx, c)
 			sum += c
 		}
 	}
-	a.skinM.N = r.u64()
-	a.skinM.Sum, a.skinM.MinV, a.skinM.MaxV = r.f64(), r.f64(), r.f64()
-	a.coreM.N = r.u64()
-	a.coreM.Sum, a.coreM.MinV, a.coreM.MaxV = r.f64(), r.f64(), r.f64()
-	a.overN, a.n = r.u64(), r.u64()
-	a.freqFrac = r.f64()
+	if r.err == nil {
+		s.bins = append(s.bins, p[start:len(p)-len(r.p)]...)
+	}
+	s.skinM.N = r.u64()
+	s.skinM.Sum, s.skinM.MinV, s.skinM.MaxV = r.f64(), r.f64(), r.f64()
+	s.coreM.N = r.u64()
+	s.coreM.Sum, s.coreM.MinV, s.coreM.MaxV = r.f64(), r.f64(), r.f64()
+	s.overN, s.n = r.u64(), r.u64()
+	s.freqFrac = r.f64()
+	m := &s.metrics
 	switch completed := r.u8(); completed {
 	case 0, 1:
 		m.Completed = completed == 1
@@ -182,8 +190,8 @@ func decodeCellEntry(p []byte, a *cellAgg, m *CellMetrics) error {
 		return r.err
 	case len(r.p) != 0:
 		return fmt.Errorf("fleet: %d trailing bytes after fleet-cell entry", len(r.p))
-	case sum != a.n:
-		return fmt.Errorf("fleet: fleet-cell bins sum to %d, want n = %d", sum, a.n)
+	case sum != s.n:
+		return fmt.Errorf("fleet: fleet-cell bins sum to %d, want n = %d", sum, s.n)
 	}
 	return nil
 }

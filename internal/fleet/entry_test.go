@@ -13,7 +13,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -48,7 +47,7 @@ var (
 )
 
 // codecOutcomes computes every cell of codecSpec once per test binary,
-// keeping each cell's aggregator (the outcomes never reach a collector,
+// keeping each cell's compact sums (the outcomes never reach a collector,
 // so nothing recycles them).
 func codecOutcomes(tb testing.TB) []cellOutcome {
 	tb.Helper()
@@ -75,24 +74,23 @@ func codecOutcomes(tb testing.TB) []cellOutcome {
 	return codecCells
 }
 
-// newEntryAgg returns a zeroed aggregator of the report's skin shape.
-func newEntryAgg() *cellAgg {
-	return &cellAgg{skin: stats.NewHistogram(skinLoC, skinHiC, skinBins)}
-}
-
 // entryBits flattens everything a fleet-cell entry carries to comparable
 // bit patterns.
-func entryBits(a *cellAgg, m *CellMetrics) []uint64 {
-	out := append([]uint64(nil), a.skin.Bins...)
+func entryBits(s *cellSums) []uint64 {
+	out := []uint64{uint64(len(s.bins))}
+	for _, b := range s.bins {
+		out = append(out, uint64(b))
+	}
 	f := math.Float64bits
+	m := &s.metrics
 	completed := uint64(0)
 	if m.Completed {
 		completed = 1
 	}
-	return append(out, a.skin.N,
-		a.skinM.N, f(a.skinM.Sum), f(a.skinM.MinV), f(a.skinM.MaxV),
-		a.coreM.N, f(a.coreM.Sum), f(a.coreM.MinV), f(a.coreM.MaxV),
-		a.overN, a.n, f(a.freqFrac),
+	return append(out,
+		s.skinM.N, f(s.skinM.Sum), f(s.skinM.MinV), f(s.skinM.MaxV),
+		s.coreM.N, f(s.coreM.Sum), f(s.coreM.MinV), f(s.coreM.MaxV),
+		s.overN, s.n, f(s.freqFrac),
 		completed, f(m.ExecS), f(m.EnergyJ), f(m.AvgPowerW), f(m.ThrottleFrac),
 		f(m.PerfLossFrac), f(m.MaxSkinC), f(m.MaxCoreC), m.Samples)
 }
@@ -114,24 +112,24 @@ func TestCellEntryRoundTrip(t *testing.T) {
 
 	payloads := make([][]byte, len(cells))
 	for i, out := range cells {
-		p := appendCellEntry(nil, out.agg, out.metrics)
+		p := appendCellEntry(nil, out.sums)
 		payloads[i] = p
-		a, m := newEntryAgg(), new(CellMetrics)
-		if err := decodeCellEntry(p, a, m); err != nil {
+		s := new(cellSums)
+		if err := decodeCellEntry(p, s); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		if got, want := entryBits(a, m), entryBits(out.agg, out.metrics); !slices.Equal(got, want) {
-			t.Fatalf("cell %d: decoded state differs from the encoded aggregator", i)
+		if got, want := entryBits(s), entryBits(out.sums); !slices.Equal(got, want) {
+			t.Fatalf("cell %d: decoded state differs from the encoded cell", i)
 		}
-		if re := appendCellEntry(nil, a, m); !bytes.Equal(re, p) {
+		if re := appendCellEntry(nil, s); !bytes.Equal(re, p) {
 			t.Fatalf("cell %d: re-encoding changed the bytes", i)
 		}
 		for k := 0; k < len(p); k++ {
-			if decodeCellEntry(p[:k], newEntryAgg(), new(CellMetrics)) == nil {
+			if decodeCellEntry(p[:k], new(cellSums)) == nil {
 				t.Fatalf("cell %d: %d-byte prefix of a %d-byte entry accepted", i, k, len(p))
 			}
 		}
-		if decodeCellEntry(append(p[:len(p):len(p)], 0), newEntryAgg(), new(CellMetrics)) == nil {
+		if decodeCellEntry(append(p[:len(p):len(p)], 0), new(cellSums)) == nil {
 			t.Fatalf("cell %d: entry with one trailing byte accepted", i)
 		}
 	}
@@ -189,7 +187,7 @@ func craftEntry(lo, hi float64, bins uint32, sparse []byte, n uint64, completed 
 // by the rule it breaks.
 func TestCellEntryRejects(t *testing.T) {
 	good := sparseBins([2]uint64{277, 2}, [2]uint64{3, 1}) // bins 276 and 279
-	if err := decodeCellEntry(craftEntry(skinLoC, skinHiC, skinBins, good, 3, 1), newEntryAgg(), new(CellMetrics)); err != nil {
+	if err := decodeCellEntry(craftEntry(skinLoC, skinHiC, skinBins, good, 3, 1), new(cellSums)); err != nil {
 		t.Fatalf("well-formed crafted entry rejected: %v", err)
 	}
 	cases := map[string][]byte{
@@ -207,7 +205,7 @@ func TestCellEntryRejects(t *testing.T) {
 		"non-minimal-uvarint": craftEntry(skinLoC, skinHiC, skinBins, []byte{1, 1, 0x83, 0x00}, 3, 1),
 	}
 	for name, p := range cases {
-		if err := decodeCellEntry(p, newEntryAgg(), new(CellMetrics)); err == nil {
+		if err := decodeCellEntry(p, new(cellSums)); err == nil {
 			t.Errorf("%s: malformed entry accepted", name)
 		}
 	}

@@ -75,6 +75,15 @@ type Engine struct {
 	devicesOnce sync.Once
 	devices     *sched.Cache
 
+	// aggs recycles the dense per-cell aggregators, which live only
+	// inside one kernel call (at most workers × batch width at once);
+	// sums recycles the compact cells, which live until the collector
+	// merges them (at most the pending window plus the cells in flight).
+	// Run sets both limits and stocks sums up front, so a stalled merge
+	// frontier draws on cells the engine already holds.
+	aggs freeList[cellAgg, *cellAgg]
+	sums freeList[cellSums, *cellSums]
+
 	// lastMaxPending / lastMaxBuffered record the previous Run's
 	// high-water marks of the collector's reorder window and the
 	// planner's buffers — the observability hooks the bounded-memory
@@ -83,13 +92,13 @@ type Engine struct {
 	lastMaxBuffered int
 }
 
-// cellOutcome is what one cell leaves behind for assembly.
+// cellOutcome is what one cell leaves behind for assembly: its compact
+// sums, or the error it failed with.
 type cellOutcome struct {
-	cfg     CellConfig
-	agg     *cellAgg
-	metrics *CellMetrics
-	err     string
-	cached  bool
+	cfg    CellConfig
+	sums   *cellSums
+	err    string
+	cached bool
 }
 
 // cache returns the engine's device resolver, building it on first use.
@@ -113,8 +122,8 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 		return nil, err
 	}
 	// Per-worker sim scratch is recycled through pooled arenas, and the
-	// collector returns each merged cell's aggregator to its pool.
-	coll := newCollector(spec.N)
+	// collector returns each merged cell's sums to the engine's free list.
+	coll := newCollector(spec.N, &e.sums)
 	var (
 		mu   sync.Mutex
 		done int
@@ -145,18 +154,32 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	// planner's flush window the frontier cell is necessarily in flight
 	// with a worker (a buffered frontier would cap pending at the flush
 	// window), and that worker finishes and merges without ever gating.
-	coll.window = (flushWindowUnits + pool.Size(spec.N)) * e.batchSize()
+	workers := pool.Size(spec.N)
+	coll.window = (flushWindowUnits + workers) * e.batchSize()
+	// A worker gates only while pending < window and then holds at most
+	// one unit, so no more than window + workers × width sums are ever
+	// out at once.
+	e.aggs.setLimit(workers * e.batchSize())
+	e.sums.setLimit(coll.window + workers*e.batchSize())
+	e.sums.stock(spec.N)
 	sched.Drain(pool, func() ([]int, bool) {
 		coll.gate()
 		return plan.nextUnit()
 	}, func(unit []int) {
 		outs := e.runBatchUnit(ctx, spec, pol, unit, keys, writer)
 		for j, out := range outs {
+			// The merge recycles the sums, so the event gets a copy of
+			// the metrics taken before the add.
+			var m *CellMetrics
+			if e.OnCellDone != nil && out.sums != nil {
+				m = new(CellMetrics)
+				*m = out.sums.metrics
+			}
 			coll.add(unit[j], out)
 			if e.OnCellDone != nil {
 				mu.Lock()
 				done++
-				e.OnCellDone(Progress{Done: done, Total: spec.N, Cell: out.cfg, Metrics: out.metrics, Err: out.err, Cached: out.cached})
+				e.OnCellDone(Progress{Done: done, Total: spec.N, Cell: out.cfg, Metrics: m, Err: out.err, Cached: out.cached})
 				mu.Unlock()
 			}
 		}
@@ -179,29 +202,28 @@ func (e *Engine) runCell(ctx context.Context, spec Spec, pol sim.Policy, cfg Cel
 	if err != nil {
 		return nil, err
 	}
-	opt, _, err := cellOptions(spec, pol, cfg, runner, models, true)
+	opt, err := cellOptions(spec, pol, cfg, runner, models, true)
 	if err != nil {
 		return nil, err
 	}
 	return sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
 }
 
-// cellOptions compiles one device cell into executable run options plus its
-// fresh aggregator: the cell's scenario perturbed onto its seeds and
-// ambient shift, under the fleet's policy/constraint/period, observed by
-// the per-sample fold.
-func cellOptions(spec Spec, pol sim.Policy, cfg CellConfig, runner *sim.Runner, models *sim.Characterization, record bool) (sim.Options, *cellAgg, error) {
+// cellOptions compiles one device cell into executable run options: the
+// cell's scenario perturbed onto its seeds and ambient shift, under the
+// fleet's policy/constraint/period. The caller attaches any observer.
+func cellOptions(spec Spec, pol sim.Policy, cfg CellConfig, runner *sim.Runner, models *sim.Characterization, record bool) (sim.Options, error) {
 	desc := runner.Desc
 	if desc == nil {
 		desc = platform.Default()
 	}
 	sc, err := scenario.ByName(cfg.Scenario)
 	if err != nil {
-		return sim.Options{}, nil, err
+		return sim.Options{}, err
 	}
 	script, err := scenario.Compile(sc.Perturbed(cfg.ScenarioSeed, cfg.AmbientShiftC, desc.Thermal.Ambient))
 	if err != nil {
-		return sim.Options{}, nil, err
+		return sim.Options{}, err
 	}
 	opt := sim.Options{
 		Policy:        pol,
@@ -215,9 +237,7 @@ func cellOptions(spec Spec, pol sim.Policy, cfg CellConfig, runner *sim.Runner, 
 		opt.Model = models.Thermal
 		opt.PowerModel = models.Power
 	}
-	agg := newCellAgg(desc, spec.TMaxC)
-	opt.Observer = agg.observe
-	return opt, agg, nil
+	return opt, nil
 }
 
 // ReplayCell re-runs device `index` standalone with full trace recording:
@@ -257,8 +277,8 @@ func (e *Engine) ReplayCell(ctx context.Context, spec Spec, index int) (*sim.Res
 // still running. Completed outcomes are parked in a pending window under a
 // lock and merged the moment every lower-indexed cell has been merged too
 // — so the merge happens strictly in cell-index order (the
-// byte-determinism contract) while each cell's aggregator (its histogram
-// backing) is recycled as soon as it is folded in. The pending window is
+// byte-determinism contract) while each cell's compact sums go back to the
+// engine's free list as soon as they are folded in. The pending window is
 // hard-bounded by the gate: workers wait for window room before taking a
 // new unit, so pending stays O(flush window + workers × batch), never
 // O(N) — that, not a cells-length slice, is what lets a million-device
@@ -277,6 +297,7 @@ type collector struct {
 	overall   *groupAgg
 	groups    map[[2]string]*groupAgg
 	keys      [][2]string
+	free      *freeList[cellSums, *cellSums] // where merged sums go
 
 	// window caps the pending map: gate blocks unit hand-out while the
 	// window is full (0 = ungated). Must exceed the planner's flush window
@@ -288,9 +309,10 @@ type collector struct {
 	maxPending int
 }
 
-func newCollector(n int) *collector {
+func newCollector(n int, free *freeList[cellSums, *cellSums]) *collector {
 	c := &collector{
 		n:       n,
+		free:    free,
 		pending: map[int]cellOutcome{},
 		overall: newGroupAgg("all", "all"),
 		groups:  map[[2]string]*groupAgg{},
@@ -338,11 +360,11 @@ func (c *collector) add(i int, out cellOutcome) {
 				c.groups[key] = g
 				c.keys = append(c.keys, key)
 			}
-			g.merge(o.agg, o.metrics)
-			c.overall.merge(o.agg, o.metrics)
+			g.merge(o.sums)
+			c.overall.merge(o.sums)
 			c.completed++
+			c.free.put(o.sums)
 		}
-		releaseCellAgg(o.agg)
 		c.next++
 	}
 	c.cond.Broadcast()

@@ -147,7 +147,9 @@ func TestReplayCellReproducesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := newCellAgg(desc, 63)
+	agg := new(cellAgg)
+	agg.reset()
+	agg.tmax, agg.maxGHz = 63, desc.Big.Domain.MaxFreq().GHz()
 	maxt := seriesOf(t, res1.Rec, "maxtemp")
 	board := seriesOf(t, res1.Rec, "board")
 	freq := seriesOf(t, res1.Rec, "freq_ghz")
@@ -157,10 +159,10 @@ func TestReplayCellReproducesTrace(t *testing.T) {
 	for i := range maxt {
 		agg.observe(sim.Sample{MaxTemp: maxt[i], BoardTemp: board[i], FreqGHz: freq[i]})
 	}
-	agg.finish(res1)
-	got := agg.metrics()
-	if *got != *m {
-		t.Errorf("aggregate rebuilt from the recorded trace differs:\ntrace: %+v\nfleet: %+v", *got, *m)
+	var cell cellSums
+	agg.compact(&cell, res1)
+	if got := cell.metrics; got != *m {
+		t.Errorf("aggregate rebuilt from the recorded trace differs:\ntrace: %+v\nfleet: %+v", got, *m)
 	}
 }
 

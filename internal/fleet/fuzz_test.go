@@ -75,15 +75,15 @@ func FuzzFleetSpec(f *testing.F) {
 // seed corpus is real payloads of a mixed 3-platform fleet.
 func FuzzCellEntry(f *testing.F) {
 	for _, out := range codecOutcomes(f)[:8] {
-		f.Add(appendCellEntry(nil, out.agg, out.metrics))
+		f.Add(appendCellEntry(nil, out.sums))
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		a, m := newEntryAgg(), new(CellMetrics)
-		if decodeCellEntry(p, a, m) != nil {
+		s := new(cellSums)
+		if decodeCellEntry(p, s) != nil {
 			return
 		}
-		if re := appendCellEntry(nil, a, m); !bytes.Equal(re, p) {
+		if re := appendCellEntry(nil, s); !bytes.Equal(re, p) {
 			t.Fatalf("accepted payload re-encodes differently:\n in: %x\nout: %x", p, re)
 		}
 	})

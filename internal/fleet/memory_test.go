@@ -127,6 +127,76 @@ func TestFleetBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestFleetPendingWindowMemory: a completed cell waiting in the
+// collector's pending window for the merge frontier costs its compact
+// sums, not a dense 720-bin aggregator (~5.9 KB). Cell 0 draws a rare
+// scenario, so its unit is emitted only when the planner's flush window
+// forces it out; on one worker every cell before that is computed first
+// and waits behind cell 0. The heap the run retains at that stall, over
+// the heap of the same engine before the run (its characterization and
+// caches already made by a small warm-up fleet), divided by the pending
+// cells must stay under 1 KB. The count includes everything the run
+// holds — the sums the engine stocks for the whole window, the pending
+// map, the planner — so it is an upper bound on the per-cell cost.
+func TestFleetPendingWindowMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ~600 cells")
+	}
+	registerTinyScenario(t, "mem-frontier", 9003)
+	spec := Spec{
+		Name:           "mem-pending",
+		N:              flushWindowUnits*DefaultBatchSize + 64,
+		Policy:         "dtpm",
+		ControlPeriodS: 0.5,
+		Scenarios: []Weight{
+			{Name: "cold-start", Weight: 1000},
+			{Name: "mem-frontier", Weight: 1},
+		},
+		AmbientJitterC: 3,
+	}
+	base := int64(0)
+	for DeriveCell(spec, base, 0).Scenario != "mem-frontier" {
+		base++
+	}
+	eng := &Engine{Workers: 1, BaseSeed: base}
+	warmup := spec
+	warmup.N = DefaultBatchSize
+	if _, err := eng.Run(context.Background(), warmup); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := int64(ms.HeapAlloc)
+
+	// The sample falls before the frontier unit is emitted, so every
+	// cell reported so far is pending.
+	const pending = flushWindowUnits*DefaultBatchSize - 32
+	var stalled int64
+	eng.OnCellDone = func(p Progress) {
+		if p.Cell.Index == 0 && p.Done <= pending {
+			t.Errorf("cell 0 merged after %d cells, before the sample", p.Done)
+		}
+		if p.Done == pending {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			stalled = int64(ms.HeapAlloc)
+		}
+	}
+	rep, err := eng.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != spec.N {
+		t.Fatalf("completed %d of %d cells", rep.Completed, spec.N)
+	}
+	perCell := float64(stalled-before) / pending
+	t.Logf("retained heap %.0f B per pending cell at %d pending cells", perCell, pending)
+	if perCell >= 1024 {
+		t.Errorf("the run retains %.0f B of heap per pending cell, want under 1 KB", perCell)
+	}
+}
+
 // TestFleetCancellationDrainsCleanly cancels a 10k-device store-backed
 // fleet mid-run and verifies the shutdown contract end to end: no leaked
 // goroutines (workers and the async store writer all exit), every store

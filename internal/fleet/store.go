@@ -179,28 +179,27 @@ func (e *Engine) cellDigest(spec Spec, cfg CellConfig, kind string) (store.Diges
 	return t.digest(cfg), true
 }
 
-// lookupCell serves cell cfg's aggregate outcome from the fleet-cell
-// entry under key, decoded into a pooled aggregator. ok=false on any miss —
-// never stored, corrupt entry, stale engine, or a payload the strict
-// decoder rejects (possible only through foreign bytes; treated as a
-// recomputable miss, never trusted).
+// lookupCell serves cell cfg's outcome from the fleet-cell entry under
+// key, decoded straight into compact sums from the engine's free list.
+// ok=false on any miss — never stored, corrupt entry, stale engine, or a
+// payload the strict decoder rejects (possible only through foreign bytes;
+// treated as a recomputable miss, never trusted).
 func (e *Engine) lookupCell(key store.Digest, cfg CellConfig) (cellOutcome, bool) {
-	agg := aggPool.Get().(*cellAgg)
-	m := new(CellMetrics)
-	if !e.Store.Decode(key, func(p []byte) error { return decodeCellEntry(p, agg, m) }) {
-		releaseCellAgg(agg)
+	s := e.sums.get()
+	if !e.Store.Decode(key, func(p []byte) error { return decodeCellEntry(p, s) }) {
+		e.sums.put(s)
 		return cellOutcome{}, false
 	}
-	return cellOutcome{cfg: cfg, agg: agg, metrics: m, cached: true}, true
+	return cellOutcome{cfg: cfg, sums: s, cached: true}, true
 }
 
 // cellPayload encodes a freshly computed outcome as its fleet-cell entry;
 // ok=false for an outcome that is not persisted (a failure, a cached cell).
 func cellPayload(out cellOutcome) ([]byte, bool) {
-	if out.err != "" || out.agg == nil || out.metrics == nil || out.cached {
+	if out.err != "" || out.sums == nil || out.cached {
 		return nil, false
 	}
-	return appendCellEntry(nil, out.agg, out.metrics), true
+	return appendCellEntry(nil, out.sums), true
 }
 
 // lookupTrace serves one replayed cell (full trace) from the store.

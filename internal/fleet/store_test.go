@@ -235,10 +235,12 @@ func TestFleetStoreJSONPayloadFallback(t *testing.T) {
 	if !ok {
 		t.Fatal("cell 3 not stored")
 	}
-	agg, m := newEntryAgg(), new(CellMetrics)
-	if err := decodeCellEntry(binary, agg, m); err != nil {
+	cell := new(cellSums)
+	if err := decodeCellEntry(binary, cell); err != nil {
 		t.Fatal(err)
 	}
+	skin := stats.NewHistogram(skinLoC, skinHiC, skinBins)
+	cell.addBins(skin)
 	legacy, err := json.Marshal(struct {
 		Skin     *stats.Histogram `json:"skin"`
 		SkinM    stats.Moments    `json:"skin_m"`
@@ -247,7 +249,7 @@ func TestFleetStoreJSONPayloadFallback(t *testing.T) {
 		N        uint64           `json:"n"`
 		FreqFrac float64          `json:"freq_frac"`
 		Metrics  CellMetrics      `json:"metrics"`
-	}{agg.skin, agg.skinM, agg.coreM, agg.overN, agg.n, agg.freqFrac, *m})
+	}{skin, cell.skinM, cell.coreM, cell.overN, cell.n, cell.freqFrac, cell.metrics})
 	if err != nil {
 		t.Fatal(err)
 	}

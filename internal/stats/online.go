@@ -8,10 +8,11 @@ import (
 // This file holds the allocation-lean online aggregators the fleet engine
 // folds per-sample telemetry into: a fixed-bin histogram and a streaming
 // moments accumulator. Both were chosen over quantile sketches (t-digest,
-// GK) deliberately: their state is plain counters and sums, their Merge is
-// exact integer/ordered-float addition, and therefore a report assembled
-// from per-cell aggregates merged in deterministic index order is
-// byte-identical at any worker count — the fleet determinism contract.
+// GK) deliberately: their state is plain counters and sums, merging them
+// is exact integer/ordered-float addition (AddBin per bin, Moments.Merge),
+// and therefore a report assembled from per-cell aggregates merged in
+// deterministic index order is byte-identical at any worker count — the
+// fleet determinism contract.
 
 // Histogram is a fixed-bin histogram over a closed value range. Adding a
 // sample is one bounds clamp and one integer increment (no allocation);
@@ -19,21 +20,10 @@ import (
 // never loses samples and Count is exact. Percentiles are reconstructed by
 // linear interpolation inside the covering bin, so their resolution is the
 // bin width — pick the range/bins for the precision the report needs.
-//
-// The histogram tracks the span of bins that may be non-zero, so Merge,
-// Reset and Quantile touch only that span: a 720-bin fleet histogram whose
-// cell fills a few dozen bins merges in a few dozen additions. Counts go
-// in through Add and AddBin, which widen the span; Bins is exported for
-// reading, and a direct write to it is invisible to the span.
 type Histogram struct {
 	Lo, Hi float64
 	Bins   []uint64
 	N      uint64
-
-	// spanLo, spanHi bound the bins that may be non-zero: every bin
-	// outside [spanLo, spanHi) is zero. spanLo >= spanHi is the empty
-	// span, the zero value included.
-	spanLo, spanHi int
 }
 
 // NewHistogram returns a histogram of `bins` equal-width bins over [lo, hi].
@@ -54,10 +44,8 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 // specific — amd64 truncates to the minimum, arm64 saturates — and the
 // byte-identical-report contract must hold across architectures.
 func (h *Histogram) Add(v float64) {
-	i := h.bin(v)
-	h.Bins[i]++
+	h.Bins[h.bin(v)]++
 	h.N++
-	h.widen(i, i+1)
 }
 
 // bin returns the index of the bin sample v falls in.
@@ -73,51 +61,14 @@ func (h *Histogram) bin(v float64) int {
 	return min(int(float64(len(h.Bins))*(v-h.Lo)/(h.Hi-h.Lo)), len(h.Bins)-1)
 }
 
-// AddBin adds c samples to bin i directly — the decoding hook for a
-// histogram persisted as its bin counts. It panics on an index out of
+// AddBin adds c samples to bin i directly — how the fleet merges a cell's
+// sparse bins into a group, and the decoding hook for a histogram
+// persisted as its bin counts. Adding is pure integer addition, so any
+// merge order produces the same state. It panics on an index out of
 // range, like Bins[i].
 func (h *Histogram) AddBin(i int, c uint64) {
 	h.Bins[i] += c
 	h.N += c
-	h.widen(i, i+1)
-}
-
-// widen grows the non-zero span to cover bins [lo, hi).
-func (h *Histogram) widen(lo, hi int) {
-	if h.spanLo >= h.spanHi {
-		h.spanLo, h.spanHi = lo, hi
-		return
-	}
-	h.spanLo = min(h.spanLo, lo)
-	h.spanHi = max(h.spanHi, hi)
-}
-
-// Merge adds o's counts into h. The shapes must match (same range, same bin
-// count); merging is pure integer addition, so any merge order produces the
-// same state.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.N == 0 {
-		return
-	}
-	if len(h.Bins) != len(o.Bins) || h.Lo != o.Lo || h.Hi != o.Hi {
-		panic("stats: merging histograms of different shapes")
-	}
-	for i, c := range o.Bins[o.spanLo:o.spanHi] {
-		h.Bins[o.spanLo+i] += c
-	}
-	h.N += o.N
-	h.widen(o.spanLo, o.spanHi)
-}
-
-// Reset zeroes the counts in place, keeping the shape and the bin backing —
-// the recycling hook for aggregator pools. A reset histogram is
-// indistinguishable from a fresh one of the same shape.
-func (h *Histogram) Reset() {
-	if h.spanLo < h.spanHi {
-		clear(h.Bins[h.spanLo:h.spanHi])
-	}
-	h.N = 0
-	h.spanLo, h.spanHi = 0, 0
 }
 
 // Quantile returns the q-th quantile (0..1) reconstructed from the bins:
@@ -133,12 +84,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	// Rank in [0, N-1], same linear-interpolation convention as Percentile.
+	// Rank in [0, N-1], same linear-interpolation convention as PercentileSorted.
 	rank := q * float64(h.N-1)
 	w := (h.Hi - h.Lo) / float64(len(h.Bins))
 	cum := uint64(0)
-	for i := h.spanLo; i < h.spanHi; i++ {
-		c := h.Bins[i]
+	for i, c := range h.Bins {
 		if c == 0 {
 			continue
 		}

@@ -62,7 +62,11 @@ func TestHistogramMergeMatchesSequential(t *testing.T) {
 			b.Add(v)
 		}
 	}
-	a.Merge(b)
+	for i, c := range b.Bins {
+		if c != 0 {
+			a.AddBin(i, c)
+		}
+	}
 	if a.N != all.N {
 		t.Fatalf("merged count %d vs %d", a.N, all.N)
 	}
@@ -81,16 +85,19 @@ func TestHistogramEmptyAndShape(t *testing.T) {
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("empty histogram quantile not NaN")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched merge did not panic")
-		}
-	}()
-	h.Merge(&Histogram{Lo: 0, Hi: 2, Bins: make([]uint64, 4), N: 1})
+	for _, shape := range [][3]float64{{0, 1, 0}, {1, 1, 4}, {2, 1, 4}, {0, math.NaN(), 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shape [%g, %g) x %g did not panic", shape[0], shape[1], shape[2])
+				}
+			}()
+			NewHistogram(shape[0], shape[1], int(shape[2]))
+		}()
+	}
 }
 
-// denseHist is the reference the span-bounded Histogram must match: every
-// operation touches every bin.
+// denseHist is the reference Histogram must match, written apart from it.
 type denseHist struct {
 	bins []uint64
 	n    uint64
@@ -118,10 +125,9 @@ func (d *denseHist) quantile(lo, hi, q float64) float64 {
 	return hi
 }
 
-// TestHistogramSpanMatchesDense drives random Add / AddBin / Merge / Reset
-// sequences over a few histograms and checks each against a dense
-// reference after every step: the bins, the count and every quantile are
-// identical, so tracking the non-zero span changes no result.
+// TestHistogramSpanMatchesDense drives random Add / AddBin sequences over
+// a few histograms and checks each against a dense reference after every
+// step: the bins, the count and every quantile are identical.
 func TestHistogramSpanMatchesDense(t *testing.T) {
 	const lo, hi, bins = -40.0, 140.0, 720
 	rng := rand.New(rand.NewSource(7))
@@ -147,22 +153,11 @@ func TestHistogramSpanMatchesDense(t *testing.T) {
 				ref.bins[h.bin(v)]++
 				ref.n++
 				h.Add(v)
-			case op < 7: // a decoded bin
+			default: // a decoded or merged bin
 				b, c := rng.Intn(bins), uint64(1+rng.Intn(50))
 				ref.bins[b] += c
 				ref.n += c
 				h.AddBin(b, c)
-			case op < 9:
-				j := (i + 1 + rng.Intn(len(hs)-1)) % len(hs)
-				for b, c := range refs[j].bins {
-					ref.bins[b] += c
-				}
-				ref.n += refs[j].n
-				h.Merge(hs[j])
-			default:
-				clear(ref.bins)
-				ref.n = 0
-				h.Reset()
 			}
 			if h.N != ref.n || !slices.Equal(h.Bins, ref.bins) {
 				t.Fatalf("sequence %d step %d: histogram %d diverged from the dense reference", seq, step, i)

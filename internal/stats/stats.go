@@ -4,10 +4,7 @@
 // 6.5, 6.9).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -122,27 +119,25 @@ func MaxPercentError(measured, predicted []float64) float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation. It copies xs and therefore does not reorder the input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+// PercentileSorted returns the p-th percentile (0..100) of sorted, a
+// slice in sort.Float64s order, using linear interpolation. A caller
+// reading several percentiles of one series sorts it once.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
 	if p <= 0 {
-		return cp[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return cp[len(cp)-1]
+		return sorted[len(sorted)-1]
 	}
-	pos := p / 100 * float64(len(cp)-1)
+	pos := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo]
+		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

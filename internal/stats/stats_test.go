@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,14 @@ func TestPercentErrorSkipsZeros(t *testing.T) {
 	if e := PercentError(meas, pred); math.Abs(e-1) > 1e-9 {
 		t.Fatalf("PercentError with zero measured = %v, want 1", e)
 	}
+}
+
+// Percentile is PercentileSorted of a sorted copy of xs: it leaves the
+// input in its order.
+func Percentile(xs []float64, p float64) float64 {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return PercentileSorted(cp, p)
 }
 
 func TestPercentile(t *testing.T) {
