@@ -121,52 +121,64 @@ func (d *Device) StreamFleet(ctx context.Context, spec FleetSpec, models *Models
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	eng, err := d.fleetEngine(models, workers, baseSeed, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	ictx, cancel := context.WithCancel(ctx)
+	seq, report := follow(ctx, func(ctx context.Context, offer func(FleetProgress)) (*FleetReport, error) {
+		eng.OnCellDone = offer
+		return eng.Run(ctx, spec)
+	})
+	return seq, report, nil
+}
+
+// follow starts run on a goroutine of its own and turns the serial
+// progress callback it hands run into a completion-order stream. Breaking
+// out of the stream cancels the run and waits for it to end; a stream that
+// ends on its own has waited too, so no goroutine outlives it. result
+// detaches the stream — an unconsumed stream never blocks the run — and
+// returns what run returned once it has ended.
+func follow[T, R any](ctx context.Context, run func(ctx context.Context, offer func(T)) (R, error)) (stream iter.Seq[T], result func() (R, error)) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
 	var (
-		ch       = make(chan FleetProgress)
+		ch       = make(chan T)
 		nostream = make(chan struct{})
 		done     = make(chan struct{})
 		stopOnce sync.Once
-		rep      *FleetReport
+		res      R
 		runErr   error
 	)
 	detach := func() { stopOnce.Do(func() { close(nostream) }) }
-	eng.OnCellDone = func(p fleet.Progress) {
-		select {
-		case ch <- p:
-		case <-nostream:
-		}
-	}
 	go func() {
-		rep, runErr = eng.Run(ictx, spec)
+		res, runErr = run(ctx, func(t T) {
+			select {
+			case ch <- t:
+			case <-nostream:
+			}
+		})
 		cancel()
 		close(ch)
 		close(done)
 	}()
-	seq := func(yield func(FleetProgress) bool) {
-		for p := range ch {
-			if !yield(p) {
+	stream = func(yield func(T) bool) {
+		for t := range ch {
+			if !yield(t) {
 				cancel()
 				detach()
-				for range ch { // drain until the pool exits
-				}
-				return
+				break
 			}
 		}
+		<-done
 	}
-	result := func() (*FleetReport, error) {
+	result = func() (R, error) {
 		detach()
 		<-done
-		return rep, runErr
+		return res, runErr
 	}
-	return seq, result, nil
+	return stream, result
 }
 
 // ReplayFleetCell re-runs one device of the population standalone with

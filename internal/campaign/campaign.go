@@ -2,7 +2,9 @@
 // declarative grid of {policy × workload × platform × governor × seed}
 // cells out across a worker pool, runs each cell through sim.Run, and
 // aggregates the fixed-size per-cell metrics in bounded memory (no traces
-// are retained). The workload axis is either a Table 6.4 benchmark or a
+// are retained). Engine.RunContext is the one run loop; live progress is
+// its OnCellDone callback, which sees every cell that ran, failures
+// included. The workload axis is either a Table 6.4 benchmark or a
 // named scenario (a compiled multi-phase sim.Script); the two axes are
 // alternatives. The platform axis selects registered platform descriptors.
 //
@@ -25,7 +27,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"iter"
 	"sync"
 
 	"repro/internal/platform"
@@ -316,9 +317,10 @@ type Engine struct {
 	// BaseSeed is mixed into every cell's derived seed and seeds every
 	// characterization the engine makes itself.
 	BaseSeed int64
-	// OnCellDone, when set, is invoked serially (never concurrently) after
-	// each cell of a Run completes, with the number done so far and the
-	// grid size.
+	// OnCellDone, when set, is invoked serially (never concurrently) once
+	// for every cell of a run that ran — computed, store-served or failed
+	// — with the number done so far and the grid size. Cells never started
+	// because the run was cancelled are not reported.
 	OnCellDone func(done, total int, r CellResult)
 	// Store, when set, makes cell execution lookup-or-compute: each cell's
 	// normalized coordinates are hashed to a content address, computed
@@ -326,10 +328,6 @@ type Engine struct {
 	// are served from the store instead of simulated. Purely a wall-clock
 	// optimization — cached metrics are byte-identical to computed ones.
 	Store *store.Store
-
-	mu    sync.Mutex // guards done/total for OnCellDone
-	done  int
-	total int
 
 	// devices resolves every cell's runner, characterization and store
 	// provenance tag. It is built from Runner, Models and BaseSeed at the
@@ -344,65 +342,41 @@ func (e *Engine) cache() *sched.Cache {
 	return e.devices
 }
 
-// RunContext executes every cell of the grid and returns the report,
-// collecting the Stream into the deterministic cell-index order the
-// exports rely on. Individual cell failures (unknown benchmark, bad
-// governor, unknown platform, panics) are recorded in the report; it
-// fails only on an empty grid or a cancelled context. On cancellation it
+// RunContext executes every cell of the grid across the worker pool and
+// returns the report in the deterministic cell-index order the exports
+// rely on. OnCellDone sees every cell that ran — computed, store-served
+// and failed alike — in completion order. Individual cell failures
+// (unknown benchmark, bad governor, unknown platform, panics) are recorded
+// in the report; it fails only on a cancelled context. On cancellation it
 // returns the partial report — completed cells keep their bit-exact
 // metrics, in-flight cells are collected as cancelled failures, cells that
 // never started are marked "cancelled before start" — together with an
 // error wrapping sim.ErrCancelled.
 func (e *Engine) RunContext(ctx context.Context, grid Grid) (*Report, error) {
 	cells := grid.Cells()
-	seq, err := e.Stream(ctx, grid)
-	if err != nil {
-		return nil, err
-	}
 	results := make([]CellResult, len(cells))
-	seen := make([]bool, len(cells))
-	for r := range seq {
-		if r.Cell.Index >= 0 && r.Cell.Index < len(results) {
-			results[r.Cell.Index] = r
-			seen[r.Cell.Index] = true
+	var (
+		mu   sync.Mutex
+		done int
+	)
+	sched.Pool{Workers: e.Workers}.ForEach(len(cells), func(i int) {
+		if ctx.Err() != nil {
+			results[i] = CellResult{Cell: cells[i], Err: "campaign: cancelled before start"}
+			return
 		}
-	}
-	if err := context.Cause(ctx); err != nil {
-		for i, ok := range seen {
-			if !ok {
-				results[i] = CellResult{Cell: normalizedCell(cells[i]), Err: "campaign: cancelled before start"}
-			}
+		results[i] = e.runCell(ctx, cells[i])
+		if e.OnCellDone != nil {
+			mu.Lock()
+			done++
+			e.OnCellDone(done, len(cells), results[i])
+			mu.Unlock()
 		}
-		return &Report{BaseSeed: e.BaseSeed, Cells: results},
-			fmt.Errorf("campaign: %w (%w)", sim.ErrCancelled, err)
+	})
+	rep := &Report{BaseSeed: e.BaseSeed, Cells: results}
+	if cause := context.Cause(ctx); cause != nil {
+		return rep, fmt.Errorf("campaign: %w (%w)", sim.ErrCancelled, cause)
 	}
-	return &Report{BaseSeed: e.BaseSeed, Cells: results}, nil
-}
-
-// Stream executes the grid across the worker pool and returns an iterator
-// that yields every CellResult as its worker finishes — completion order,
-// not cell order, which is what makes live progress reporting possible
-// while long cells are still running. Collect into index order (RunContext
-// does) to recover the deterministic report.
-//
-// Cancelling the context stops workers from starting new cells and cancels
-// the in-flight simulations (each is collected as a failed cell); the pool
-// always drains cleanly — no goroutine outlives the iterator. Breaking out
-// of the iteration early behaves like cancellation.
-//
-// The returned error is non-nil only for an empty grid; per-cell failures
-// are yielded, never returned.
-func (e *Engine) Stream(ctx context.Context, grid Grid) (iter.Seq[CellResult], error) {
-	cells := grid.Cells()
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("campaign: empty grid")
-	}
-	e.mu.Lock()
-	e.done, e.total = 0, len(cells)
-	e.mu.Unlock()
-	return sched.Stream(ctx, sched.Pool{Workers: e.Workers}, len(cells), func(ictx context.Context, i int) CellResult {
-		return e.runCell(ictx, cells[i])
-	}), nil
+	return rep, nil
 }
 
 // campaignCellKey is the canonical content of one campaign cell: the
@@ -466,13 +440,16 @@ func (e *Engine) cellStoreKey(c Cell) (store.Digest, Cell, bool) {
 func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 	// Lookup-or-compute: a stored cell is served without touching the
 	// device cache, so a fully warm campaign re-run never characterizes.
+	var (
+		key      store.Digest
+		storable bool
+	)
 	if e.Store != nil {
-		if key, rc, ok := e.cellStoreKey(c); ok {
+		var rc Cell
+		if key, rc, storable = e.cellStoreKey(c); storable {
 			var m Metrics
 			if e.Store.GetJSON(key, &m) {
-				done := CellResult{Cell: rc, Metrics: &m, Cached: true}
-				e.notify(done)
-				return done
+				return CellResult{Cell: rc, Metrics: &m, Cached: true}
 			}
 		}
 	}
@@ -520,31 +497,16 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 	opt.Model = models.Thermal
 	opt.PowerModel = models.Power
 	res, err := sched.RunSafely(func() (*sim.Result, error) { return runner.Run(ctx, opt) })
-	done := CellResult{Cell: c}
 	if err != nil {
-		done.Err = err.Error()
-	} else {
-		done.Metrics = newMetrics(res)
-		// Persist before notify so an observer that inspects the store
-		// sees the entry of every reported cell. Write failures are
-		// non-fatal (the store counts them): the run has the result, the
-		// next run recomputes.
-		if e.Store != nil {
-			if key, _, ok := e.cellStoreKey(c); ok {
-				_ = e.Store.PutJSON(key, done.Metrics)
-			}
-		}
+		return CellResult{Cell: c, Err: err.Error()}
 	}
-	e.notify(done)
-	return done
-}
-
-func (e *Engine) notify(r CellResult) {
-	if e.OnCellDone == nil {
-		return
+	m := newMetrics(res)
+	// Persist before the result is reported so an observer that inspects
+	// the store sees the entry of every reported cell. Write failures are
+	// non-fatal (the store counts them): the run has the result, the next
+	// run recomputes.
+	if storable {
+		_ = e.Store.PutJSON(key, m)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.done++
-	e.OnCellDone(e.done, e.total, r)
+	return CellResult{Cell: c, Metrics: m}
 }

@@ -1,9 +1,8 @@
 // Package sched is the shared execution substrate under the campaign and
 // fleet engines: a deterministic worker pool (ForEach for a known-length
-// index space, Drain for lazily planned work), completion-order streaming
-// with clean abandonment (Stream), and panic containment for individual
-// work items (RunSafely). The per-platform characterization cache the
-// engines share lives here too (Cache).
+// index space, Drain for lazily planned work) and panic containment for
+// individual work items (RunSafely). The per-platform characterization
+// cache the engines share lives here too (Cache).
 //
 // The pool deliberately carries no result plumbing of its own: work is
 // handed out in index order from a shared counter, the closure owns any
@@ -13,9 +12,7 @@
 package sched
 
 import (
-	"context"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 )
@@ -101,57 +98,6 @@ func Drain[T any](p Pool, next func() (T, bool), fn func(T)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Stream runs run(ctx, 0..n-1) on the pool and returns an iterator that
-// yields every result as its worker finishes — completion order, not index
-// order, which is what makes live progress reporting possible while long
-// items are still running. Collect into index order to recover a
-// deterministic sequence.
-//
-// Cancelling the context stops workers from starting new items; in-flight
-// items still deliver their (presumably cancelled) results, and the pool
-// always drains cleanly — no goroutine outlives the iterator. Breaking out
-// of the iteration early behaves like cancellation.
-func Stream[T any](ctx context.Context, p Pool, n int, run func(ctx context.Context, i int) T) iter.Seq[T] {
-	pool := Pool{Workers: max(p.Size(n), 1)}
-	return func(yield func(T) bool) {
-		ictx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		out := make(chan T)
-		// abandoned is closed only when the consumer breaks out of the
-		// iteration — the one case where nobody will ever receive again.
-		// Context cancellation deliberately does NOT unblock the send:
-		// the consumer keeps draining until close(out), and an item that
-		// finished around the cancellation instant must still be
-		// delivered (dropping it would mislabel a completed item as
-		// never-started in a collected report).
-		abandoned := make(chan struct{})
-		next := counter(n)
-		go func() {
-			Drain(pool, func() (int, bool) {
-				if ictx.Err() != nil {
-					return 0, false
-				}
-				return next()
-			}, func(i int) {
-				select {
-				case out <- run(ictx, i):
-				case <-abandoned:
-				}
-			})
-			close(out)
-		}()
-		for r := range out {
-			if !yield(r) {
-				cancel()
-				close(abandoned)
-				for range out { // drain until the pool exits
-				}
-				return
-			}
-		}
-	}
 }
 
 // RunSafely calls run and converts a panic into an error, so a

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -78,85 +76,128 @@ func TestDrainExhaustsStatefulPlanner(t *testing.T) {
 	}
 }
 
+// The three TestStream* tests below once covered a completion-order
+// iterator in this package. The facade's StreamCampaign and StreamFleet now
+// build that iterator on the engines' serial OnCellDone callbacks, so these
+// pin the pool shape such a callback rests on (campaign.Engine.RunContext):
+// each worker writes its own slot, one mutex-guarded counter reports every
+// finished item, and a cancelled context starts no new work while the pool
+// still joins.
+
 func TestStreamDeliversEveryResult(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const n = 40
-		var got []int
-		for r := range Stream(context.Background(), Pool{Workers: workers}, n, func(_ context.Context, i int) int {
-			return i
-		}) {
-			got = append(got, r)
+		results := make([]int, n)
+		var (
+			mu       sync.Mutex
+			done     int
+			reported []int
+		)
+		Pool{Workers: workers}.ForEach(n, func(i int) {
+			results[i] = i * i
+			mu.Lock()
+			done++
+			if done != len(reported)+1 {
+				t.Errorf("workers=%d: report %d arrived as done=%d", workers, len(reported)+1, done)
+			}
+			reported = append(reported, i)
+			mu.Unlock()
+		})
+		if len(reported) != n {
+			t.Fatalf("workers=%d: reported %d results, want %d", workers, len(reported), n)
 		}
-		sort.Ints(got)
-		if len(got) != n {
-			t.Fatalf("streamed %d results, want %d", len(got), n)
+		hits := make([]int, n)
+		for _, i := range reported {
+			hits[i]++
 		}
-		for i, r := range got {
-			if r != i {
-				t.Fatalf("missing result %d (got %d)", i, r)
+		coverage(t, hits, 1)
+		for i, r := range results {
+			if r != i*i {
+				t.Fatalf("workers=%d: results[%d] = %d, want %d", workers, i, r, i*i)
 			}
 		}
 	}
 }
 
-// Breaking out of the stream must abandon cleanly: no worker goroutine may
-// outlive the iterator.
-func TestStreamEarlyBreakLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for r := range Stream(context.Background(), Pool{Workers: 4}, 100, func(_ context.Context, i int) int {
-		time.Sleep(time.Millisecond)
-		return i
-	}) {
-		_ = r
-		break
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked after early break: %d > %d", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// Cancelling the context stops workers from starting new items but still
-// delivers in-flight results and closes the stream.
+// Cancelling the context inside a report stops workers from running new
+// items, which are marked instead, yet every index is still handed out and
+// the pool joins.
 func TestStreamCancellationDrains(t *testing.T) {
+	const n, workers, cancelAt = 1000, 4, 5
 	ctx, cancel := context.WithCancel(context.Background())
-	const n = 1000
-	seen := 0
-	for range Stream(ctx, Pool{Workers: 4}, n, func(_ context.Context, i int) int { return i }) {
-		seen++
-		if seen == 5 {
+	defer cancel()
+	const unset, cancelled = -2, -1
+	results := make([]int, n)
+	for i := range results {
+		results[i] = unset
+	}
+	var (
+		mu   sync.Mutex
+		done int
+	)
+	Pool{Workers: workers}.ForEach(n, func(i int) {
+		if ctx.Err() != nil {
+			results[i] = cancelled
+			return
+		}
+		results[i] = i
+		mu.Lock()
+		done++
+		if done == cancelAt {
 			cancel()
 		}
+		mu.Unlock()
+	})
+	ran := 0
+	for i, r := range results {
+		switch r {
+		case i:
+			ran++
+		case cancelled:
+		default:
+			t.Fatalf("results[%d] = %d: the pool returned before handing out every index", i, r)
+		}
 	}
-	cancel()
-	if seen == 0 || seen > n {
-		t.Fatalf("streamed %d results after cancellation, want 1..%d", seen, n)
+	if ran != done {
+		t.Fatalf("%d items ran but %d were reported", ran, done)
+	}
+	// Only the items already past their context check when the cancel
+	// landed may still run: at most one per other worker.
+	if done < cancelAt || done > cancelAt+workers-1 {
+		t.Fatalf("%d items ran after cancelling at report %d, want %d..%d", done, cancelAt, cancelAt, cancelAt+workers-1)
 	}
 }
 
-// Once the context is cancelled or the consumer breaks out, workers start
-// no new items: only the few already in flight run, never the rest of
-// the index space.
+// A planner gated on the context starts no new item once the first
+// completion cancels it: before any item finishes each worker can hold at
+// most one, so no more than workers items ever start.
 func TestStreamStopsStartingItems(t *testing.T) {
-	const n, workers = 1000, 4
-	for _, brk := range []bool{false, true} {
+	const n = 1000
+	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
-		for range Stream(ctx, Pool{Workers: workers}, n, func(_ context.Context, i int) int {
-			started.Add(1)
-			return i
-		}) {
-			cancel()
-			if brk {
-				break
+		next := counter(n)
+		var (
+			started atomic.Int64
+			mu      sync.Mutex
+			done    int
+		)
+		Drain(Pool{Workers: workers}, func() (int, bool) {
+			if ctx.Err() != nil {
+				return 0, false
 			}
-		}
+			return next()
+		}, func(int) {
+			started.Add(1)
+			mu.Lock()
+			done++
+			if done == 1 {
+				cancel()
+			}
+			mu.Unlock()
+		})
 		cancel()
-		if got := started.Load(); got > 4*workers {
-			t.Errorf("break=%v: %d items started after cancelling at the first result, want at most %d", brk, got, 4*workers)
+		if got := started.Load(); got < 1 || got > int64(workers) {
+			t.Errorf("workers=%d: %d items started after cancelling at the first completion, want 1..%d", workers, got, workers)
 		}
 	}
 }

@@ -744,3 +744,38 @@ func TestCampaignRun(t *testing.T) {
 		t.Errorf("daemon summary %q, in-process %q", done.Summary, rep.Summary())
 	}
 }
+
+// TestCampaignProgressCountsFailedCells: every cell of a campaign reaches
+// the run's progress log, cells that fail before they simulate included,
+// so the final RunInfo.Done equals Cells and the done event's hits and
+// misses add up to the grid, cold and warm.
+func TestCampaignProgressCountsFailedCells(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl := newTestDaemon(t, Config{Store: st})
+	ctx := context.Background()
+	gridJSON := []byte(`{"policies":["without-fan"],"benchmarks":["dijkstra","no-such-bench"],` +
+		`"scenarios":["","cold-start"],"platforms":["","no-such-soc"],"governors":["","no-such-governor"]}`)
+	for _, pass := range []string{"cold", "warm"} {
+		info, err := cl.SubmitCampaign(ctx, controlapi.SubmitRequest{Spec: gridJSON, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := cl.Follow(ctx, info.ID, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitTerminal(t, cl, info.ID)
+		if final.Cells != 16 || final.Done != final.Cells {
+			t.Errorf("%s: RunInfo done %d of %d cells, want 16 of 16", pass, final.Done, final.Cells)
+		}
+		if got := done.Hits + done.Misses; got != uint64(final.Cells) {
+			t.Errorf("%s: done event counts %d hits + %d misses, want %d cells", pass, done.Hits, done.Misses, final.Cells)
+		}
+		if done.Completed != 1 || done.Failures != 15 {
+			t.Errorf("%s: completed=%d failures=%d, want 1/15", pass, done.Completed, done.Failures)
+		}
+	}
+}

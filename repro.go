@@ -255,7 +255,14 @@ func (d *Device) RunCampaign(ctx context.Context, grid CampaignGrid, models *Mod
 // drains the pool cleanly; breaking out of the loop behaves the same.
 // Nil models follow RunCampaign's rule.
 func (d *Device) StreamCampaign(ctx context.Context, grid CampaignGrid, models *Models, workers int, baseSeed int64) (iter.Seq[CellResult], error) {
-	return d.campaignEngine(models, workers, baseSeed).Stream(ctx, grid)
+	return func(yield func(CellResult) bool) {
+		stream, _ := follow(ctx, func(ctx context.Context, offer func(CellResult)) (*CampaignReport, error) {
+			eng := d.campaignEngine(models, workers, baseSeed)
+			eng.OnCellDone = func(_, _ int, r CellResult) { offer(r) }
+			return eng.RunContext(ctx, grid)
+		})
+		stream(yield)
+	}, nil
 }
 
 func (d *Device) campaignEngine(models *Models, workers int, baseSeed int64) *campaign.Engine {

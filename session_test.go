@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -315,17 +316,21 @@ func TestSpecWorkloadExclusivity(t *testing.T) {
 }
 
 // TestStreamCampaignFacade pins the streamed campaign: collecting the
-// stream and ordering by cell index reproduces RunCampaign's report.
+// stream and ordering by cell index reproduces RunCampaign's report,
+// failed cells included.
 func TestStreamCampaignFacade(t *testing.T) {
 	dev := NewDevice()
 	grid := CampaignGrid{
 		Policies:   []Policy{WithoutFan, Reactive},
-		Benchmarks: []string{"dijkstra"},
+		Benchmarks: []string{"dijkstra", "no-such-bench"},
 		Seeds:      []int64{1, 2},
 	}
 	batch, err := dev.RunCampaign(context.Background(), grid, nil, 2, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(batch.Failures()) != 4 {
+		t.Fatalf("batch report has %d failed cells, want 4", len(batch.Failures()))
 	}
 	stream, err := dev.StreamCampaign(context.Background(), grid, nil, 2, 1)
 	if err != nil {
@@ -340,9 +345,44 @@ func TestStreamCampaignFacade(t *testing.T) {
 	if n != len(batch.Cells) {
 		t.Fatalf("stream yielded %d cells, want %d", n, len(batch.Cells))
 	}
-	for i := range got {
-		if got[i].Err != batch.Cells[i].Err || *got[i].Metrics != *batch.Cells[i].Metrics {
-			t.Errorf("cell %d: stream %+v vs batch %+v", i, got[i], batch.Cells[i])
-		}
+	if !reflect.DeepEqual(got, batch.Cells) {
+		t.Errorf("streamed cells differ from the batch report:\nstream %+v\nbatch  %+v", got, batch.Cells)
+	}
+}
+
+// TestStreamCampaignEarlyBreak abandons a streamed campaign after one
+// cell: the loop returns only once the run has ended, so the goroutine
+// count goes back to its baseline, and the device sweeps cleanly
+// afterwards.
+func TestStreamCampaignEarlyBreak(t *testing.T) {
+	dev := NewDevice()
+	grid := CampaignGrid{
+		Policies:   []Policy{WithoutFan, Reactive},
+		Benchmarks: []string{"dijkstra"},
+		Seeds:      []int64{1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	m := models(t)
+	before := runtime.NumGoroutine()
+	stream, err := dev.StreamCampaign(context.Background(), grid, m, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range stream {
+		break
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines leaked after an early break: %d before, %d after\n%s", before, now, buf[:runtime.Stack(buf, true)])
+	}
+	rep, err := dev.RunCampaign(context.Background(), grid, m, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fails := rep.Failures(); len(fails) != 0 {
+		t.Fatalf("sweep after an early break failed: %+v", fails)
 	}
 }
