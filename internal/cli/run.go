@@ -22,7 +22,7 @@ type Output struct {
 	Tool string
 	// JSON and CSV name the export files ("" = not written).
 	JSON, CSV string
-	// Quiet drops the per-cell progress lines.
+	// Quiet drops the progress lines.
 	Quiet bool
 	// Stdout and Stderr default to the process streams.
 	Stdout, Stderr io.Writer
@@ -42,7 +42,7 @@ func (o Output) stderr() io.Writer {
 	return os.Stderr
 }
 
-// Progress returns the per-cell progress printer, nil when Quiet (so an
+// Progress returns the progress printer, nil when Quiet (so an
 // engine handed it skips progress bookkeeping altogether). It prints
 // progress events and ignores every other event type.
 func (o Output) Progress() func(controlapi.Event) {
@@ -124,7 +124,11 @@ func (o Output) Remote(ctx context.Context, addr, tenant, kind string, spec any,
 	if kind == controlapi.KindCampaign {
 		submit = cl.SubmitCampaign
 	}
-	info, err := submit(ctx, controlapi.SubmitRequest{Spec: specJSON, Seed: seed, Workers: workers})
+	// Submit outside ctx's cancellation: an interrupt that lands while the
+	// POST is in flight must not abandon a run the daemon has already
+	// admitted. The cancel hook below then fires at once and the run ends
+	// cancelled like any other.
+	info, err := submit(context.WithoutCancel(ctx), controlapi.SubmitRequest{Spec: specJSON, Seed: seed, Workers: workers})
 	if err != nil {
 		return 0, err
 	}

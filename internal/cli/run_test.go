@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,6 +426,77 @@ func TestRemoteLeavesNoGoroutines(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Errorf("%d goroutines after three completed remote runs, %d before:\n%s",
 			n, base, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestRemoteCancelDuringSubmit: an interrupt that lands while the submit
+// POST is in flight — after the daemon has admitted the run — still ends
+// the run cancelled and the CLI with exit 130, instead of abandoning the
+// run on the daemon with a "context canceled" error.
+func TestRemoteCancelDuringSubmit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var armed atomic.Bool
+	h := server.New(server.Config{Workers: 1, MaxActive: 1}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || !armed.Load() {
+			h.ServeHTTP(w, r)
+			return
+		}
+		// Admit the run, interrupt the caller, and hold the response
+		// until the caller hangs up (a submit bound to ctx) or shows it
+		// is still waiting for the run it submitted.
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		cancel()
+		select {
+		case <-r.Context().Done():
+		case <-time.After(100 * time.Millisecond):
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer ts.Close()
+
+	// A long blocker holds the daemon's one active slot, so the submitted
+	// run stays queued until the interrupt reaches it.
+	cl := client.New(ts.URL)
+	blocker, err := cl.SubmitFleet(context.Background(), controlapi.SubmitRequest{
+		Spec: []byte(`{"n": 2000, "policy": "without-fan"}`), Seed: runSeed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cl.Cancel(context.Background(), blocker.ID)
+		cl.Follow(context.Background(), blocker.ID, 0, nil)
+	}()
+	armed.Store(true)
+
+	j := jobs()[0].clean
+	o := Output{Tool: "fleet", Quiet: true, Stdout: io.Discard, Stderr: io.Discard}
+	code, err := o.Remote(ctx, ts.URL, "", j.kind, j.spec(), runSeed, 1)
+	if err != nil || code != 130 {
+		t.Errorf("interrupted submit: exit %d, err %v; want exit 130", code, err)
+	}
+	list, err := cl.Runs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range list.Runs {
+		if r.ID == blocker.ID {
+			continue
+		}
+		if r.State != controlapi.StateCancelled {
+			// Leave nothing queued behind the test.
+			cl.Cancel(context.Background(), r.ID)
+			t.Errorf("run %s left %s on the daemon, want cancelled", r.ID, r.State)
+		}
+	}
+	if len(list.Runs) != 2 {
+		t.Errorf("daemon holds %d runs, want the blocker and the submitted run", len(list.Runs))
 	}
 }
 

@@ -173,7 +173,8 @@ type RunInfo struct {
 	Engine string `json:"engine"`
 	// Cells is the total work size (population size / grid size).
 	Cells int `json:"cells"`
-	// Done counts completed cells so far.
+	// Done counts finished cells (failures included) as of the latest
+	// progress checkpoint; once the run is terminal, every cell that ran.
 	Done int `json:"done"`
 	// Error is the run-level failure, terminal states only ("" otherwise).
 	Error string `json:"error,omitempty"`
@@ -193,15 +194,23 @@ type Event struct {
 	// Type is EventProgress or EventDone.
 	Type string `json:"type"`
 
-	// Progress fields (Type == EventProgress): one per-device/per-cell
-	// completion record — the wire form of fleet.Progress / a campaign
-	// cell result, rendered with the same strings the in-process CLIs
-	// print so thin clients reproduce their output bytes.
-	Done   int    `json:"done,omitempty"`
-	Total  int    `json:"total,omitempty"`
-	Cell   string `json:"cell,omitempty"`
-	Err    string `json:"err,omitempty"`
-	Cached bool   `json:"cached,omitempty"`
+	// Progress fields (Type == EventProgress): a checkpoint of the run's
+	// progress. A run of up to 64 cells logs one per finished cell; a
+	// larger run logs its first and last cell and every ceil(total/64)th,
+	// at most 65 in all. Cell, Err and Cached describe the cell that made
+	// the checkpoint — the wire form of fleet.Progress / a campaign cell
+	// result, rendered with the same strings the in-process CLIs print so
+	// thin clients reproduce their output bytes. Done, DoneCached and
+	// DoneFailed are the run's cumulative counts at the checkpoint (cells
+	// finished, served from the store, failed), so the cells between two
+	// checkpoints are counted though not listed.
+	Done       int    `json:"done,omitempty"`
+	Total      int    `json:"total,omitempty"`
+	Cell       string `json:"cell,omitempty"`
+	Err        string `json:"err,omitempty"`
+	Cached     bool   `json:"cached,omitempty"`
+	DoneCached int    `json:"done_cached,omitempty"`
+	DoneFailed int    `json:"done_failed,omitempty"`
 
 	// Done fields (Type == EventDone): the run's terminal record.
 	State     string `json:"state,omitempty"`

@@ -31,6 +31,26 @@ func TestCellAggResetIsFresh(t *testing.T) {
 	}
 }
 
+// TestCollectorRingGrows: a completed cell further past the frontier than
+// the ring was sized for widens the ring instead of overwriting a pending
+// neighbour, and the merge still runs in index order.
+func TestCollectorRingGrows(t *testing.T) {
+	const n = 9
+	var e Engine
+	coll := newCollector(n, make([]pendingSlot, 2), &e.sums)
+	for _, i := range []int{3, 1, 8, 5, 0, 7, 2, 6, 4} {
+		coll.add(i, cellOutcome{cfg: CellConfig{Index: i}, err: "failed"})
+	}
+	if coll.next != n || coll.pending != 0 || len(coll.failures) != n {
+		t.Fatalf("frontier %d, %d pending, %d merged; want %d, 0, %d", coll.next, coll.pending, len(coll.failures), n, n)
+	}
+	for i, f := range coll.failures {
+		if f.Cell.Index != i {
+			t.Fatalf("merge %d is cell %d, want index order", i, f.Cell.Index)
+		}
+	}
+}
+
 // BenchmarkFleetMerge is the service-layer row of the aggregator fold and
 // the frontier merge, the collector's share of a fleet op. One op folds a
 // full pending window of dense aggregators (the window of a two-worker run
@@ -40,7 +60,7 @@ func TestCellAggResetIsFresh(t *testing.T) {
 // order, into three groups and the overall row. The aggregators carry
 // 48 non-zero skin bins each, the spread of a typical library cell. In
 // the steady state an op allocates nothing: the sums cycle through the
-// free list, the pending map keeps its table, and the groups keep their
+// free list, the pending ring is reused, and the groups keep their
 // series' backing (the benchmark rewinds them between ops).
 func BenchmarkFleetMerge(b *testing.B) {
 	const window = (flushWindowUnits + 2) * DefaultBatchSize
@@ -65,7 +85,7 @@ func BenchmarkFleetMerge(b *testing.B) {
 	}
 	var e Engine
 	e.sums.setLimit(window)
-	coll := newCollector(window, &e.sums)
+	coll := newCollector(window, make([]pendingSlot, window), &e.sums)
 	op := func() {
 		for i := window - 1; i >= 0; i-- {
 			s := e.sums.get()
@@ -95,7 +115,7 @@ func BenchmarkFleetMerge(b *testing.B) {
 		}
 		rewindGroup(coll.overall)
 	}
-	op() // the free list, the pending map and the series reach their size
+	op() // the free list and the series reach their size
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

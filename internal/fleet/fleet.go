@@ -83,6 +83,10 @@ type Engine struct {
 	// frontier draws on cells the engine already holds.
 	aggs freeList[cellAgg, *cellAgg]
 	sums freeList[cellSums, *cellSums]
+	// ring backs the collector's pending window. Its size follows the
+	// window bound, not the population, so Run keeps it across runs (an
+	// engine runs one fleet at a time) instead of allocating it afresh.
+	ring []pendingSlot
 
 	// lastMaxPending / lastMaxBuffered record the previous Run's
 	// high-water marks of the collector's reorder window and the
@@ -121,9 +125,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-worker sim scratch is recycled through pooled arenas, and the
-	// collector returns each merged cell's sums to the engine's free list.
-	coll := newCollector(spec.N, &e.sums)
 	var (
 		mu   sync.Mutex
 		done int
@@ -155,12 +156,26 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Report, error) {
 	// with a worker (a buffered frontier would cap pending at the flush
 	// window), and that worker finishes and merges without ever gating.
 	workers := pool.Size(spec.N)
-	coll.window = (flushWindowUnits + workers) * e.batchSize()
+	window := (flushWindowUnits + workers) * e.batchSize()
 	// A worker gates only while pending < window and then holds at most
 	// one unit, so no more than window + workers × width sums are ever
-	// out at once.
+	// out at once. Every index between the merge frontier and the
+	// planner's scan is one of those cells or one the planner buffers,
+	// and the planner buffers no cell more than a flush window behind its
+	// scan: so the frontier trails the scan, and with it every completed
+	// cell, by less than held plus a flush window, and the collector's
+	// ring never has to grow.
+	held := window + workers*e.batchSize()
+	span := max(min(spec.N, held+flushWindowUnits*e.batchSize()), 1)
+	if len(e.ring) < span {
+		e.ring = make([]pendingSlot, span)
+	}
+	// The collector returns each merged cell's sums to the engine's free
+	// list.
+	coll := newCollector(spec.N, e.ring[:span], &e.sums)
+	coll.window = window
 	e.aggs.setLimit(workers * e.batchSize())
-	e.sums.setLimit(coll.window + workers*e.batchSize())
+	e.sums.setLimit(held)
 	e.sums.stock(spec.N)
 	sched.Drain(pool, func() ([]int, bool) {
 		coll.gate()
@@ -282,16 +297,21 @@ func (e *Engine) ReplayCell(ctx context.Context, spec Spec, index int) (*sim.Res
 // hard-bounded by the gate: workers wait for window room before taking a
 // new unit, so pending stays O(flush window + workers × batch), never
 // O(N) — that, not a cells-length slice, is what lets a million-device
-// fleet run in memory independent of N. Only the per-group scalar tails
-// (one energy / perf-loss / throttle value per completed cell, for the
-// exact percentiles the report promises) and the failure list still grow
-// with the population.
+// fleet run in memory independent of N. The window is a ring indexed by
+// cell index minus the frontier, which the engine keeps across runs:
+// unlike a map, it never rehashes under the merge's delete/insert churn.
+// Only the per-group scalar tails (one energy / perf-loss / throttle
+// value per completed cell, for the exact percentiles the report
+// promises) and the failure list still grow with the population.
 type collector struct {
-	mu        sync.Mutex
-	cond      *sync.Cond // signalled whenever the merge frontier advances
-	n         int
-	pending   map[int]cellOutcome // completed but not yet merged
-	next      int                 // first index not yet merged
+	mu   sync.Mutex
+	cond *sync.Cond // signalled whenever the merge frontier advances
+	n    int
+	// ring holds the completed but unmerged cells: cell i, at most
+	// len(ring)-1 past the frontier, sits in slot i % len(ring).
+	ring      []pendingSlot
+	pending   int // occupied ring slots
+	next      int // first index not yet merged
 	completed int
 	failures  []CellFailure // collected at merge time, so index order
 	overall   *groupAgg
@@ -299,7 +319,7 @@ type collector struct {
 	keys      [][2]string
 	free      *freeList[cellSums, *cellSums] // where merged sums go
 
-	// window caps the pending map: gate blocks unit hand-out while the
+	// window caps the pending count: gate blocks unit hand-out while the
 	// window is full (0 = ungated). Must exceed the planner's flush window
 	// so the frontier cell is always in flight whenever gate blocks.
 	window int
@@ -309,11 +329,20 @@ type collector struct {
 	maxPending int
 }
 
-func newCollector(n int, free *freeList[cellSums, *cellSums]) *collector {
+// pendingSlot is one ring slot of the collector's pending window.
+type pendingSlot struct {
+	out cellOutcome
+	set bool
+}
+
+// newCollector builds the collector of an n-cell run whose completed
+// cells lie fewer than len(ring) indices past the merge frontier.
+func newCollector(n int, ring []pendingSlot, free *freeList[cellSums, *cellSums]) *collector {
+	clear(ring)
 	c := &collector{
 		n:       n,
 		free:    free,
-		pending: map[int]cellOutcome{},
+		ring:    ring,
 		overall: newGroupAgg("all", "all"),
 		groups:  map[[2]string]*groupAgg{},
 	}
@@ -330,7 +359,7 @@ func (c *collector) gate() {
 		return
 	}
 	c.mu.Lock()
-	for len(c.pending) >= c.window {
+	for c.pending >= c.window {
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
@@ -340,16 +369,21 @@ func (c *collector) gate() {
 func (c *collector) add(i int, out cellOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pending[i] = out
-	if len(c.pending) > c.maxPending {
-		c.maxPending = len(c.pending)
+	if i-c.next >= len(c.ring) {
+		c.grow(i - c.next + 1)
+	}
+	c.ring[i%len(c.ring)] = pendingSlot{out: out, set: true}
+	if c.pending++; c.pending > c.maxPending {
+		c.maxPending = c.pending
 	}
 	for {
-		o, ok := c.pending[c.next]
-		if !ok {
+		s := &c.ring[c.next%len(c.ring)]
+		if !s.set {
 			break
 		}
-		delete(c.pending, c.next)
+		o := s.out
+		*s = pendingSlot{}
+		c.pending--
 		if o.err != "" {
 			c.failures = append(c.failures, CellFailure{Cell: o.cfg, Err: o.err})
 		} else {
@@ -368,6 +402,17 @@ func (c *collector) add(i int, out cellOutcome) {
 		c.next++
 	}
 	c.cond.Broadcast()
+}
+
+// grow widens the ring to at least span slots, re-placing the pending
+// cells. Run sizes the ring so this never happens; it keeps a cell beyond
+// the sized span correct rather than overwriting a pending neighbour.
+func (c *collector) grow(span int) {
+	ring := make([]pendingSlot, max(span, 2*len(c.ring)))
+	for i := c.next; i < c.next+len(c.ring); i++ {
+		ring[i%len(ring)] = c.ring[i%len(c.ring)]
+	}
+	c.ring = ring
 }
 
 // report finalizes the deterministic aggregate report. Every cell has been

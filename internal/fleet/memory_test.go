@@ -137,7 +137,7 @@ func TestFleetBoundedMemory(t *testing.T) {
 // caches already made by a small warm-up fleet), divided by the pending
 // cells must stay under 1 KB. The count includes everything the run
 // holds — the sums the engine stocks for the whole window, the pending
-// map, the planner — so it is an upper bound on the per-cell cost.
+// ring, the planner — so it is an upper bound on the per-cell cost.
 func TestFleetPendingWindowMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~600 cells")

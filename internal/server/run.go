@@ -46,14 +46,17 @@ type run struct {
 	// doneAt is the retention clock: when the run reached its terminal
 	// state (stamped by Server.noteTerminal, zero until then).
 	doneAt time.Time
-	// events is the append-only log; pulse is closed and replaced on every
-	// append, waking blocked streamers.
+	// events is the append-only log, at most 66 events long (see
+	// checkpoints); pulse is closed and replaced on every append, waking
+	// blocked streamers.
 	events []controlapi.Event
 	pulse  chan struct{}
-	// done / cached count progress events (and store-served cells among
-	// them) — the per-run store telemetry the done event reports. The
-	// shared store's own counters accumulate across every run of the
-	// daemon, so per-run numbers must come from the run's events.
+	// done / cached are the run's cumulative finished and store-served
+	// cells — the latest checkpoint's counts while it runs, the producer's
+	// final counts once terminal — and the per-run store telemetry the
+	// done event reports. The shared store's own counters accumulate
+	// across every run of the daemon, so per-run numbers must come from
+	// the run's own producer.
 	done   int
 	cached int
 	runErr string
@@ -108,15 +111,13 @@ func (r *run) setState(s string) {
 	r.mu.Unlock()
 }
 
-// appendProgress logs one per-cell completion event.
+// appendProgress logs one progress checkpoint and takes the run's counts
+// from it.
 func (r *run) appendProgress(ev controlapi.Event) {
 	r.mu.Lock()
 	ev.Seq = int64(len(r.events)) + 1
 	r.events = append(r.events, ev)
-	r.done++
-	if ev.Cached {
-		r.cached++
-	}
+	r.done, r.cached = ev.Done, ev.DoneCached
 	r.wakeLocked()
 	r.mu.Unlock()
 }
@@ -151,11 +152,13 @@ func (r *run) report(format string) ([]byte, bool) {
 
 // finalize appends the terminal done event and flips the state, atomically.
 // The Outcome may be zero: a run cancelled before it started has no report,
-// only a terminal state.
+// only a terminal state. The run's counts come from the Outcome, not the
+// last checkpoint, so they cover a cancelled run's last cells too.
 func (r *run) finalize(state, runErr string, out Outcome, storeDir string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.state = state
+	r.done, r.cached = out.Finished, out.Cached
 	r.runErr = runErr
 	r.reportJSON = out.JSON
 	r.reportCSV = out.CSV
@@ -270,63 +273,111 @@ func (s *Server) runWorkers(r *run) int {
 
 // Outcome is a finished run's rendered artifacts: the JSON and CSV exports
 // (the report's own WriteJSON/WriteCSV bytes), the text summary, and the
-// failed and completed cell counts. A run that produced no report has the
-// zero Outcome (empty Summary).
+// failed and completed cell counts. A run that produced no report has an
+// empty Summary and no exports.
 type Outcome struct {
 	JSON, CSV []byte
 	Summary   string
 	Failures  int
 	Completed int
+	// Finished and Cached are the progress producer's final counts: the
+	// cells that ran (failures included) and those the store served. They
+	// are exact whether or not the last cell was a checkpoint, and zero
+	// when the run was given no progress sink.
+	Finished, Cached int
+}
+
+// progressEvents is the checkpoint budget of one run: a run of up to this
+// many cells reports every cell, a larger one every ceil(total/64)th.
+const progressEvents = 64
+
+// checkpoints is the one coalescing producer of a run's progress events,
+// behind both Execute functions — so behind the daemon's event log and
+// the in-process CLIs' progress lines alike. It counts every finished
+// cell, but only the cell that brings the count to a checkpoint becomes
+// an event: the first, the last, and every ceil(total/64)th. So a run
+// logs at most 65 progress events however large it is, and one of up to
+// 64 cells logs one per cell. A skipped cell builds no event and renders
+// no cell string; the cumulative counts every event carries account
+// for it.
+type checkpoints struct {
+	total                int
+	done, cached, failed int
+}
+
+// note counts one finished cell, the done-th of total, and reports
+// whether it is a checkpoint.
+func (c *checkpoints) note(done, total int, failed, cached bool) bool {
+	c.total, c.done = total, done
+	if cached {
+		c.cached++
+	}
+	if failed {
+		c.failed++
+	}
+	every := (total + progressEvents - 1) / progressEvents
+	return done == 1 || done == total || done%every == 0
+}
+
+// event is the progress event of the cell just noted.
+func (c *checkpoints) event(cell, err string, cached bool) controlapi.Event {
+	return controlapi.Event{
+		Type:       controlapi.EventProgress,
+		Done:       c.done,
+		Total:      c.total,
+		Cell:       cell,
+		Err:        err,
+		Cached:     cached,
+		DoneCached: c.cached,
+		DoneFailed: c.failed,
+	}
 }
 
 // ExecuteFleet runs spec on eng and renders the report. progress, when
-// non-nil, receives one controlapi progress event per finished device,
-// serially. A cancelled run comes back with its partial Outcome and an
-// error wrapping sim.ErrCancelled. The daemon and the in-process CLIs both
-// run fleets through here, which is what makes their exports byte-identical.
+// non-nil, receives the run's coalesced progress events (see
+// checkpoints), serially. A cancelled run comes back with its partial
+// Outcome and an error wrapping sim.ErrCancelled. The daemon and the
+// in-process CLIs both run fleets through here, which is what makes their
+// exports byte-identical.
 func ExecuteFleet(ctx context.Context, eng *fleet.Engine, spec fleet.Spec, progress func(controlapi.Event)) (Outcome, error) {
+	var cp checkpoints
 	if progress != nil {
 		eng.OnCellDone = func(p fleet.Progress) {
-			progress(controlapi.Event{
-				Type:   controlapi.EventProgress,
-				Done:   p.Done,
-				Total:  p.Total,
-				Cell:   p.Cell.String(),
-				Err:    p.Err,
-				Cached: p.Cached,
-			})
+			if cp.note(p.Done, p.Total, p.Err != "", p.Cached) {
+				progress(cp.event(p.Cell.String(), p.Err, p.Cached))
+			}
 		}
 		defer func() { eng.OnCellDone = nil }()
 	}
 	rep, err := eng.Run(ctx, spec)
-	if rep == nil {
-		return Outcome{}, err
+	var out Outcome
+	if rep != nil {
+		out, err = render("fleet", rep, len(rep.Failures), rep.Completed, err)
 	}
-	return render("fleet", rep, len(rep.Failures), rep.Completed, err)
+	out.Finished, out.Cached = cp.done, cp.cached
+	return out, err
 }
 
-// ExecuteCampaign is ExecuteFleet for a campaign grid: one progress event
-// per finished cell, then the rendered report.
+// ExecuteCampaign is ExecuteFleet for a campaign grid: coalesced progress
+// events over the grid's cells, then the rendered report.
 func ExecuteCampaign(ctx context.Context, eng *campaign.Engine, grid campaign.Grid, progress func(controlapi.Event)) (Outcome, error) {
+	var cp checkpoints
 	if progress != nil {
 		eng.OnCellDone = func(done, total int, res campaign.CellResult) {
-			progress(controlapi.Event{
-				Type:   controlapi.EventProgress,
-				Done:   done,
-				Total:  total,
-				Cell:   res.Cell.String(),
-				Err:    res.Err,
-				Cached: res.Cached,
-			})
+			if cp.note(done, total, res.Err != "", res.Cached) {
+				progress(cp.event(res.Cell.String(), res.Err, res.Cached))
+			}
 		}
 		defer func() { eng.OnCellDone = nil }()
 	}
 	rep, err := eng.RunContext(ctx, grid)
-	if rep == nil {
-		return Outcome{}, err
+	var out Outcome
+	if rep != nil {
+		fails := len(rep.Failures())
+		out, err = render("campaign", rep, fails, len(rep.Cells)-fails, err)
 	}
-	fails := len(rep.Failures())
-	return render("campaign", rep, fails, len(rep.Cells)-fails, err)
+	out.Finished, out.Cached = cp.done, cp.cached
+	return out, err
 }
 
 // exporter is the export surface both engines' reports share.

@@ -334,6 +334,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // TCP listener with a fresh store, plus the shared HTTP transport every
 // tenant client pools connections through — and returns its teardown.
 func newHarness(cfg Config) (*harness, func(), error) {
+	if err := registerIdle(); err != nil {
+		return nil, nil, err
+	}
 	storeDir, err := os.MkdirTemp("", "repro-soak-store-")
 	if err != nil {
 		return nil, nil, err

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	"repro"
 	"repro/internal/client"
 	"repro/internal/controlapi"
 	"repro/internal/fleet"
 	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -90,6 +92,33 @@ func (h *harness) specJSON(spec fleet.Spec) ([]byte, error) {
 	return json.Marshal(spec)
 }
 
+// bigFleetN sizes the fleets of the stream fault ops: above the daemon's
+// 64-event progress budget, so their streams are coalesced checkpoints.
+const bigFleetN = 100
+
+// registerIdle registers the one-second idle scenario the big fleets run,
+// so a 100-device fleet stays cheap under the race detector.
+var registerIdle = sync.OnceValue(func() error {
+	return scenario.Register(scenario.Spec{
+		Name:   "soak-idle",
+		Seed:   9101,
+		Phases: []scenario.Phase{{Name: "idle", DurationS: 1}},
+	})
+})
+
+// bigFleetSpec is the generated shape of the stream fault ops: bigFleetN
+// idle devices on the default platform.
+func (h *harness) bigFleetSpec(name string) fleet.Spec {
+	return fleet.Spec{
+		Name:           name,
+		N:              bigFleetN,
+		Policy:         "dtpm",
+		ControlPeriodS: 0.5,
+		Scenarios:      []fleet.Weight{{Name: "soak-idle", Weight: 1}},
+		AmbientJitterC: 8,
+	}
+}
+
 const campaignGrid = `{"policies":["without-fan","dtpm"],"benchmarks":["dijkstra"],"seeds":[1]}`
 
 // prewarm builds the resident state the baselines are measured against:
@@ -100,12 +129,14 @@ func (h *harness) prewarm(ctx context.Context) error {
 	h.dev = repro.NewDevice()
 	cl := h.client("warmup")
 	for _, seed := range h.seedPool() {
-		spec, err := h.specJSON(h.fleetSpec("soak-warmup", 1))
-		if err != nil {
-			return err
-		}
-		if _, err := h.followFleet(ctx, cl, spec, seed); err != nil {
-			return err
+		for _, spec := range []fleet.Spec{h.fleetSpec("soak-warmup", 1), h.bigFleetSpec("soak-warmup-big")} {
+			raw, err := h.specJSON(spec)
+			if err != nil {
+				return err
+			}
+			if _, err := h.followFleet(ctx, cl, raw, seed); err != nil {
+				return err
+			}
 		}
 		info, err := cl.SubmitCampaign(ctx, controlapi.SubmitRequest{Spec: []byte(campaignGrid), Seed: seed})
 		if err != nil {
@@ -195,8 +226,13 @@ func (h *harness) tenant(ctx context.Context, w, idx int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		k := r.intn(10)
+		if idx == 0 && op == 0 {
+			// Every window streams at least one coalesced run.
+			k = 8 + w%2
+		}
 		var err error
-		switch r.intn(8) {
+		switch k {
 		case 0, 1:
 			err = h.opFleet(ctx, cl, r)
 		case 2:
@@ -211,6 +247,10 @@ func (h *harness) tenant(ctx context.Context, w, idx int) error {
 			err = h.opSession(r)
 		case 7:
 			err = h.opReplay(r)
+		case 8:
+			err = h.opSlowConsumer(ctx, cl, r)
+		case 9:
+			err = h.opDropStream(ctx, cl, r)
 		}
 		if err != nil {
 			return fmt.Errorf("tenant %d op %d: %w", idx, op, err)
@@ -373,6 +413,92 @@ func (h *harness) opDetachReattach(ctx context.Context, cl *client.Client, r *rn
 	h.noteRun(info.ID, *done)
 	if done.State != controlapi.StateSucceeded {
 		return fmt.Errorf("run %s ended %s: %s", info.ID, done.State, done.RunErr)
+	}
+	return nil
+}
+
+// submitBig submits a big fleet at a pool seed.
+func (h *harness) submitBig(ctx context.Context, cl *client.Client, r *rng, name string) (*controlapi.RunInfo, error) {
+	spec, err := h.specJSON(h.bigFleetSpec(name))
+	if err != nil {
+		return nil, err
+	}
+	pool := h.seedPool()
+	return cl.SubmitFleet(ctx, controlapi.SubmitRequest{Spec: spec, Seed: pool[r.intn(len(pool))]})
+}
+
+// opSlowConsumer: follow a big fleet with a consumer that sleeps between
+// events. The stream must still be a dense sequence of at most 65
+// coalesced checkpoints whose cumulative counts reach the whole fleet,
+// and the done event's store counters must add up to it.
+func (h *harness) opSlowConsumer(ctx context.Context, cl *client.Client, r *rng) error {
+	info, err := h.submitBig(ctx, cl, r, "soak-slow")
+	if err != nil {
+		return err
+	}
+	pause := time.Duration(1+r.intn(3)) * time.Millisecond
+	var lastSeq int64
+	progress, cells := 0, 0
+	done, err := cl.Follow(ctx, info.ID, 0, func(ev controlapi.Event) error {
+		if ev.Seq != lastSeq+1 {
+			return fmt.Errorf("run %s: event seq %d after %d: lost or duplicated", info.ID, ev.Seq, lastSeq)
+		}
+		lastSeq = ev.Seq
+		if ev.Type == controlapi.EventProgress {
+			progress, cells = progress+1, ev.Done
+		}
+		time.Sleep(pause)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("run %s: slow follow: %w", info.ID, err)
+	}
+	h.noteRun(info.ID, done)
+	if done.State != controlapi.StateSucceeded {
+		return fmt.Errorf("run %s ended %s: %s", info.ID, done.State, done.RunErr)
+	}
+	if progress > 65 || cells != bigFleetN || done.Hits+done.Misses != bigFleetN {
+		return fmt.Errorf("run %s: %d progress events to %d cells, %d hits + %d misses; want at most 65 and %d cells",
+			info.ID, progress, cells, done.Hits, done.Misses, bigFleetN)
+	}
+	return nil
+}
+
+// opDropStream: read a few events of a big fleet's stream, drop it and
+// never reattach. The daemon must release the stream and finish the run
+// regardless; the op polls the run, not its stream, to its terminal state,
+// whose count must cover the whole fleet.
+func (h *harness) opDropStream(ctx context.Context, cl *client.Client, r *rng) error {
+	info, err := h.submitBig(ctx, cl, r, "soak-drop")
+	if err != nil {
+		return err
+	}
+	after := 1 + r.intn(4)
+	seen := 0
+	if _, _, err := cl.Stream(ctx, info.ID, 0, func(controlapi.Event) error {
+		if seen++; seen >= after {
+			return errDetach
+		}
+		return nil
+	}); !errors.Is(err, errDetach) {
+		return fmt.Errorf("run %s: dropped stream: %v", info.ID, err)
+	}
+	for !controlapi.TerminalState(info.State) {
+		time.Sleep(10 * time.Millisecond)
+		if info, err = cl.Run(ctx, info.ID); errors.Is(err, controlapi.ErrNotFound) {
+			// Evicted by concurrent tenants' runs: terminal, unread.
+			h.mu.Lock()
+			h.notFound++
+			h.mu.Unlock()
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+	// The done event goes unread, so the run counts without its store hits.
+	h.noteRun(info.ID, controlapi.Event{State: info.State})
+	if info.State != controlapi.StateSucceeded || info.Done != bigFleetN {
+		return fmt.Errorf("run %s ended %s with %d of %d cells done", info.ID, info.State, info.Done, bigFleetN)
 	}
 	return nil
 }

@@ -137,6 +137,38 @@ func TestDetachReattachOp(t *testing.T) {
 	}
 }
 
+// TestStreamFaultOps drives the slow-consumer and dropped-stream ops
+// directly against a live harness daemon: both stream a big fleet's
+// coalesced progress, and each must end with the run succeeded and every
+// cell counted.
+func TestStreamFaultOps(t *testing.T) {
+	cfg := Config{Seed: 13, Tenants: 1, OpsPerTenant: 1}.withDefaults()
+	h, shutdown, err := newHarness(cfg)
+	if err != nil {
+		t.Fatalf("newHarness: %v", err)
+	}
+	defer shutdown()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := h.client("fault-test")
+	r := newRNG(cfg.Seed, 0, 0)
+	for i := 0; i < 2; i++ {
+		if err := h.opSlowConsumer(ctx, cl, r); err != nil {
+			t.Fatalf("opSlowConsumer #%d: %v", i, err)
+		}
+		if err := h.opDropStream(ctx, cl, r); err != nil {
+			t.Fatalf("opDropStream #%d: %v", i, err)
+		}
+	}
+	h.mu.Lock()
+	runs := h.runs
+	h.mu.Unlock()
+	if runs != 4 {
+		t.Fatalf("runs = %d, want 4", runs)
+	}
+}
+
 func TestQuiesceSettles(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	h, shutdown, err := newHarness(cfg)
